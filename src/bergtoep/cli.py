@@ -264,7 +264,7 @@ def cmd_oracle_compare(args, cfg) -> None:
     for alpha in operators.space_basis(space):
         g = table.entries[alpha]
         beta = tuple(a + q for a, q in zip(alpha, table.shift))
-        if any(b < 0 for b in beta) or sum(beta) > space.m:
+        if any(b < 0 for b in beta):
             continue
         res = oracle.gamma_from_oracle(psi, alpha, table.shift, space.m,
                                        space.n, k, method, **kwargs)
@@ -313,9 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True)
     parser.add_argument("--out")
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap (evaluation is vectorized; kept for "
-                             "config reproducibility)")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--quad-order", type=int)
     parser.add_argument("--mc-samples", type=int)

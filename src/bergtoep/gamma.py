@@ -1,37 +1,36 @@
 """Coefficient functions gamma(alpha) for every covered symbol family.
 
-Each Toeplitz operator in the covered families acts on monomials as
-T(z^alpha) = gamma(alpha) z^(alpha+p).  The functions here evaluate
-gamma by reducing to the two quadrature kernels: a rational-weight
-radial integral over the positive orthant and per-block simplex
-integrals with (possibly half-integer) monomial weights.  Factorials at
-half-integer arguments are read as Gamma(x+1) throughout.
+T(z^alpha) = gamma(alpha) z^(alpha+p).  One evaluator (`_gamma`) serves P^n
+and the ball: a log Gamma-prefactor times the integral of a(rho) prod_j
+B_j(rho) against a Dirichlet weight of exponents e_j = |alpha_(j)| +
+|p_(j)|/2 + k_j - 1, B_j integrating b_j against the monomial weight of
+(alpha_(j), p_(j)).  The space supplies the prefactor and the radial rule:
+on P^n the orthant mapped by r = u/(1-sum u) with a0 = m-|alpha|, on the
+ball the simplex with a0 = lambda and rho = sqrt(u).  Blocks whose factor
+mentions no radius r* factor out as weight-free integrals (closed forms
+when absent); the others are summed at every radial node.  A table build
+memoizes radial values by e and block values or rules by (j, exps, a0).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import gammaln
 
 from . import quadrature
-from .expr import Expr, evaluate
+from .expr import Expr, evaluate, variables
 from .indexing import DomainError, Partition, enumerate_basis
-from .quadrature import QuadratureSpec, radial_integrate_projective, simplex_integrate
-from .symbols import (
-    ExtendedFactor,
-    MultiSphereFactor,
-    PhaseMonomial,
-    Product,
-    QuasiRadial,
-    SingleSphereFactor,
-    SymbolSpec,
-    ValidationError,
-    flatten,
-    total_shift,
-    validate_product,
-)
+from .quadrature import (QuadratureSpec, dirichlet_closed_form, mc_integrate,
+                         radial_integrate_projective, simplex_integrate)
+from .symbols import (ExtendedFactor, MultiSphereFactor, PhaseMonomial,
+                      QuasiRadial, SingleSphereFactor, SymbolSpec,
+                      ValidationError, flatten, radial_env, total_shift,
+                      validate_product)
+
+_EXTENDED = (ExtendedFactor, MultiSphereFactor)
 
 
 class UnsupportedCaseError(DomainError):
@@ -63,71 +62,154 @@ class GammaTable:
         return self.entries[tuple(alpha)]
 
 
-def _radial_evaluator(a_expr: Expr | None, ell: int):
-    if a_expr is None:
-        return None
-
-    def g(rho):
-        # rho holds the block radii sqrt(r_j), shape (N, ell)
-        env = {f"r{j + 1}": rho[:, j] for j in range(ell)}
-        return evaluate(a_expr, env) * np.ones(rho.shape[0])
-
-    return g
+def _memoized(memo: dict, key, compute):
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
 
 
-def _block_evaluator(b_expr: Expr | None, kj: int):
-    """Evaluator for b(sqrt(s)) on Delta_{kj-1}; the dependent last
-    coordinate is sqrt(1 - sum s)."""
-    if b_expr is None:
-        return None
+def _values(e: Expr | None, env: dict, shape) -> np.ndarray:
+    """e at env broadcast to shape; ones for an absent factor."""
+    return np.ones(shape) if e is None else evaluate(e, env) * np.ones(shape)
 
-    def f(S):
-        env = {f"s{l + 1}": np.sqrt(S[:, l]) for l in range(kj - 1)}
-        env[f"s{kj}"] = np.sqrt(np.clip(1.0 - S.sum(axis=-1), 0.0, None))
-        return evaluate(b_expr, env) * np.ones(S.shape[0])
 
-    return f
+def _cosines_env(S: np.ndarray, kj: int) -> dict:
+    """Cosines s1..s_kj from nodes S of the first k_j - 1 squared cosines."""
+    env = {f"s{l + 1}": np.sqrt(S[:, l]) for l in range(kj - 1)}
+    env[f"s{kj}"] = np.sqrt(np.clip(1.0 - S.sum(axis=-1), 0.0, None))
+    return env
 
 
 def _split_product(psi: SymbolSpec, k: Partition, allowed):
-    """Collect (a_expr, per-block factors, total shift) from a product."""
+    """Collect (a_expr, {block: b_expr}, total shift) from a product."""
     validate_product(psi, k)
-    a_expr = None
-    blocks: dict[int, SymbolSpec] = {}
+    a_expr, blocks = None, {}
     for f in flatten(psi):
         if isinstance(f, QuasiRadial):
             a_expr = f.a
         elif isinstance(f, allowed):
-            blocks[f.j] = f
-        elif isinstance(f, PhaseMonomial):
-            pass
-        else:
+            blocks[f.j] = f.b
+        elif not isinstance(f, PhaseMonomial):
             raise ValidationError(
-                f"factor {type(f).__name__} is outside this symbol family"
-            )
+                f"factor {type(f).__name__} is outside this symbol family")
     return a_expr, blocks, total_shift(psi, k)
 
 
-def _hard_zero_projective(alpha, p, m: int) -> bool:
-    shifted = tuple(a + q for a, q in zip(alpha, p))
-    return any(x < 0 for x in shifted) or sum(shifted) > m
+def _space_terms(space, n: int, d: int):
+    """The log Gamma-prefactor and the last radial exponent a0."""
+    if isinstance(space, ProjectiveSpace):
+        if d > space.m:
+            raise DomainError(f"|alpha|={d} exceeds m={space.m}")
+        return gammaln(n + space.m + 1) - gammaln(space.m - d + 1), space.m - d
+    if space.lam <= -1:
+        raise DomainError(f"need lambda > -1, got {space.lam}")
+    return gammaln(n + d + space.lam + 1) - gammaln(space.lam + 1), space.lam
+
+
+def _gamma(space, a_expr, blocks: dict, k: Partition, alpha, p,
+           spec: QuadratureSpec, memo: dict | None = None) -> float:
+    """gamma(alpha) = prefactor * radial x block integrals on either space."""
+    memo = {} if memo is None else memo
+    alpha = tuple(int(x) for x in alpha)
+    log_value, a0 = _space_terms(space, k.n, sum(alpha))
+    shifted = [x + q for x, q in zip(alpha, p)]
+    if min(shifted) < 0:
+        return 0.0
+    half = [x + q / 2 for x, q in zip(alpha, p)]
+    e, weights = (), {}
+    for j, kj in enumerate(k.parts):
+        h, s = k.block(half, j), k.block(shifted, j)
+        e += (sum(h) + kj - 1,)
+        if j in blocks:
+            # the block's Gamma(k_j + sum h) cancels against the prefactor's
+            log_value -= sum(gammaln(y + 1) for y in s)
+            weights[j] = h[:-1], h[-1]
+        else:
+            # the Dirichlet closed form of the block over its prefactor,
+            # term by term, so that a zero block shift cancels exactly
+            log_value += sum(gammaln(x + 1) - gammaln(y + 1)
+                             for x, y in zip(h, s)) - gammaln(kj + sum(h))
+    if spec.method == "monte-carlo":
+        return float(np.exp(log_value) * _mc_value(
+            space, a_expr, blocks, k, e, a0, weights, spec))
+    value, coupled = 1.0, []
+    for j, (exps, a0_j) in weights.items():
+        kj, b_expr, key = k.parts[j], blocks[j], ("block", j, exps, a0_j)
+        if any(v.startswith("r") for v in variables(b_expr)):
+            coupled.append((b_expr, *_memoized(memo, key, partial(
+                _block_rule, kj, exps, a0_j, spec))))
+        else:
+            value *= _memoized(memo, key, partial(
+                _integral, b_expr, partial(_cosines_env, kj=kj), kj - 1,
+                exps, a0_j, spec))
+    radial = partial(_radial_value, space, a_expr, coupled, e, a0, spec)
+    value *= radial() if coupled else _memoized(memo, ("radial", e), radial)
+    return float(np.exp(log_value) * value)
+
+
+def _radial_value(space, a_expr, coupled: list, e, a0, spec) -> float:
+    """Radial integral of a(rho) prod B(rho), each coupled block integral B
+    (given as b, broadcast cosines, weights) summed at every radial node."""
+    if a_expr is None and not coupled:
+        return dirichlet_closed_form(e, a0)
+    dim = len(e) + sum(len(cosines) - 1 for _, cosines, _ in coupled)
+    if dim > quadrature.MAX_TENSOR_DIM:
+        raise DomainError(
+            f"coupled integral dimension {dim} > {quadrature.MAX_TENSOR_DIM}; "
+            "use a monte-carlo quadrature spec")
+
+    def g(rho):
+        radii = radial_env(rho)
+        vals = _values(a_expr, radii, rho.shape[0])
+        radii = {name: r[:, None] for name, r in radii.items()}
+        for b_expr, cosines, Wb in coupled:
+            h = _values(b_expr, {**radii, **cosines}, (len(vals), len(Wb)))
+            vals = vals * (h @ Wb)
+        return vals
+
+    if isinstance(space, ProjectiveSpace):
+        return radial_integrate_projective(g, len(e), e,
+                                           space.n + space.m + 1, spec)
+    return simplex_integrate(lambda U: g(np.sqrt(U)), len(e), e, a0, spec)
+
+
+def _integral(expr, env, d: int, exps, a0, spec) -> float:
+    """Integral of expr, at the variables env(x), against x^exps (1-sum x)^a0
+    over the d-simplex; the Dirichlet closed form when expr is None."""
+    if expr is None:
+        return dirichlet_closed_form(exps, a0)
+    return simplex_integrate(lambda X: _values(expr, env(X), X.shape[0]),
+                             d, exps, a0, spec)
+
+
+def _block_rule(kj: int, exps, a0, spec):
+    """Cosines of the block rule, broadcast over radial nodes, and weights."""
+    S, Wb = quadrature.simplex_rule(kj - 1, exps, float(a0), spec.order)
+    return {name: s[None, :] for name, s in _cosines_env(S, kj).items()}, Wb
+
+
+def _mc_value(space, a_expr, blocks: dict, k: Partition, e, a0, weights,
+              spec) -> float:
+    """Monte Carlo estimate; each point is drawn from its Dirichlet weight."""
+    ell = k.num_blocks
+
+    def f(u, *S):
+        rest = u[:, ell:] if isinstance(space, ProjectiveSpace) else 1.0
+        env = radial_env(np.sqrt(u[:, :ell] / rest))
+        vals = _values(a_expr, env, u.shape[0])
+        for j, Sj in zip(weights, S):
+            cosines = _cosines_env(Sj[:, :k.parts[j] - 1], k.parts[j])
+            vals = vals * evaluate(blocks[j], {**env, **cosines})
+        return vals
+
+    factors = [(e, a0), *weights.values()]
+    return mc_integrate(f, ("dirichlet", factors), spec.order, spec.seed)[0]
 
 
 def gamma_quasi_radial(a: Expr, k: Partition, m: int, alpha,
                        spec: QuadratureSpec) -> float:
     """Diagonal coefficient of a quasi-radial symbol at weight m."""
-    n, ell = k.n, k.num_blocks
-    alpha = tuple(int(x) for x in alpha)
-    d = sum(alpha)
-    if d > m:
-        raise DomainError(f"|alpha|={d} exceeds m={m}")
-    block_deg = [sum(k.block(alpha, j)) for j in range(ell)]
-    e = [block_deg[j] + k.parts[j] - 1 for j in range(ell)]
-    logpref = gammaln(n + m + 1) - gammaln(m - d + 1)
-    logpref -= sum(gammaln(k.parts[j] + block_deg[j]) for j in range(ell))
-    integral = radial_integrate_projective(
-        _radial_evaluator(a, ell), ell, e, n + m + 1, spec)
-    return float(np.exp(logpref) * integral)
+    return _gamma(ProjectiveSpace(k.n, m), a, {}, k, alpha, (0,) * k.n, spec)
 
 
 def gamma_multisphere_factor(b: Expr | None, k: Partition, j: int, p_j,
@@ -142,12 +224,10 @@ def gamma_multisphere_factor(b: Expr | None, k: Partition, j: int, p_j,
     shifted = tuple(a + q for a, q in zip(a_j, p_j))
     if any(x < 0 for x in shifted):
         return 0.0
-    deg = sum(a_j)
-    exps = tuple(a_j[l] + p_j[l] / 2 for l in range(kj - 1))
-    a0 = a_j[kj - 1] + p_j[kj - 1] / 2
-    logpref = gammaln(kj + deg) - sum(gammaln(x + 1) for x in shifted)
-    integral = simplex_integrate(_block_evaluator(b, kj), kj - 1, exps, a0, spec)
-    return float(np.exp(logpref) * integral)
+    half = tuple(a + q / 2 for a, q in zip(a_j, p_j))
+    logpref = gammaln(kj + sum(a_j)) - sum(gammaln(x + 1) for x in shifted)
+    return float(np.exp(logpref) * _integral(
+        b, partial(_cosines_env, kj=kj), kj - 1, half[:-1], half[-1], spec))
 
 
 def gamma_multisphere(psi: SymbolSpec, k: Partition, m: int, alpha,
@@ -156,44 +236,17 @@ def gamma_multisphere(psi: SymbolSpec, k: Partition, m: int, alpha,
     product with total shift summing to zero (the general theorem; the
     per-block shifts need not vanish individually)."""
     a_expr, blocks, p = _split_product(psi, k, (MultiSphereFactor,))
-    if sum(p) != 0:
-        raise ValidationError(f"total shift {p} must sum to zero")
-    alpha = tuple(int(x) for x in alpha)
-    d = sum(alpha)
-    if d > m:
-        raise DomainError(f"|alpha|={d} exceeds m={m}")
-    if _hard_zero_projective(alpha, p, m):
-        return 0.0
-    n, ell = k.n, k.num_blocks
-    e = []
-    log_value = gammaln(n + m + 1) - gammaln(m - d + 1)
-    block_integrals = 1.0
-    for j in range(ell):
-        kj = k.parts[j]
-        a_j = k.block(alpha, j)
-        p_j = k.block(p, j)
-        half = sum(p_j) / 2
-        e.append(sum(a_j) + half + kj - 1)
-        # the Gamma(k_j + |alpha_(j)| + |p_(j)|/2) factors cancel between
-        # the global denominator and the block numerators
-        log_value -= sum(gammaln(a_j[l] + p_j[l] + 1) for l in range(kj))
-        b_expr = blocks[j].b if j in blocks else None
-        exps = tuple(a_j[l] + p_j[l] / 2 for l in range(kj - 1))
-        a0 = a_j[kj - 1] + p_j[kj - 1] / 2
-        block_integrals *= simplex_integrate(
-            _block_evaluator(b_expr, kj), kj - 1, exps, a0, spec)
-    radial = radial_integrate_projective(
-        _radial_evaluator(a_expr, ell), ell, e, n + m + 1, spec)
-    return float(np.exp(log_value) * radial * block_integrals)
+    return _gamma(ProjectiveSpace(k.n, m), a_expr, blocks, k, alpha, p, spec)
 
 
 def gamma_single_sphere(b: Expr | None, k: Partition, j: int, p_j, n: int,
-                        alpha, spec: QuadratureSpec) -> float:
+                        alpha, spec: QuadratureSpec,
+                        memo: dict | None = None) -> float:
     """Coefficient of a single-sphere factor b_j(sigma_(j)) t_(j)^p_j.
 
-    Independent of the weight; depends on alpha only through alpha_(j)
-    and |alpha|.  The case k_j = n is outside the theorem (the leftover
-    simplex factor degenerates) and raises.
+    Independent of the weight; depends on alpha only through alpha_(j) and
+    |alpha|.  The case k_j = n is outside the theorem (the leftover simplex
+    factor degenerates) and raises.  memo keeps integrals by (j, exps, a0).
     """
     kj = k.parts[j]
     if kj >= n:
@@ -213,218 +266,53 @@ def gamma_single_sphere(b: Expr | None, k: Partition, j: int, p_j, n: int,
     exps = tuple(a_j[l] + p_j[l] / 2 for l in range(kj))
     logpref = gammaln(d + n) - gammaln(a0 + 1)
     logpref -= sum(gammaln(x + 1) for x in shifted)
-
-    if b is None:
-        f = None
-    else:
-        def f(S):
-            env = {f"sig{l + 1}": np.sqrt(S[:, l]) for l in range(kj)}
-            return evaluate(b, env) * np.ones(S.shape[0])
-
-    integral = simplex_integrate(f, kj, exps, a0, spec)
+    integral = _memoized({} if memo is None else memo, ("block", j, exps, a0),
+                         lambda: _integral(b, lambda S: {
+                             f"sig{l + 1}": np.sqrt(S[:, l]) for l in range(kj)
+                         }, kj, exps, a0, spec))
     return float(np.exp(logpref) * integral)
-
-
-def _gamma_extended_common(a_expr, blocks, p, k: Partition, alpha,
-                           radial_rule, log_value, spec: QuadratureSpec):
-    """Shared coupled-integral evaluation for the extended families.
-
-    radial_rule gives (nodes U, weights W, rho(U)) for the outer integral
-    with the monomial/rational weights already absorbed.
-    """
-    ell = k.num_blocks
-    U, W, rho = radial_rule
-    if a_expr is not None:
-        env = {f"r{j + 1}": rho[:, j] for j in range(ell)}
-        avals = evaluate(a_expr, env) * np.ones(rho.shape[0])
-    else:
-        avals = np.ones(rho.shape[0])
-    inner = np.ones(rho.shape[0])
-    for j in range(ell):
-        kj = k.parts[j]
-        a_j = k.block(alpha, j)
-        p_j = k.block(p, j)
-        exps = tuple(a_j[l] + p_j[l] / 2 for l in range(kj - 1))
-        a0 = a_j[kj - 1] + p_j[kj - 1] / 2
-        Xb, Wb = quadrature.simplex_rule(kj - 1, tuple(float(x) for x in exps),
-                                         float(a0), spec.order)
-        if j in blocks:
-            h = _extended_block_matrix(blocks[j].b, kj, rho, Xb)
-            inner = inner * (h @ Wb)
-        else:
-            inner = inner * float(np.sum(Wb))
-    return float(np.exp(log_value) * np.sum(W * avals * inner))
-
-
-def _extended_block_matrix(b_expr: Expr, kj: int, rho: np.ndarray,
-                           S: np.ndarray) -> np.ndarray:
-    """Matrix b_j(sqrt(r)_i, sqrt(s)_q) over radial nodes i, block nodes q."""
-    env = {f"r{v + 1}": rho[:, v][:, None] for v in range(rho.shape[1])}
-    for l in range(kj - 1):
-        env[f"s{l + 1}"] = np.sqrt(S[:, l])[None, :]
-    env[f"s{kj}"] = np.sqrt(np.clip(1.0 - S.sum(axis=-1), 0.0, None))[None, :]
-    return evaluate(b_expr, env) * np.ones((rho.shape[0], S.shape[0]))
-
-
-def _extended_dims_check(k: Partition):
-    dim = k.num_blocks + sum(kj - 1 for kj in k.parts)
-    if dim > quadrature.MAX_TENSOR_DIM:
-        raise DomainError(
-            f"coupled integral dimension {dim} > {quadrature.MAX_TENSOR_DIM}; "
-            "use a monte-carlo quadrature spec")
 
 
 def gamma_extended_projective(psi: SymbolSpec, k: Partition, m: int, alpha,
                               spec: QuadratureSpec) -> float:
     """Coefficient of an extended symbol a(r) prod b_j(r, s_(j)) t^p on the
     weight-m projective space."""
-    a_expr, blocks, p = _split_product(
-        psi, k, (ExtendedFactor, MultiSphereFactor))
-    if sum(p) != 0:
-        raise ValidationError(f"total shift {p} must sum to zero")
-    alpha = tuple(int(x) for x in alpha)
-    d = sum(alpha)
-    if d > m:
-        raise DomainError(f"|alpha|={d} exceeds m={m}")
-    if _hard_zero_projective(alpha, p, m):
-        return 0.0
-    n, ell = k.n, k.num_blocks
-    N = n + m + 1
-    e, log_value = [], gammaln(n + m + 1) - gammaln(m - d + 1)
-    for j in range(ell):
-        kj = k.parts[j]
-        a_j, p_j = k.block(alpha, j), k.block(p, j)
-        e.append(sum(a_j) + sum(p_j) / 2 + kj - 1)
-        log_value -= sum(gammaln(a_j[l] + p_j[l] + 1) for l in range(kj))
-    if spec.method == "monte-carlo":
-        return _gamma_extended_projective_mc(
-            a_expr, blocks, p, k, alpha, e, N, log_value, spec)
-    _extended_dims_check(k)
-    a0 = N - ell - 1 - sum(e)
-    if a0 <= -1:
-        raise DomainError("integrability violated in the radial factor")
-    U, W = quadrature.simplex_rule(ell, tuple(float(x) for x in e),
-                                   float(a0), spec.order)
-    rem = 1.0 - U.sum(axis=-1, keepdims=True)
-    rho = np.sqrt(U / rem)
-    return _gamma_extended_common(a_expr, blocks, p, k, alpha,
-                                  (U, W, rho), log_value, spec)
-
-
-def _gamma_extended_projective_mc(a_expr, blocks, p, k, alpha, e, N,
-                                  log_value, spec):
-    """Monte Carlo branch: the monomial/rational weights are folded into
-    Dirichlet proposals so the integrand left to average stays bounded."""
-    ell = k.num_blocks
-    rng = np.random.default_rng(spec.seed)
-    nsamp = spec.order
-    rest = N - ell - 1 - sum(e)
-    if rest <= -1:
-        raise DomainError("integrability violated in the radial factor")
-    radial_alphas = np.concatenate([np.asarray(e) + 1.0, [rest + 1.0]])
-    u = rng.dirichlet(radial_alphas, nsamp)
-    r = u[:, :ell] / u[:, ell:]
-    rho = np.sqrt(r)
-    vals = np.full(nsamp,
-                   quadrature.dirichlet_closed_form(tuple(e), rest))
-    if a_expr is not None:
-        env = {f"r{j + 1}": rho[:, j] for j in range(ell)}
-        vals = vals * evaluate(a_expr, env)
-    for j in range(ell):
-        kj = k.parts[j]
-        a_j, p_j = k.block(alpha, j), k.block(p, j)
-        exps = tuple(a_j[l] + p_j[l] / 2 for l in range(kj - 1))
-        a0 = a_j[kj - 1] + p_j[kj - 1] / 2
-        S = rng.dirichlet(np.asarray(exps + (a0,)) + 1.0, nsamp)[:, : kj - 1]
-        w = quadrature.dirichlet_closed_form(exps, a0)
-        if j in blocks:
-            env = {f"r{v + 1}": rho[:, v] for v in range(ell)}
-            for l in range(kj - 1):
-                env[f"s{l + 1}"] = np.sqrt(S[:, l])
-            env[f"s{kj}"] = np.sqrt(np.clip(1.0 - S.sum(axis=-1), 0.0, None))
-            w = w * evaluate(blocks[j].b, env)
-        vals = vals * w
-    return float(np.exp(log_value) * np.mean(vals))
+    a_expr, blocks, p = _split_product(psi, k, _EXTENDED)
+    return _gamma(ProjectiveSpace(k.n, m), a_expr, blocks, k, alpha, p, spec)
 
 
 def gamma_extended_ball(psi: SymbolSpec, k: Partition, lam: float, alpha,
                         spec: QuadratureSpec) -> float:
     """Coefficient of an extended symbol on the weight-lambda ball space."""
-    if lam <= -1:
-        raise DomainError(f"need lambda > -1, got {lam}")
-    a_expr, blocks, p = _split_product(
-        psi, k, (ExtendedFactor, MultiSphereFactor))
-    if sum(p) != 0:
-        raise ValidationError(f"total shift {p} must sum to zero")
-    alpha = tuple(int(x) for x in alpha)
-    shifted = tuple(a + q for a, q in zip(alpha, p))
-    if any(x < 0 for x in shifted):
-        return 0.0
-    n, ell = k.n, k.num_blocks
-    d = sum(alpha)
-    _extended_dims_check(k)
-    e, log_value = [], gammaln(n + d + lam + 1) - gammaln(lam + 1)
-    for j in range(ell):
-        kj = k.parts[j]
-        a_j, p_j = k.block(alpha, j), k.block(p, j)
-        e.append(sum(a_j) + sum(p_j) / 2 + kj - 1)
-        log_value -= sum(gammaln(a_j[l] + p_j[l] + 1) for l in range(kj))
-    U, W = quadrature.simplex_rule(ell, tuple(float(x) for x in e),
-                                   float(lam), spec.order)
-    rho = np.sqrt(U)
-    return _gamma_extended_common(a_expr, blocks, p, k, alpha,
-                                  (U, W, rho), log_value, spec)
-
-
-def _classify(psi: SymbolSpec, k: Partition):
-    factors = flatten(psi)
-    kinds = {type(f) for f in factors}
-    if SingleSphereFactor in kinds:
-        if kinds - {SingleSphereFactor} or len(factors) != 1:
-            raise ValidationError(
-                "single-sphere factors combine with no other variant under "
-                "a covering theorem; express the product in extended form")
-        return "single-sphere"
-    if ExtendedFactor in kinds:
-        return "extended"
-    return "multi-sphere"
+    a_expr, blocks, p = _split_product(psi, k, _EXTENDED)
+    return _gamma(BallSpace(k.n, lam, sum(alpha)), a_expr, blocks, k, alpha,
+                  p, spec)
 
 
 def build_gamma_table(psi: SymbolSpec, space, k: Partition,
                       spec: QuadratureSpec) -> GammaTable:
-    """Evaluate gamma over the whole basis, recording hard zeros."""
-    validate_product(psi, k)
-    family = _classify(psi, k)
-    p = total_shift(psi, k)
-    if isinstance(space, ProjectiveSpace):
-        basis = enumerate_basis(space.n, space.m)
+    """Evaluate gamma over the whole basis, recording hard zeros.  A lone
+    single-sphere factor on P^n takes its own theorem; every other product
+    the extended one, which rejects single-sphere factors."""
+    factors = flatten(psi)
+    single = (isinstance(space, ProjectiveSpace) and len(factors) == 1
+              and isinstance(factors[0], SingleSphereFactor))
+    a_expr, blocks, p = _split_product(
+        psi, k, SingleSphereFactor if single else _EXTENDED)
+    degree = space.m if isinstance(space, ProjectiveSpace) else space.cap
+    extended = any(isinstance(f, ExtendedFactor) for f in factors)
+    theorem = ("extended-ball" if isinstance(space, BallSpace)
+               else "single-sphere" if single
+               else "extended-projective" if extended
+               else "quasi-radial-pseudo-homogeneous")
+    memo: dict = {}
+    if single:
+        (j, b), = blocks.items()
+        gamma = partial(gamma_single_sphere, b, k, j, k.block(p, j), space.n,
+                        spec=spec, memo=memo)
     else:
-        basis = enumerate_basis(space.n, space.cap)
-    entries = {}
-    if isinstance(space, BallSpace):
-        annotation = "extended-ball"
-        for alpha in basis:
-            entries[alpha] = complex(
-                gamma_extended_ball(psi, k, space.lam, alpha, spec))
-        return GammaTable(space, k, p, entries, annotation)
-
-    if family == "single-sphere":
-        factor = flatten(psi)[0]
-        annotation = "single-sphere"
-        for alpha in basis:
-            if _hard_zero_projective(alpha, p, space.m):
-                entries[alpha] = 0j
-            else:
-                entries[alpha] = complex(gamma_single_sphere(
-                    factor.b, k, factor.j, factor.p, space.n, alpha, spec))
-    elif family == "extended":
-        annotation = "extended-projective"
-        for alpha in basis:
-            entries[alpha] = complex(
-                gamma_extended_projective(psi, k, space.m, alpha, spec))
-    else:
-        annotation = "quasi-radial-pseudo-homogeneous"
-        for alpha in basis:
-            entries[alpha] = complex(
-                gamma_multisphere(psi, k, space.m, alpha, spec))
-    return GammaTable(space, k, p, entries, annotation)
+        gamma = partial(_gamma, space, a_expr, blocks, k, p=p, spec=spec,
+                        memo=memo)
+    entries = {alpha: complex(gamma(alpha=alpha))
+               for alpha in enumerate_basis(space.n, degree)}
+    return GammaTable(space, k, p, entries, theorem)

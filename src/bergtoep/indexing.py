@@ -9,7 +9,7 @@ row/column index in the package refers to this order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -58,10 +58,6 @@ class Partition:
     def block(self, vec, j: int):
         """Slice of a length-n sequence belonging to block j."""
         return tuple(vec[self.block_slice(j)])
-
-
-def multi_index_degree(alpha) -> int:
-    return sum(alpha)
 
 
 @dataclass(frozen=True)
@@ -146,64 +142,3 @@ def monomial_norm_sq_ball(alpha, lam: float, n: int) -> float:
     for a in alpha:
         logv += gammaln(a + 1)
     return float(np.exp(logv))
-
-
-@dataclass(frozen=True)
-class PolarDecomposition:
-    """Per-block polar data of a point z in C^n.
-
-    r[j] is the block radius |z_(j)|; s[j] the direction cosines within
-    block j; t the coordinate phases (1 where the coordinate vanishes);
-    sigma the global direction cosines |z_u|/|z|.
-    """
-
-    r: tuple[float, ...]
-    s: tuple[tuple[float, ...], ...]
-    t: tuple[complex, ...]
-    sigma: tuple[float, ...]
-
-
-def decompose(z, k: Partition) -> PolarDecomposition:
-    """Polar decomposition of z with respect to the partition k.
-
-    Conventions at measure-zero sets: phases of zero coordinates are 1,
-    and the direction of a zero-radius block is the uniform point
-    (1/sqrt(k_j), ..., 1/sqrt(k_j)).
-    """
-    z = np.asarray(z, dtype=complex)
-    if z.shape != (k.n,):
-        raise DomainError(f"point has shape {z.shape}, expected ({k.n},)")
-    mod = np.abs(z)
-    t = np.where(mod > 0, z / np.where(mod > 0, mod, 1.0), 1.0 + 0j)
-    total = float(np.sqrt(np.sum(mod**2)))
-    if total > 0:
-        sigma = mod / total
-    else:
-        sigma = np.full(k.n, 1.0 / math.sqrt(k.n))
-    r = []
-    s = []
-    for j in range(k.num_blocks):
-        blk = mod[k.block_slice(j)]
-        rj = float(np.sqrt(np.sum(blk**2)))
-        r.append(rj)
-        if rj > 0:
-            s.append(tuple(float(x) for x in blk / rj))
-        else:
-            s.append(tuple([1.0 / math.sqrt(k.parts[j])] * k.parts[j]))
-    return PolarDecomposition(
-        r=tuple(r),
-        s=tuple(s),
-        t=tuple(complex(x) for x in t),
-        sigma=tuple(float(x) for x in sigma),
-    )
-
-
-def reconstruct(dec: PolarDecomposition, k: Partition) -> np.ndarray:
-    """Inverse of decompose on inputs with nonzero coordinates."""
-    z = np.empty(k.n, dtype=complex)
-    for j in range(k.num_blocks):
-        sl = k.block_slice(j)
-        rj = dec.r[j]
-        for l, u in enumerate(range(sl.start, sl.stop)):
-            z[u] = rj * dec.s[j][l] * dec.t[u]
-    return z

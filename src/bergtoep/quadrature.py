@@ -47,7 +47,6 @@ def jacobi_rule_01(a: float, b: float, q: int):
     return u, w
 
 
-@lru_cache(maxsize=2048)
 def simplex_rule(d: int, a: tuple, a0: float, q: int):
     """Tensor rule for int_{Delta_d} f(x) prod x_l^{a_l} (1-sum x)^{a0} dx.
 
@@ -62,23 +61,19 @@ def simplex_rule(d: int, a: tuple, a0: float, q: int):
         raise DomainError(
             f"tensor rule unsupported for dimension {d} > {MAX_TENSOR_DIM}; use Monte Carlo"
         )
-    axes_u, axes_w = [], []
+    # Duffy map x_i = u_i * prod_{j<i}(1 - u_j), built on broadcast 1-D axes
+    # rather than on full meshgrid copies
+    X = np.empty((q,) * d + (d,))
+    W = rem = 1.0
     for i in range(d):
         bi = a0 + (d - 1 - i) + sum(a[i + 1:])
         u, w = jacobi_rule_01(float(a[i]), float(bi), q)
-        axes_u.append(u)
-        axes_w.append(w)
-    grids = np.meshgrid(*axes_u, indexing="ij")
-    wgrids = np.meshgrid(*axes_w, indexing="ij")
-    U = np.stack([g.ravel() for g in grids], axis=-1)
-    W = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
-    # Duffy map: x_i = u_i * prod_{j<i}(1 - u_j)
-    X = np.empty_like(U)
-    rem = np.ones(U.shape[0])
-    for i in range(d):
-        X[:, i] = U[:, i] * rem
-        rem = rem * (1.0 - U[:, i])
-    return X, W
+        axis = (1,) * i + (q,) + (1,) * (d - 1 - i)
+        u, w = u.reshape(axis), w.reshape(axis)
+        X[..., i] = u * rem
+        rem = rem * (1.0 - u)
+        W = W * w
+    return X.reshape(-1, d), W.reshape(-1)
 
 
 def dirichlet_closed_form(a, a0: float) -> float:
@@ -145,6 +140,11 @@ def mc_integrate(f, domain, N: int, seed: int):
 
     domain is one of
       ("simplex", d)          -- int_{Delta_d} f(x) dx
+      ("dirichlet", factors)  -- int over a product of simplices of
+                                 f(u_0, u_1, ...) prod_i x^a_i (1-sum x)^a0_i
+                                 for factors [(a_i, a0_i), ...]; u_i is
+                                 drawn from Dirichlet(a_i+1, a0_i+1) and
+                                 holds all d_i+1 coordinates
       ("orthant", ell, Npow)  -- int_{R_+^ell} f(r) (1+sum r)^{-Npow} dr
       ("polydisk", n)         -- int over the unit polydisk of f(z) dV
       ("nu_m", n, m)          -- E[f(z)] under the weight-m probability
@@ -160,6 +160,12 @@ def mc_integrate(f, domain, N: int, seed: int):
         d = domain[1]
         u = _dirichlet(rng, np.ones(d + 1), N)[:, :d]
         vals = np.asarray(f(u)) * dirichlet_closed_form((0.0,) * d, 0.0)
+    elif kind == "dirichlet":
+        factors = domain[1]
+        draws = [_dirichlet(rng, np.append(np.asarray(a, dtype=float), a0)
+                            + 1.0, N) for a, a0 in factors]
+        scale = np.prod([dirichlet_closed_form(a, a0) for a, a0 in factors])
+        vals = np.asarray(f(*draws)) * scale
     elif kind == "orthant":
         ell, Npow = domain[1], float(domain[2])
         if Npow <= ell:

@@ -15,6 +15,7 @@ Expression variable conventions (all positional, 1-based):
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Union
 
@@ -41,7 +42,10 @@ class QuasiRadial:
 
 
 @dataclass(frozen=True)
-class MultiSphereFactor:
+class AngularFactor:
+    """A factor b(...) t_(j)^p on one block; the subclasses name which
+    cosines b reads."""
+
     j: int  # 0-based block index
     b: Expr
     p: tuple[int, ...]  # block-local shift, must sum to zero
@@ -54,32 +58,16 @@ class MultiSphereFactor:
             raise ValidationError(f"block shift {p} must sum to zero")
 
 
-@dataclass(frozen=True)
-class SingleSphereFactor:
-    j: int
-    b: Expr
-    p: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "b", _as_expr(self.b))
-        p = tuple(int(x) for x in self.p)
-        object.__setattr__(self, "p", p)
-        if sum(p) != 0:
-            raise ValidationError(f"block shift {p} must sum to zero")
+class MultiSphereFactor(AngularFactor):
+    """b over the block cosines s1..sk_j."""
 
 
-@dataclass(frozen=True)
-class ExtendedFactor:
-    j: int
-    b: Expr  # over r1..rl and s1..sk_j
-    p: tuple[int, ...]
+class SingleSphereFactor(AngularFactor):
+    """b over the block slice sig1..sigk_j of the global cosines."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "b", _as_expr(self.b))
-        p = tuple(int(x) for x in self.p)
-        object.__setattr__(self, "p", p)
-        if sum(p) != 0:
-            raise ValidationError(f"block shift {p} must sum to zero")
+
+class ExtendedFactor(AngularFactor):
+    """b over the block radii r1..rl and the block cosines s1..sk_j."""
 
 
 @dataclass(frozen=True)
@@ -106,8 +94,6 @@ SymbolSpec = Union[
     PhaseMonomial, Product,
 ]
 
-_ANGULAR = (MultiSphereFactor, SingleSphereFactor, ExtendedFactor)
-
 
 def flatten(psi: SymbolSpec) -> list[SymbolSpec]:
     if isinstance(psi, Product):
@@ -126,7 +112,7 @@ def validate_product(psi: SymbolSpec, k: Partition) -> None:
         raise ValidationError("more than one quasi-radial factor")
     seen_blocks: set[int] = set()
     for f in factors:
-        if isinstance(f, _ANGULAR):
+        if isinstance(f, AngularFactor):
             if not 0 <= f.j < k.num_blocks:
                 raise ValidationError(f"block index {f.j} out of range")
             if len(f.p) != k.parts[f.j]:
@@ -145,7 +131,7 @@ def total_shift(psi: SymbolSpec, k: Partition) -> tuple[int, ...]:
     """Accumulated shift of the symbol as a length-n integer vector."""
     p = np.zeros(k.n, dtype=int)
     for f in flatten(psi):
-        if isinstance(f, _ANGULAR):
+        if isinstance(f, AngularFactor):
             p[k.block_slice(f.j)] += np.asarray(f.p, dtype=int)
         elif isinstance(f, PhaseMonomial):
             p += np.asarray(f.p, dtype=int)
@@ -158,18 +144,13 @@ def conjugate(psi: SymbolSpec) -> SymbolSpec:
         return Product(tuple(conjugate(f) for f in psi.factors))
     if isinstance(psi, QuasiRadial):
         return psi
-    if isinstance(psi, MultiSphereFactor):
-        return MultiSphereFactor(psi.j, psi.b, tuple(-x for x in psi.p))
-    if isinstance(psi, SingleSphereFactor):
-        return SingleSphereFactor(psi.j, psi.b, tuple(-x for x in psi.p))
-    if isinstance(psi, ExtendedFactor):
-        return ExtendedFactor(psi.j, psi.b, tuple(-x for x in psi.p))
-    if isinstance(psi, PhaseMonomial):
-        return PhaseMonomial(tuple(-x for x in psi.p))
+    if isinstance(psi, (AngularFactor, PhaseMonomial)):
+        return dataclasses.replace(psi, p=tuple(-x for x in psi.p))
     raise TypeError(f"not a symbol: {psi!r}")
 
 
-def _radial_env(r: np.ndarray) -> dict:
+def radial_env(r: np.ndarray) -> dict:
+    """Expression variables r1..rl bound to the block radii r[..., j]."""
     return {f"r{j + 1}": r[..., j] for j in range(r.shape[-1])}
 
 
@@ -186,7 +167,7 @@ def evaluate_symbol_batch(psi: SymbolSpec, Z: np.ndarray, k: Partition):
 
     Returns a complex array of shape Z.shape[:-1].  Phases of vanishing
     coordinates are taken as 1 and zero-radius block directions as the
-    uniform point, matching indexing.decompose.
+    uniform point (1/sqrt(k_j), ..., 1/sqrt(k_j)).
     """
     Z = np.asarray(Z, dtype=complex)
     if Z.shape[-1] != k.n:
@@ -209,7 +190,7 @@ def evaluate_symbol_batch(psi: SymbolSpec, Z: np.ndarray, k: Partition):
     value = np.ones(Z.shape[:-1], dtype=complex)
     for f in flatten(psi):
         if isinstance(f, QuasiRadial):
-            value = value * evaluate(f.a, _radial_env(r))
+            value = value * evaluate(f.a, radial_env(r))
         elif isinstance(f, MultiSphereFactor):
             env = {f"s{l + 1}": s_blocks[f.j][..., l]
                    for l in range(k.parts[f.j])}
@@ -222,7 +203,7 @@ def evaluate_symbol_batch(psi: SymbolSpec, Z: np.ndarray, k: Partition):
             tb = t[..., sl]
             value = value * evaluate(f.b, env) * _block_phase(tb, f.p)
         elif isinstance(f, ExtendedFactor):
-            env = _radial_env(r)
+            env = radial_env(r)
             env.update({f"s{l + 1}": s_blocks[f.j][..., l]
                         for l in range(k.parts[f.j])})
             tb = t[..., k.block_slice(f.j)]

@@ -1,0 +1,33 @@
+"""Every gamma table of the benchmark's job lists against its frozen
+reference values (benchmarks/refs.json, 1e-12 relative).
+
+The jobs run in process through the CLI, exactly as configured in
+benchmarks/jobs.py, so a change to any gamma path (factored, coupled,
+ball or single-sphere) that moves a value shows here as well as in the
+benchmark's own output check.
+"""
+
+import json
+import runpy
+from pathlib import Path
+
+import pytest
+
+from bergtoep.cli import main
+
+BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
+# run_path compiles from source, so nothing is written under benchmarks/
+JOBS = runpy.run_path(str(BENCH / "jobs.py"))
+REFS = json.loads((BENCH / "refs.json").read_text())
+GAMMA_JOBS = {j["name"]: j
+              for j in JOBS["TABLES"] + JOBS["VERIFY"]
+              if j["check"] in ("gamma", "beta")}
+
+
+@pytest.mark.parametrize("name", sorted(GAMMA_JOBS))
+def test_gamma_job_matches_reference(name, tmp_path):
+    j = GAMMA_JOBS[name]
+    cfg, out = tmp_path / "config.json", tmp_path / "out.csv"
+    cfg.write_text(json.dumps(JOBS["config_for"](j, 0)))
+    assert main([j["command"], "--config", str(cfg), "--out", str(out)]) == 0
+    assert JOBS["check_output"](j, out.read_text(), REFS[name]) == []

@@ -147,6 +147,16 @@ def test_invalid_config_is_validation_error(tmp_path):
     assert run(["gamma", "--config", str(path)]) == 2
 
 
+def test_too_few_monte_carlo_samples_is_numerical_error(tmp_path):
+    path = tmp_path / "mc.json"
+    cfg = dict(BASE_CONFIG)
+    cfg["symbols"] = [{"kind": "extended", "block": 1,
+                       "b": "s1^2 + r1^2/(1+r1^2)", "p": [1, -1]}]
+    cfg["quadrature"] = {"method": "monte-carlo", "order": 40, "seed": 0}
+    path.write_text(json.dumps(cfg))
+    assert run(["gamma", "--config", str(path)]) == 3
+
+
 def test_bad_expression_is_validation_error(tmp_path):
     path = tmp_path / "bad.json"
     cfg = dict(BASE_CONFIG)

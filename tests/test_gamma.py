@@ -23,7 +23,7 @@ from bergtoep.gamma import (
     gamma_single_sphere,
 )
 from bergtoep.expr import parse
-from bergtoep.indexing import Partition, enumerate_basis
+from bergtoep.indexing import DomainError, Partition, enumerate_basis
 from bergtoep.quadrature import QuadratureSpec
 from bergtoep.symbols import (
     ExtendedFactor,
@@ -244,8 +244,23 @@ def test_extended_mc_backend_consistency():
     m = 3
     psi = Product((QuasiRadial("r1^2/(1+r1^2)"),
                    ExtendedFactor(0, "r1^2/(1+r1^2)*s1^2", (1, -1))))
-    det = gamma_extended_projective(psi, k, m, (1, 1), SPEC)
-    mc = gamma_extended_projective(
-        psi, k, m, (1, 1), QuadratureSpec(method="monte-carlo",
-                                          order=200_000, seed=4))
-    assert mc == pytest.approx(det, rel=0.05)
+    mc_spec = QuadratureSpec(method="monte-carlo", order=200_000, seed=4)
+    for gamma, weight in ((gamma_extended_projective, m),
+                          (gamma_extended_ball, 1.0)):
+        det = gamma(psi, k, weight, (1, 1), SPEC)
+        mc = gamma(psi, k, weight, (1, 1), mc_spec)
+        assert mc != det
+        assert mc == pytest.approx(det, rel=0.05)
+
+
+def test_monte_carlo_needs_100_samples():
+    k = Partition((2,))
+    psi = Product((QuasiRadial("r1^2/(1+r1^2)"),
+                   ExtendedFactor(0, "r1^2/(1+r1^2)*s1^2", (1, -1))))
+    few = QuadratureSpec(method="monte-carlo", order=99)
+    with pytest.raises(DomainError):
+        gamma_extended_projective(psi, k, 3, (1, 1), few)
+    with pytest.raises(DomainError):
+        gamma_extended_ball(psi, k, 1.0, (1, 1), few)
+    with pytest.raises(DomainError):
+        gamma_multisphere(PhaseMonomial((1, -1)), k, 3, (0, 1), few)

@@ -1,9 +1,8 @@
-"""Basis enumeration, norms, and polar decomposition."""
+"""Basis enumeration, norms, partitions and shift vectors."""
 
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from bergtoep.indexing import (
@@ -11,11 +10,9 @@ from bergtoep.indexing import (
     Partition,
     ShiftVector,
     basis_index,
-    decompose,
     enumerate_basis,
     monomial_norm_sq_ball,
     monomial_norm_sq_projective,
-    reconstruct,
 )
 
 
@@ -89,21 +86,3 @@ def test_shift_vector_modes():
         ShiftVector((1, 0, -1), mode="blockwise-zero", partition=k)
     with pytest.raises((DomainError, ValueError)):
         ShiftVector((1, 0, 0), mode="total-zero")
-
-
-def test_polar_decompose_reconstruct():
-    k = Partition((2, 1))
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        d = decompose(z, k)
-        back = reconstruct(d, k)
-        assert np.allclose(back, z, atol=1e-13)
-
-
-def test_polar_decompose_zero_conventions():
-    k = Partition((2,))
-    d = decompose(np.array([0j, 0j]), k)
-    # zero coordinates take phase 1, zero-radius blocks uniform directions
-    assert np.allclose(d.t, 1.0)
-    assert np.allclose(d.s[0], 1 / np.sqrt(2))
