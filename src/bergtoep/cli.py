@@ -197,9 +197,8 @@ def cmd_operator(args, cfg) -> None:
                                     cfg["quadrature"])
     mat = operators.assemble(table)
     if args.format == "json":
-        rows, cols = np.nonzero(mat.data)
-        entries = [[int(r), int(c), mat.data[r, c].real, mat.data[r, c].imag]
-                   for r, c in zip(rows, cols)]
+        entries = [[int(r), int(c), float(v.real), float(v.imag)]
+                   for r, c, v in zip(*mat.entries())]
         doc = {"meta": meta_block(cfg, {"dim": mat.dim,
                                         "shift": list(mat.shift)}),
                "entries": entries}

@@ -111,12 +111,12 @@ def _gamma(space, a_expr, blocks: dict, k: Partition, alpha, p,
     """gamma(alpha) = prefactor * radial x block integrals on either space."""
     memo = {} if memo is None else memo
     alpha = tuple(int(x) for x in alpha)
-    log_value, a0 = _space_terms(space, k.n, sum(alpha))
+    prefactor, a0 = _space_terms(space, k.n, sum(alpha))
     shifted = [x + q for x, q in zip(alpha, p)]
     if min(shifted) < 0:
         return 0.0
     half = [x + q / 2 for x, q in zip(alpha, p)]
-    e, weights = (), {}
+    log_value, e, weights = 0.0, (), {}
     for j, kj in enumerate(k.parts):
         h, s = k.block(half, j), k.block(shifted, j)
         e += (sum(h) + kj - 1,)
@@ -130,7 +130,7 @@ def _gamma(space, a_expr, blocks: dict, k: Partition, alpha, p,
             log_value += sum(gammaln(x + 1) - gammaln(y + 1)
                              for x, y in zip(h, s)) - gammaln(kj + sum(h))
     if spec.method == "monte-carlo":
-        return float(np.exp(log_value) * _mc_value(
+        return float(np.exp(prefactor + log_value) * _mc_value(
             space, a_expr, blocks, k, e, a0, weights, spec))
     value, coupled = 1.0, []
     for j, (exps, a0_j) in weights.items():
@@ -142,16 +142,20 @@ def _gamma(space, a_expr, blocks: dict, k: Partition, alpha, p,
             value *= _memoized(memo, key, partial(
                 _integral, b_expr, partial(_cosines_env, kj=kj), kj - 1,
                 exps, a0_j, spec))
+    if a_expr is None and not coupled:
+        # the radial Dirichlet closed form cancels the prefactor up to
+        # prod Gamma(e_j + 1); kept in log space, neither under- nor
+        # overflows at large weights
+        return float(np.exp(log_value + sum(gammaln(x + 1) for x in e))
+                     * value)
     radial = partial(_radial_value, space, a_expr, coupled, e, a0, spec)
     value *= radial() if coupled else _memoized(memo, ("radial", e), radial)
-    return float(np.exp(log_value) * value)
+    return float(np.exp(prefactor + log_value) * value)
 
 
 def _radial_value(space, a_expr, coupled: list, e, a0, spec) -> float:
     """Radial integral of a(rho) prod B(rho), each coupled block integral B
     (given as b, broadcast cosines, weights) summed at every radial node."""
-    if a_expr is None and not coupled:
-        return dirichlet_closed_form(e, a0)
     dim = len(e) + sum(len(cosines) - 1 for _, cosines, _ in coupled)
     if dim > quadrature.MAX_TENSOR_DIM:
         raise DomainError(

@@ -1,28 +1,25 @@
-"""Toeplitz matrices over the monomial basis and operator-algebra checks.
+"""Toeplitz operators over the monomial basis and operator-algebra checks.
 
-A gamma table turns into a matrix with at most one nonzero per column:
-column(alpha) carries its value in row(alpha+p).  By default entries are
-expressed in the orthonormal basis, where the matrix of the conjugate
-symbol is exactly the conjugate transpose; raw monomial-basis entries are
-kept as a debugging mode.
+Every covered operator is a weighted shift T z^alpha = w(alpha) z^(alpha+p)
+with a zero-sum shift p: it keeps each grade |alpha| and has at most one
+nonzero per column and per row.  A ToeplitzMatrix stores per column alpha
+its weight and its row(alpha+p), or -1 (weight 0) where alpha+p leaves the
+basis or gamma(alpha) = 0.  The algebra runs as O(dim) gathers over these
+two arrays; `data` builds the dense matrix on request.  Weights are in the
+orthonormal basis, where the conjugate symbol gives the conjugate
+transpose; raw weights gamma(alpha) are kept as a debugging mode.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
+from scipy.special import gammaln
 
 from . import expr as exprmod
 from .gamma import BallSpace, GammaTable, ProjectiveSpace, build_gamma_table
-from .indexing import (
-    DomainError,
-    Partition,
-    basis_index,
-    enumerate_basis,
-    monomial_norm_sq_ball,
-    monomial_norm_sq_projective,
-)
+from .indexing import DomainError, Partition, basis_index, enumerate_basis
 from .quadrature import QuadratureSpec
 from .symbols import (
     ExtendedFactor,
@@ -40,15 +37,17 @@ def space_basis(space) -> list[tuple[int, ...]]:
     return enumerate_basis(space.n, space.cap)
 
 
-def norm_sq(space, alpha) -> float:
-    if isinstance(space, ProjectiveSpace):
-        return float(monomial_norm_sq_projective(alpha, space.m))
-    return monomial_norm_sq_ball(alpha, space.lam, space.n)
+def shift_targets(basis, shift) -> np.ndarray:
+    """Row of alpha+shift for every column alpha, -1 outside the basis."""
+    index = basis_index(list(basis))
+    return np.array([index.get(tuple(a + q for a, q in zip(alpha, shift)), -1)
+                     for alpha in basis], dtype=np.intp)
 
 
 @dataclass(frozen=True)
 class ToeplitzMatrix:
-    data: np.ndarray  # dense complex, shape (dim, dim)
+    weights: np.ndarray  # complex, weight of column alpha; 0 without target
+    target: np.ndarray  # intp, row of column alpha, -1 for no entry
     shift: tuple[int, ...]
     basis: tuple[tuple[int, ...], ...]
     space: ProjectiveSpace | BallSpace
@@ -56,70 +55,93 @@ class ToeplitzMatrix:
 
     @property
     def dim(self) -> int:
-        return self.data.shape[0]
+        return len(self.weights)
+
+    @property
+    def data(self) -> np.ndarray:
+        """Read-only dense (dim, dim) view, built on every access."""
+        cols = np.flatnonzero(self.target >= 0)
+        M = np.zeros((self.dim, self.dim), dtype=complex)
+        M[self.target[cols], cols] = self.weights[cols]
+        M.flags.writeable = False
+        return M
+
+    def entries(self):
+        """(rows, cols, values) of the nonzero entries in row order."""
+        cols = np.flatnonzero((self.target >= 0) & (self.weights != 0))
+        cols = cols[np.argsort(self.target[cols])]  # rows are distinct
+        return self.target[cols], cols, self.weights[cols]
+
+
+def _columns(table: GammaTable, basis):
+    """gamma(alpha) and the target row of every column alpha."""
+    target = shift_targets(basis, table.shift)
+    g = np.array([table.entries.get(alpha, 0j) for alpha in basis],
+                 dtype=complex)
+    target[g == 0] = -1
+    g[target < 0] = 0
+    return g, target
 
 
 def assemble(table: GammaTable, space=None, basis=None) -> ToeplitzMatrix:
-    """Materialize a gamma table as a matrix in the frozen basis order."""
+    """Materialize a gamma table as a weighted shift in the orthonormal
+    basis, in the frozen basis order.
+
+    Since |alpha+p| = |alpha|, the squared-norm ratio of z^(alpha+p) to
+    z^alpha is prod (alpha+p)_i! / alpha_i! on P^n and on the ball alike.
+    """
     space = table.space if space is None else space
     if space != table.space:
         raise DomainError("table and target space disagree")
     basis = space_basis(space) if basis is None else list(basis)
-    index = basis_index(basis)
-    dim = len(basis)
-    M = np.zeros((dim, dim), dtype=complex)
-    p = table.shift
-    for alpha, col in index.items():
-        g = table.entries.get(alpha, 0j)
-        if g == 0:
-            continue
-        beta = tuple(a + q for a, q in zip(alpha, p))
-        row = index.get(beta)
-        if row is None:
-            continue
-        M[row, col] = g * np.sqrt(norm_sq(space, beta) / norm_sq(space, alpha))
-    return ToeplitzMatrix(M, p, tuple(basis), space, normalized=True)
+    g, target = _columns(table, basis)
+    kept = target >= 0
+    alpha = np.array(basis, dtype=float)[kept]
+    beta = alpha + np.asarray(table.shift, dtype=float)
+    g[kept] *= np.exp(0.5 * (gammaln(beta + 1) - gammaln(alpha + 1)).sum(1))
+    return ToeplitzMatrix(g, target, table.shift, tuple(basis), space)
 
 
 def assemble_raw(table: GammaTable) -> ToeplitzMatrix:
     """Monomial-basis (unnormalized) variant, entry gamma(alpha) itself."""
     basis = space_basis(table.space)
-    index = basis_index(basis)
-    M = np.zeros((len(basis), len(basis)), dtype=complex)
-    for alpha, col in index.items():
-        g = table.entries.get(alpha, 0j)
-        beta = tuple(a + q for a, q in zip(alpha, table.shift))
-        row = index.get(beta)
-        if row is not None and g != 0:
-            M[row, col] = g
-    return ToeplitzMatrix(M, table.shift, tuple(basis), table.space,
+    g, target = _columns(table, basis)
+    return ToeplitzMatrix(g, target, table.shift, tuple(basis), table.space,
                           normalized=False)
 
 
 def compose(m1: ToeplitzMatrix, m2: ToeplitzMatrix) -> ToeplitzMatrix:
+    """m1 m2: column alpha goes to m1's target of m2's target."""
     if m1.basis != m2.basis:
         raise DomainError("operands assembled over different bases")
     shift = tuple(a + b for a, b in zip(m1.shift, m2.shift))
-    return ToeplitzMatrix(m1.data @ m2.data, shift, m1.basis, m1.space,
+    mid = m2.target
+    target = np.where(mid >= 0, m1.target[mid], -1)
+    weights = np.where(mid >= 0, m1.weights[mid] * m2.weights, 0)
+    return ToeplitzMatrix(weights, target, shift, m1.basis, m1.space,
                           m1.normalized)
 
 
-def commutator(m1: ToeplitzMatrix, m2: ToeplitzMatrix) -> np.ndarray:
-    if m1.basis != m2.basis:
-        raise DomainError("operands assembled over different bases")
-    return m1.data @ m2.data - m2.data @ m1.data
+def commutator(m1: ToeplitzMatrix, m2: ToeplitzMatrix) -> ToeplitzMatrix:
+    """m1 m2 - m2 m1.  Both products send column alpha to row(alpha+p1+p2)
+    or, near the edge of the basis, only one of them does."""
+    a, b = compose(m1, m2), compose(m2, m1)
+    return ToeplitzMatrix(a.weights - b.weights,
+                          np.where(a.target >= 0, a.target, b.target),
+                          a.shift, a.basis, a.space, a.normalized)
 
 
 def frobenius_norm(m) -> float:
-    data = m.data if isinstance(m, ToeplitzMatrix) else np.asarray(m)
+    data = m.weights if isinstance(m, ToeplitzMatrix) else np.asarray(m)
     return float(np.sqrt(np.sum(np.abs(data) ** 2)))
 
 
 def audit_shift_structure(m: ToeplitzMatrix) -> bool:
     """Every column has at most one nonzero, in row(alpha + p)."""
     index = basis_index(list(m.basis))
+    data = m.data
     for col, alpha in enumerate(m.basis):
-        nz = np.flatnonzero(m.data[:, col])
+        nz = np.flatnonzero(data[:, col])
         if len(nz) > 1:
             return False
         if len(nz) == 1:
@@ -164,10 +186,10 @@ def fusion_defect(a: SymbolSpec | None, factors: list[SymbolSpec], space,
     of the factor operators, plus the product-symbol scale."""
     all_factors = ([a] if a is not None else []) + list(factors)
     prod_matrix = assemble(product_table(all_factors, space, k, spec))
-    acc = np.eye(prod_matrix.dim, dtype=complex)
-    for f in all_factors:
-        acc = acc @ assemble(build_gamma_table(f, space, k, spec)).data
-    defect = frobenius_norm(prod_matrix.data - acc)
+    acc = reduce(compose, (assemble(build_gamma_table(f, space, k, spec))
+                           for f in all_factors))
+    # both operators send column alpha to row(alpha+p) or nowhere (weight 0)
+    defect = frobenius_norm(prod_matrix.weights - acc.weights)
     scale = frobenius_norm(prod_matrix)
     return defect, scale
 
@@ -189,13 +211,9 @@ def commutation_suite(symbols: list[SymbolSpec], space, k: Partition,
 
 def export_matrix(m: ToeplitzMatrix, fh) -> None:
     """Coordinate-list text format, one entry per line: row col re im."""
-    if isinstance(m.space, ProjectiveSpace):
-        weight = m.space.m
-    else:
-        weight = m.space.lam
+    space = m.space
+    weight = space.m if isinstance(space, ProjectiveSpace) else space.lam
     shift = ",".join(str(x) for x in m.shift)
-    fh.write(f"# {m.space.n} {weight} {m.dim} shift={shift}\n")
-    rows, cols = np.nonzero(m.data)
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        v = m.data[r, c]
+    fh.write(f"# {space.n} {weight} {m.dim} shift={shift}\n")
+    for r, c, v in zip(*m.entries()):
         fh.write(f"{r} {c} {float(v.real)!r} {float(v.imag)!r}\n")

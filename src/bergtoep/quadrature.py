@@ -44,6 +44,12 @@ def jacobi_rule_01(a: float, b: float, q: int):
     x, w = roots_jacobi(q, b, a)
     u = 0.5 * (x + 1.0)
     w = w * 0.5 ** (a + b + 1)
+    # roots_jacobi overflows once a + b + 1 passes about 1023; single zero
+    # weights (underflow at the endpoints) are legitimate
+    if not np.all(np.isfinite(w)) or not np.sum(w) > 0:
+        raise DomainError(
+            f"Jacobi rule for exponents ({a}, {b}) is not representable in "
+            "double precision")
     return u, w
 
 

@@ -1,10 +1,11 @@
-"""Every gamma table of the benchmark's job lists against its frozen
-reference values (benchmarks/refs.json, 1e-12 relative).
+"""Every gamma table, operator, commutator and fusion job of the
+benchmark's job lists against its frozen reference values
+(benchmarks/refs.json; gamma and operator entries to 1e-12 relative).
 
 The jobs run in process through the CLI, exactly as configured in
 benchmarks/jobs.py, so a change to any gamma path (factored, coupled,
 ball or single-sphere) that moves a value shows here as well as in the
-benchmark's own output check.
+benchmark's own output check; likewise a change to the operator algebra.
 """
 
 import json
@@ -19,15 +20,26 @@ BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
 # run_path compiles from source, so nothing is written under benchmarks/
 JOBS = runpy.run_path(str(BENCH / "jobs.py"))
 REFS = json.loads((BENCH / "refs.json").read_text())
-GAMMA_JOBS = {j["name"]: j
-              for j in JOBS["TABLES"] + JOBS["VERIFY"]
-              if j["check"] in ("gamma", "beta")}
+CHECKED = JOBS["TABLES"] + JOBS["VERIFY"]
+GAMMA_JOBS = {j["name"]: j for j in CHECKED if j["check"] in ("gamma", "beta")}
+ALGEBRA_JOBS = {j["name"]: j for j in CHECKED
+                if j["command"] in ("operator", "commutator", "fusion")}
+
+
+def run_job(j, tmp_path) -> list[str]:
+    cfg, out = tmp_path / "config.json", tmp_path / "out.csv"
+    cfg.write_text(json.dumps(JOBS["config_for"](j, 0)))
+    assert main([j["command"], "--config", str(cfg), "--out", str(out)]) == 0
+    return JOBS["check_output"](j, out.read_text(), REFS.get(j["name"]))
 
 
 @pytest.mark.parametrize("name", sorted(GAMMA_JOBS))
 def test_gamma_job_matches_reference(name, tmp_path):
-    j = GAMMA_JOBS[name]
-    cfg, out = tmp_path / "config.json", tmp_path / "out.csv"
-    cfg.write_text(json.dumps(JOBS["config_for"](j, 0)))
-    assert main([j["command"], "--config", str(cfg), "--out", str(out)]) == 0
-    assert JOBS["check_output"](j, out.read_text(), REFS[name]) == []
+    assert run_job(GAMMA_JOBS[name], tmp_path) == []
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRA_JOBS))
+def test_algebra_job_matches_reference(name, tmp_path):
+    """Operator entries to 1e-12, fusion verdicts exactly, commutators at
+    or below 1e-10."""
+    assert run_job(ALGEBRA_JOBS[name], tmp_path) == []

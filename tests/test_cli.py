@@ -68,6 +68,30 @@ def test_operator_coordinate_format(config_path, tmp_path):
         int(r), int(c), float(re_), float(im_)
 
 
+def test_operator_json_entries_match_text_export(config_path, tmp_path):
+    text, doc = tmp_path / "op.txt", tmp_path / "op.json"
+    assert run(["operator", "--config", config_path, "--out", str(text)]) == 0
+    assert run(["operator", "--config", config_path, "--out", str(doc),
+                "--format", "json"]) == 0
+    lines = [ln.split() for ln in text.read_text().splitlines()[1:]]
+    entries = json.loads(doc.read_text())["entries"]
+    assert len(entries) == len(lines) > 0
+    for (r, c, re_, im_), entry in zip(lines, entries):
+        assert entry == [int(r), int(c), float(re_), float(im_)]
+
+
+def test_unrepresentable_jacobi_rule_is_numerical_error(tmp_path):
+    # the Jacobi rule of the radial integral overflows at m = 1100; it
+    # used to write NaN and 0.0 rows against gamma = (1+alpha)/(m+2)
+    cfg = {"space": {"type": "projective", "n": 1, "m": 1100},
+           "partition": [1],
+           "symbols": [{"kind": "quasi-radial", "a": "r1^2/(1+r1^2)"}]}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["gamma", "--config", str(path), "--out",
+                str(tmp_path / "g.csv")]) == 3
+
+
 def test_fusion_verdict_equal(config_path, tmp_path):
     out = tmp_path / "fusion.csv"
     assert run(["fusion", "--config", config_path, "--out", str(out)]) == 0

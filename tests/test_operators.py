@@ -2,13 +2,18 @@
 
 import io
 import math
+import time
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bergtoep.gamma import BallSpace, ProjectiveSpace, build_gamma_table
+from bergtoep.gamma import (BallSpace, GammaTable, ProjectiveSpace,
+                            build_gamma_table)
 from bergtoep.indexing import Partition
 from bergtoep.operators import (
+    ToeplitzMatrix,
     assemble,
     assemble_raw,
     audit_shift_structure,
@@ -19,6 +24,7 @@ from bergtoep.operators import (
     frobenius_norm,
     fusion_defect,
     product_table,
+    shift_targets,
     single_sphere_to_extended,
     space_basis,
 )
@@ -100,11 +106,11 @@ def test_commutator_with_identity_is_zero():
 
 
 def test_frobenius_norm_value():
+    # the identity with diagonal entries 3, 4 and every other column empty
     ident = build(QuasiRadial("1"))
-    ident.data[0, 0] = 3.0
-    ident.data[1, 1] = 4.0
-    ident.data[2:, :] = 0
-    assert frobenius_norm(ident) == pytest.approx(5.0)
+    M = replace(ident, weights=np.array([3, 4, 0, 0, 0, 0], dtype=complex),
+                target=np.array([0, 1, -1, -1, -1, -1]))
+    assert frobenius_norm(M) == pytest.approx(5.0)
 
 
 def test_fusion_holds_for_multisphere():
@@ -186,3 +192,102 @@ def test_export_matrix_format():
 def test_space_basis_ball_uses_cap():
     basis = space_basis(BallSpace(2, 0.0, 3))
     assert len(basis) == math.comb(5, 2)
+
+
+def test_identity_at_large_weight():
+    """The monomial norms and the radial closed form underflow at m = 1100;
+    their ratios must not."""
+    M = build(PhaseMonomial((0,)), ProjectiveSpace(1, 1100), Partition((1,)))
+    assert np.abs(M.data - np.eye(M.dim)).max() <= 1e-12
+
+
+def synthetic(space, shift, seed, k=None):
+    """Weighted shift with seeded random complex gamma, a few of them 0."""
+    rng = np.random.default_rng(seed)
+    basis = space_basis(space)
+    g = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+    g[rng.random(len(basis)) < 0.1] = 0
+    k = Partition((space.n,)) if k is None else k
+    table = GammaTable(space, k, shift, dict(zip(basis, g)), "synthetic")
+    return assemble(table)
+
+
+# (space, p1, p2): e.g. (1,-1) and (-2,2) at alpha = (2,0) compose in one
+# order only, so the commutator there is a single product
+SHIFT_CASES = [
+    (ProjectiveSpace(2, 3), (1, -1), (-2, 2)),
+    (ProjectiveSpace(2, 4), (0, 0), (1, -1)),
+    (ProjectiveSpace(3, 3), (1, 0, -1), (0, -2, 2)),
+    (BallSpace(2, 0.5, 3), (2, -2), (-1, 1)),
+    (BallSpace(3, 1.0, 2), (1, -1, 0), (0, 1, -1)),
+]
+
+
+@pytest.mark.parametrize("space,p1,p2", SHIFT_CASES)
+def test_shift_algebra_matches_dense(space, p1, p2):
+    A, B = synthetic(space, p1, 1), synthetic(space, p2, 2)
+    a, b = A.data, B.data
+    for got, want in ((compose(A, B), a @ b), (compose(B, A), b @ a),
+                      (commutator(A, B), a @ b - b @ a)):
+        assert audit_shift_structure(got)
+        assert np.abs(got.data - want).max() <= 1e-14
+        assert frobenius_norm(got) == pytest.approx(
+            np.sqrt(np.sum(np.abs(want) ** 2)), rel=1e-14)
+    # columns where the basis edge cuts exactly one of the two products
+    t1, t2, t12 = (shift_targets(A.basis, p) >= 0 for p in
+                   (p1, p2, tuple(a + b for a, b in zip(p1, p2))))
+    edge = (t2 & t12) != (t1 & t12)
+    assert edge.any() == (any(p1) and any(p2))
+
+
+FUSION_CASES = [
+    (ProjectiveSpace(2, 3), Partition((2,)), QuasiRadial("r1^2/(1+r1^2)"),
+     [MultiSphereFactor(0, "s1^2", (1, -1)), PhaseMonomial((-2, 2))]),
+    (ProjectiveSpace(3, 3), Partition((2, 1)),
+     QuasiRadial("r1^2/(r1^2 + r2^2)"),
+     [SingleSphereFactor(0, "sig1^2", (1, -1))]),
+    (BallSpace(2, 0.5, 3), Partition((2,)), None,
+     [ExtendedFactor(0, "s1^2 + r1^2/(1+r1^2)", (1, -1)),
+      PhaseMonomial((-1, 1))]),
+]
+
+
+@pytest.mark.parametrize("space,k,a,factors", FUSION_CASES)
+def test_fusion_defect_matches_dense(space, k, a, factors):
+    all_factors = ([a] if a is not None else []) + factors
+    prod = assemble(product_table(all_factors, space, k, SPEC)).data
+    acc = np.eye(len(prod))
+    for f in all_factors:
+        acc = acc @ assemble(build_gamma_table(f, space, k, SPEC)).data
+    defect, scale = fusion_defect(a, factors, space, k, SPEC)
+    assert defect == pytest.approx(np.sqrt(np.sum(np.abs(prod - acc) ** 2)),
+                                   rel=1e-14, abs=1e-14)
+    assert scale == pytest.approx(np.sqrt(np.sum(np.abs(prod) ** 2)),
+                                  rel=1e-14)
+
+
+def test_shift_algebra_at_dim_1e5():
+    """n=3, m=83 (dim 102 340): a dense pair would need 167 GB each."""
+    space = ProjectiveSpace(3, 83)
+    basis = tuple(space_basis(space))
+    rng = np.random.default_rng(0)
+
+    def shift_operator(p):
+        target = shift_targets(basis, p)
+        weights = np.where(target >= 0, rng.standard_normal(len(basis)), 0)
+        return ToeplitzMatrix(weights + 0j, target, p, basis, space)
+
+    A, B = shift_operator((1, -1, 0)), shift_operator((0, 2, -2))
+    tracemalloc.start()
+    start = time.perf_counter()
+    AB = compose(A, B)
+    C = commutator(A, B)
+    norm = frobenius_norm(C)
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert AB.dim == C.dim == len(basis) == 102340
+    assert AB.shift == C.shift == (1, 1, -2)
+    assert norm > 0
+    assert elapsed < 1.0
+    assert peak < 64 * 2 ** 20
