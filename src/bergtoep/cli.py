@@ -252,7 +252,8 @@ def cmd_oracle_compare(args, cfg) -> None:
     table = operators.product_table([psi], space, k, cfg["quadrature"])
     ocfg = cfg["oracle"]
     method = ocfg.get("method", "polar-grid")
-    kwargs = {}
+    # one memo: every alpha of the table shares the oracle's rules and draws
+    kwargs = {"memo": {}}
     if method == "monte-carlo":
         kwargs["samples"] = int(ocfg.get("samples", oracle.DEFAULT_SAMPLES))
         kwargs["seed"] = int(ocfg.get("seed", cfg["quadrature"].seed))

@@ -196,7 +196,12 @@ def mc_integrate(f, domain, N: int, seed: int):
         vals = np.asarray(f(z))
     else:
         raise DomainError(f"unknown MC domain {kind!r}")
+    return mc_mean(vals)
 
+
+def mc_mean(vals):
+    """Sample mean of vals and its standard error: (estimate, stderr)."""
+    N = len(vals)
     est = np.sum(vals) / N
     resid = vals - est
     stderr = float(np.sqrt(np.sum(np.abs(resid) ** 2) / (N - 1) / N))

@@ -150,6 +150,25 @@ def test_oracle_compare_small_diff(config_path, tmp_path):
         assert float(row.split(",")[3]) < 1e-8
 
 
+@pytest.mark.parametrize("m, code", [(3, 0), (4, 3)])
+def test_oracle_compare_grid_exactness_guard(tmp_path, m, code):
+    """A 2-point radial axis integrates degree <= 3 exactly: at m = 3 the
+    shared rule is exact, at m = 4 the grid is refused, not answered
+    wrongly."""
+    cfg = dict(BASE_CONFIG, space={"type": "projective", "n": 2, "m": m},
+               oracle={"method": "polar-grid", "grid": 2})
+    path, out = tmp_path / "c.json", tmp_path / "oc.csv"
+    path.write_text(json.dumps(cfg))
+    assert run(["oracle-compare", "--config", str(path), "--out",
+                str(out)]) == code
+    if code == 0:
+        rows = [ln for ln in out.read_text().splitlines()
+                if not ln.startswith(("#", "alpha"))]
+        assert rows
+        for row in rows:
+            assert float(row.split(",")[3]) < 1e-12
+
+
 def test_geometry_command(config_path, tmp_path):
     out = tmp_path / "geo.csv"
     assert run(["geometry", "--config", config_path, "--out", str(out)]) == 0
