@@ -14,15 +14,15 @@ memoizes radial values by e and block values or rules by (j, exps, a0).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import quadrature
 from .expr import Expr, evaluate, variables
-from .indexing import DomainError, Partition, enumerate_basis
+from .indexing import DomainError, Partition, enumerate_basis, gammaln
 from .quadrature import (QuadratureSpec, dirichlet_closed_form, mc_integrate,
                          radial_integrate_projective, simplex_integrate)
 from .symbols import (ExtendedFactor, MultiSphereFactor, PhaseMonomial,
@@ -95,6 +95,19 @@ def _split_product(psi: SymbolSpec, k: Partition, allowed):
     return a_expr, blocks, total_shift(psi, k)
 
 
+def _scaled(log_scale: float, value: float) -> float:
+    """exp(log_scale) * value, combined in log space: a prefactor past the
+    float range times a tiny integral is still a finite coefficient."""
+    if value == 0:
+        return 0.0
+    try:
+        return math.copysign(math.exp(log_scale + math.log(abs(value))),
+                             value)
+    except OverflowError:
+        raise DomainError("coefficient is not representable in double "
+                          "precision") from None
+
+
 def _space_terms(space, n: int, d: int):
     """The log Gamma-prefactor and the last radial exponent a0."""
     if isinstance(space, ProjectiveSpace):
@@ -130,7 +143,7 @@ def _gamma(space, a_expr, blocks: dict, k: Partition, alpha, p,
             log_value += sum(gammaln(x + 1) - gammaln(y + 1)
                              for x, y in zip(h, s)) - gammaln(kj + sum(h))
     if spec.method == "monte-carlo":
-        return float(np.exp(prefactor + log_value) * _mc_value(
+        return _scaled(prefactor + log_value, _mc_value(
             space, a_expr, blocks, k, e, a0, weights, spec))
     value, coupled = 1.0, []
     for j, (exps, a0_j) in weights.items():
@@ -146,11 +159,10 @@ def _gamma(space, a_expr, blocks: dict, k: Partition, alpha, p,
         # the radial Dirichlet closed form cancels the prefactor up to
         # prod Gamma(e_j + 1); kept in log space, neither under- nor
         # overflows at large weights
-        return float(np.exp(log_value + sum(gammaln(x + 1) for x in e))
-                     * value)
+        return _scaled(log_value + sum(gammaln(x + 1) for x in e), value)
     radial = partial(_radial_value, space, a_expr, coupled, e, a0, spec)
     value *= radial() if coupled else _memoized(memo, ("radial", e), radial)
-    return float(np.exp(prefactor + log_value) * value)
+    return _scaled(prefactor + log_value, value)
 
 
 def _radial_value(space, a_expr, coupled: list, e, a0, spec) -> float:
@@ -230,7 +242,7 @@ def gamma_multisphere_factor(b: Expr | None, k: Partition, j: int, p_j,
         return 0.0
     half = tuple(a + q / 2 for a, q in zip(a_j, p_j))
     logpref = gammaln(kj + sum(a_j)) - sum(gammaln(x + 1) for x in shifted)
-    return float(np.exp(logpref) * _integral(
+    return _scaled(logpref, _integral(
         b, partial(_cosines_env, kj=kj), kj - 1, half[:-1], half[-1], spec))
 
 
@@ -274,7 +286,7 @@ def gamma_single_sphere(b: Expr | None, k: Partition, j: int, p_j, n: int,
                          lambda: _integral(b, lambda S: {
                              f"sig{l + 1}": np.sqrt(S[:, l]) for l in range(kj)
                          }, kj, exps, a0, spec))
-    return float(np.exp(logpref) * integral)
+    return _scaled(logpref, integral)
 
 
 def gamma_extended_projective(psi: SymbolSpec, k: Partition, m: int, alpha,

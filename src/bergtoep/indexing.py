@@ -14,11 +14,31 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import numpy as np
-from scipy.special import gammaln
 
 
 class DomainError(ValueError):
     """Raised when an operation is called outside its mathematical domain."""
+
+
+def _lgamma(x: float) -> float:
+    try:
+        return math.lgamma(x)
+    except (ValueError, OverflowError):  # a pole, or past the float range
+        return math.inf
+
+
+_lgamma_array = np.vectorize(_lgamma, otypes=[float])
+
+
+def gammaln(x):
+    """log|Gamma(x)|, +inf at the poles 0, -1, -2, ...; elementwise on
+    arrays, a float on scalars."""
+    if np.ndim(x) == 0:
+        return _lgamma(float(x))
+    # once per distinct value: array arguments are multi-indices, with few
+    # distinct entries
+    values, inverse = np.unique(x, return_inverse=True)
+    return _lgamma_array(values)[inverse].reshape(np.shape(x))
 
 
 @dataclass(frozen=True)

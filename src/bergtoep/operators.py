@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import expr as exprmod
 from .gamma import BallSpace, GammaTable, ProjectiveSpace, build_gamma_table
-from .indexing import DomainError, Partition, basis_index, enumerate_basis
+from .indexing import (DomainError, Partition, basis_index, enumerate_basis,
+                       gammaln)
 from .quadrature import QuadratureSpec
 from .symbols import (
     ExtendedFactor,

@@ -37,11 +37,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .indexing import (
     DomainError,
     Partition,
+    gammaln,
     monomial_norm_sq_ball,
     monomial_norm_sq_projective,
 )

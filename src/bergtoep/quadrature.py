@@ -7,17 +7,25 @@ orthant which is mapped onto the simplex by r = u/(1-sum u).  The simplex
 rule is a tensor Gauss-Jacobi rule under the Duffy (collapsed-cube) map;
 the monomial weights are absorbed into the Jacobi weights so endpoint
 algebraic behavior costs no accuracy.
+
+Each one-dimensional Gauss-Jacobi rule is built by the Golub-Welsch method
+in NumPy: the nodes are the eigenvalues of the symmetric tridiagonal Jacobi
+matrix, and the weights are the Christoffel numbers 1/sum_k p_k(x)^2 of the
+orthonormal recurrence, scaled to the exact mass B(a+1, b+1).  Christoffel
+numbers keep tiny endpoint weights to relative accuracy, where squared
+eigenvector components would not.  A mass below the normal double range
+raises DomainError instead of returning a rule without accurate digits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, roots_jacobi
 
-from .indexing import DomainError
+from .indexing import DomainError, gammaln
 
 DEFAULT_ORDER = 40
 MAX_TENSOR_DIM = 8
@@ -36,21 +44,55 @@ class QuadratureSpec:
             raise DomainError("order must be >= 1")
 
 
+def _golub_welsch(a: float, b: float, q: int):
+    """Gauss nodes on [-1, 1] for the weight (1-x)^b (1+x)^a, with weights
+    normalised to sum to one."""
+    # recurrence of the orthonormal Jacobi polynomials: diagonal and
+    # off-diagonal of the symmetric tridiagonal Jacobi matrix
+    s = a + b
+    k = np.arange(1.0, q)
+    t = 2 * k + s
+    diag = np.empty(q)
+    diag[0] = (a - b) / (s + 2)
+    diag[1:] = (a * a - b * b) / (t * (t + 2))
+    off = 2 / t * np.sqrt((k + a) * (k + b) / (t + 1))
+    off[1:] *= np.sqrt(k[1:] * (k[1:] + s) / (t[1:] - 1))
+    J = np.diag(diag)
+    J[range(q - 1), range(1, q)] = off
+    x = np.linalg.eigvalsh(J, UPLO="U")
+    # Christoffel numbers 1/sum_k p_k(x)^2, evaluated at all nodes at once
+    P = np.empty((q, q))
+    P[0] = 1.0
+    tmp = np.empty(q)
+    diag, off = diag.tolist(), off.tolist()
+    for j in range(q - 1):
+        row = P[j + 1]
+        np.subtract(x, diag[j], out=row)
+        row *= P[j]
+        if j:
+            row -= np.multiply(P[j - 1], off[j - 1], out=tmp)
+        row /= off[j]
+    w = 1.0 / np.einsum("ij,ij->j", P, P)
+    return x, w / np.sum(w)
+
+
 @lru_cache(maxsize=4096)
 def jacobi_rule_01(a: float, b: float, q: int):
     """Nodes/weights for int_0^1 u^a (1-u)^b f(u) du."""
     if a <= -1 or b <= -1:
         raise DomainError(f"Jacobi exponents must exceed -1, got ({a}, {b})")
-    x, w = roots_jacobi(q, b, a)
-    u = 0.5 * (x + 1.0)
-    w = w * 0.5 ** (a + b + 1)
-    # roots_jacobi overflows once a + b + 1 passes about 1023; single zero
-    # weights (underflow at the endpoints) are legitimate
-    if not np.all(np.isfinite(w)) or not np.sum(w) > 0:
-        raise DomainError(
-            f"Jacobi rule for exponents ({a}, {b}) is not representable in "
-            "double precision")
-    return u, w
+    # the mass B(a+1, b+1); below the normal range the weights would lose
+    # their relative accuracy without a warning.  Single zero weights
+    # (underflow at the endpoints) are legitimate.
+    mu0 = math.exp(gammaln(a + 1) + gammaln(b + 1) - gammaln(a + b + 2))
+    if mu0 >= np.finfo(float).tiny:
+        x, w = _golub_welsch(a, b, q)
+        w = w * mu0
+        if np.all(np.isfinite(w)):
+            return 0.5 * (x + 1.0), w
+    raise DomainError(
+        f"Jacobi rule for exponents ({a}, {b}) is not representable in "
+        "double precision")
 
 
 def simplex_rule(d: int, a: tuple, a0: float, q: int):

@@ -172,23 +172,30 @@ def evaluate_symbol_batch(psi: SymbolSpec, Z: np.ndarray, k: Partition):
     Z = np.asarray(Z, dtype=complex)
     if Z.shape[-1] != k.n:
         raise DomainError(f"points have {Z.shape[-1]} coords, expected {k.n}")
+    factors = flatten(psi)
     mod = np.abs(Z)
     t = np.where(mod > 0, Z / np.where(mod > 0, mod, 1.0), 1.0 + 0j)
-    total = np.sqrt(np.sum(mod**2, axis=-1, keepdims=True))
-    sigma = np.where(total > 0, mod / np.where(total > 0, total, 1.0),
-                     1.0 / np.sqrt(k.n))
+    # the global cosines and each block's cosines only where a factor
+    # reads them
+    if any(isinstance(f, SingleSphereFactor) for f in factors):
+        total = np.sqrt(np.sum(mod**2, axis=-1, keepdims=True))
+        sigma = np.where(total > 0, mod / np.where(total > 0, total, 1.0),
+                         1.0 / np.sqrt(k.n))
+    cosine_blocks = {f.j for f in factors
+                     if isinstance(f, (MultiSphereFactor, ExtendedFactor))}
     r = np.empty(Z.shape[:-1] + (k.num_blocks,))
-    s_blocks = []
+    s_blocks = {}
     for j in range(k.num_blocks):
         blk = mod[..., k.block_slice(j)]
         rj = np.sqrt(np.sum(blk**2, axis=-1))
         r[..., j] = rj
-        safe = np.where(rj > 0, rj, 1.0)[..., None]
-        s_blocks.append(np.where(rj[..., None] > 0, blk / safe,
-                                 1.0 / np.sqrt(k.parts[j])))
+        if j in cosine_blocks:
+            safe = np.where(rj > 0, rj, 1.0)[..., None]
+            s_blocks[j] = np.where(rj[..., None] > 0, blk / safe,
+                                   1.0 / np.sqrt(k.parts[j]))
 
     value = np.ones(Z.shape[:-1], dtype=complex)
-    for f in flatten(psi):
+    for f in factors:
         if isinstance(f, QuasiRadial):
             value = value * evaluate(f.a, radial_env(r))
         elif isinstance(f, MultiSphereFactor):

@@ -1,6 +1,7 @@
 """CLI surface: configs, formats, reproducibility, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -90,6 +91,26 @@ def test_unrepresentable_jacobi_rule_is_numerical_error(tmp_path):
     path.write_text(json.dumps(cfg))
     assert run(["gamma", "--config", str(path), "--out",
                 str(tmp_path / "g.csv")]) == 3
+
+
+@pytest.mark.parametrize("m", [1020, 1050])
+def test_large_weight_never_writes_nonfinite_rows(tmp_path, m):
+    # gamma = (1+alpha)/(m+2) on P^1; past the double range of the radial
+    # rule the command either fails as a numerical error or stays exact
+    cfg = {"space": {"type": "projective", "n": 1, "m": m},
+           "partition": [1],
+           "symbols": [{"kind": "quasi-radial", "a": "r1^2/(1+r1^2)"}]}
+    path, out = tmp_path / "c.json", tmp_path / "g.csv"
+    path.write_text(json.dumps(cfg))
+    code = run(["gamma", "--config", str(path), "--out", str(out)])
+    assert code in (0, 3)
+    if code == 0:
+        rows = [ln.split(",") for ln in out.read_text().splitlines()
+                if not ln.startswith("#")][1:]
+        assert len(rows) == m + 1
+        for alpha, re_, im_ in rows:
+            assert math.isfinite(float(re_)) and float(im_) == 0.0
+            assert abs(float(re_) - (1 + int(alpha)) / (m + 2)) < 1e-11
 
 
 def test_fusion_verdict_equal(config_path, tmp_path):
@@ -226,3 +247,13 @@ def test_console_script_entry_point(config_path, tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert out.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, bergtoep.cli; print(sorted(m for m in sys.modules "
+         "if m == 'scipy' or m.startswith('scipy.')))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

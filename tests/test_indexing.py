@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bergtoep.indexing import (
@@ -11,6 +12,7 @@ from bergtoep.indexing import (
     ShiftVector,
     basis_index,
     enumerate_basis,
+    gammaln,
     monomial_norm_sq_ball,
     monomial_norm_sq_projective,
 )
@@ -86,3 +88,19 @@ def test_shift_vector_modes():
         ShiftVector((1, 0, -1), mode="blockwise-zero", partition=k)
     with pytest.raises((DomainError, ValueError)):
         ShiftVector((1, 0, 0), mode="total-zero")
+
+
+def test_gammaln_scalars_arrays_and_poles():
+    assert gammaln(5) == pytest.approx(math.log(24), rel=1e-15)
+    assert gammaln(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-15)
+    assert isinstance(gammaln(np.float64(3.5)), float)
+    # +inf at the poles and past the float range, where math.lgamma raises
+    for x in (0, -1, -7.0, 1e308):
+        assert gammaln(x) == math.inf
+    x = np.array([[0.5, 1.0, 0.0, 10.0], [-2.5, 10.0, 171.5, 0.5]])
+    got = gammaln(x)
+    assert got.shape == x.shape and got.dtype == float
+    want = [[math.lgamma(0.5), 0.0, math.inf, math.lgamma(10.0)],
+            [math.lgamma(-2.5), math.lgamma(10.0), math.lgamma(171.5),
+             math.lgamma(0.5)]]
+    assert got.tolist() == want

@@ -5,13 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
 
 from bergtoep import oracle
 from bergtoep.indexing import (
     DomainError,
     Partition,
     enumerate_basis,
+    gammaln,
     monomial_norm_sq_ball,
     monomial_norm_sq_projective,
 )

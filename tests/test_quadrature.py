@@ -40,6 +40,36 @@ def test_jacobi_rule_polynomial_exactness():
         assert np.sum(w * u**deg) == pytest.approx(exact, rel=1e-12)
 
 
+def test_jacobi_rule_matches_scipy_and_beta_moments():
+    # the Golub-Welsch rule against SciPy's, SciPy used as a reference
+    # only; a = b takes SciPy's Legendre and Gegenbauer paths
+    special = pytest.importorskip("scipy.special")
+    funcs = (lambda u: np.cos(3 * u), lambda u: 1 / (1 + u),
+             lambda u: np.sqrt(1 + u))
+    exps = (0.0, 0.5, 1.0, 2.5, 7.0, 20.0, 40.5, 100.0)
+    for a, b in itertools.product(exps, repeat=2):
+        for q in (1, 2, 5, 40, 64):
+            u, w = jacobi_rule_01(a, b, q)
+            x, wr = special.roots_jacobi(q, b, a)
+            ur, wr = 0.5 * (x + 1), wr * 0.5 ** (a + b + 1)
+            assert np.max(np.abs(u - ur)) < 1e-14
+            for f in funcs:
+                assert np.sum(w * f(u)) == pytest.approx(np.sum(wr * f(ur)),
+                                                         rel=1e-12)
+            for j in range(2 * q):
+                exact = math.exp(special.betaln(a + j + 1, b + 1))
+                assert np.sum(w * u**j) == pytest.approx(exact, rel=1e-11)
+
+
+def test_jacobi_rule_rejects_subnormal_mass():
+    # B(511, 511) = 3.5e-309 is below the normal range: no rule, rather
+    # than one whose weights have lost their relative accuracy
+    with pytest.raises(DomainError, match="not representable"):
+        jacobi_rule_01(510.0, 510.0, 40)
+    u, w = jacobi_rule_01(500.0, 500.0, 40)
+    assert np.all(np.isfinite(w)) and np.sum(w) > 0
+
+
 def test_dirichlet_closed_form_values():
     assert dirichlet_closed_form((), 0.0) == pytest.approx(1.0)
     assert dirichlet_closed_form((0.0,), 0.0) == pytest.approx(1.0)
