@@ -104,11 +104,22 @@ def load_config(path: str, args) -> dict:
             "quadrature": spec, "oracle": ocfg, "raw": cfg}
 
 
-def domain_precheck(symbols, k: Partition, seed: int = 0) -> None:
-    """Probe symbol expressions on 1000 seeded random chart points and
-    flag evaluation failures (division by zero, log out of domain)."""
-    rng = np.random.default_rng(seed)
-    Z = rng.standard_normal((1000, k.n)) + 1j * rng.standard_normal((1000, k.n))
+def _probe_points(n: int) -> np.ndarray:
+    """A fixed low-discrepancy set of 1000 points in C^n: the generalized
+    golden-ratio (Kronecker) sequence in [0, 1)^(2n) sets each coordinate's
+    modulus, log-uniform on [1e-3, 1e3], and its phase."""
+    phi = 2.0
+    for _ in range(60):  # phi^(2n+1) = phi + 1
+        phi = (1.0 + phi) ** (1.0 / (2 * n + 1))
+    steps = phi ** -np.arange(1.0, 2 * n + 1)
+    u = (0.5 + np.arange(1, 1001)[:, None] * steps) % 1.0
+    return 10.0 ** (6.0 * u[:, :n] - 3.0) * np.exp(2j * np.pi * u[:, n:])
+
+
+def domain_precheck(symbols, k: Partition) -> None:
+    """Probe symbol expressions on 1000 fixed chart points and flag
+    evaluation failures (division by zero, log out of domain)."""
+    Z = _probe_points(k.n)
     for s in symbols:
         try:
             vals = evaluate_symbol_batch(s, Z, k)
@@ -331,8 +342,7 @@ def main(argv=None) -> int:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        domain_precheck(cfg["symbols"], cfg["partition"],
-                        seed=cfg["quadrature"].seed)
+        domain_precheck(cfg["symbols"], cfg["partition"])
         COMMANDS[args.command](args, cfg)
     except (ConfigError, ValidationError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)

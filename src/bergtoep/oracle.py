@@ -25,6 +25,18 @@ is m on P^n and is reached at the even alpha of an even shift.  A grid too
 coarse for that bound is refused with DomainError: the shared rule would
 otherwise be silently inexact where a rule carrying the whole weight is not.
 
+Theta grid.  q_theta (the CLI's grid) caps the theta grid; below the cap
+the grid is measured, not assumed.  The profile is taken on the coprime
+grids q and q + 1 for q = 4, 8, 16, ..., and the (q + 1) profile is kept
+once the two agree to 1e-13 times max |psi| over the points evaluated.  A
+frequency beta - alpha + v aliases onto beta - alpha on both grids only if
+every entry of v is a multiple of q (q + 1), so agreement means that both
+resolve the coefficient unless psi has a component that far out and none
+nearer.  The pairs spend at most one q_theta^n grid of points; if none
+agrees, the q_theta grid decides, so a table costs at most twice the full
+grid.  samples_or_points stays the nominal q_r^n q_theta^n.  psi is
+evaluated in chunks of at most _CHUNK_POINTS points.
+
 Monte Carlo.  On P^n every alpha with the same importance weight M, samples
 and seed reads the same draw, so the memo takes it once (through
 mc_integrate) and evaluates psi on it once; each alpha then costs its
@@ -50,7 +62,9 @@ from .symbols import SymbolSpec, evaluate_symbol_batch
 
 DEFAULT_GRID = 64
 DEFAULT_SAMPLES = 10**6
-_THETA_CHUNK = 256
+_CHUNK_POINTS = 2**18
+_FIRST_THETA_GRID = 4
+_AGREEMENT = 1e-13  # relative to max |psi| over the points evaluated
 
 
 @dataclass(frozen=True)
@@ -71,21 +85,51 @@ def _projective_rho(X):
     return np.sqrt(X / (1.0 - X.sum(axis=-1, keepdims=True)))
 
 
+def _dft_profile(psi, k, rho, diff, q):
+    """q^-n sum_theta psi(rho e^{i theta}) e^{-i diff.theta} at every radial
+    node rho on the q^n theta grid, and max |psi| over its points.
+
+    psi is evaluated in chunks of at most _CHUNK_POINTS points."""
+    n = rho.shape[1]
+    thetas = _theta_grid(n, q)
+    circle = np.exp(1j * thetas)
+    # conjugated monomial phases exp(-i (beta - alpha) . theta)
+    phase = np.exp(-1j * thetas @ diff)
+    rows = max(1, _CHUNK_POINTS // len(thetas))
+    cols = min(len(thetas), _CHUNK_POINTS)
+    profile = np.zeros(len(rho), dtype=complex)
+    peak = 0.0
+    for r0 in range(0, len(rho), rows):
+        for t0 in range(0, len(thetas), cols):
+            Z = rho[r0:r0 + rows, None, :] * circle[None, t0:t0 + cols, :]
+            values = evaluate_symbol_batch(psi, Z, k)
+            peak = max(peak, float(np.abs(values).max()))
+            profile[r0:r0 + rows] += values @ phase[t0:t0 + cols]
+    return profile / len(thetas), peak
+
+
 def _radial_profile(psi, k, frac_e, a0_rule, diff, to_rho, q_r, q_theta):
     """The rule for x^frac_e (1 - sum x)^a0_rule and the radial profile of
-    psi at frequency diff on its nodes."""
+    psi at frequency diff on its nodes, from the first pair of coprime theta
+    grids (q, q + 1), q = 4, 8, 16, ..., that agree, else from the q_theta
+    grid."""
     n = len(frac_e)
     X, W = simplex_rule(n, frac_e, a0_rule, q_r)
     rho = to_rho(X)
-    thetas = _theta_grid(n, q_theta)
     diff = np.asarray(diff, dtype=float)
-    profile = np.zeros(len(W), dtype=complex)
-    for start in range(0, thetas.shape[0], _THETA_CHUNK):
-        th = thetas[start:start + _THETA_CHUNK]  # (T, n)
-        Z = rho[:, None, :] * np.exp(1j * th)[None, :, :]  # (Nr, T, n)
-        # conjugated monomial phases exp(-i (beta - alpha) . theta)
-        profile += evaluate_symbol_batch(psi, Z, k) @ np.exp(-1j * th @ diff)
-    return X, W, profile / q_theta**n
+    # the pairs spend at most one q_theta grid (which also keeps q + 1
+    # below the cap), so a table that never agrees costs at most twice the
+    # q_theta grid alone
+    spent, peak, q = 0, 0.0, _FIRST_THETA_GRID
+    while spent + q**n + (q + 1)**n <= q_theta**n:
+        coarse, peak_coarse = _dft_profile(psi, k, rho, diff, q)
+        fine, peak_fine = _dft_profile(psi, k, rho, diff, q + 1)
+        spent += q**n + (q + 1)**n
+        peak = max(peak, peak_coarse, peak_fine)
+        if np.max(np.abs(fine - coarse)) <= _AGREEMENT * peak:
+            return X, W, fine
+        q *= 2
+    return X, W, _dft_profile(psi, k, rho, diff, q_theta)[0]
 
 
 def _polar_inner(psi, k, alpha, beta, a0_rule, a0_int, to_rho, q_r, q_theta,

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -171,6 +172,19 @@ def test_oracle_compare_small_diff(config_path, tmp_path):
         assert float(row.split(",")[3]) < 1e-8
 
 
+def test_oracle_compare_memory_is_bounded(config_path, tmp_path):
+    """The polar oracle at grid 64 evaluates psi in chunks sized in points
+    and stops at the first theta grid pair that agrees."""
+    tracemalloc.start()
+    try:
+        assert run(["oracle-compare", "--config", config_path, "--out",
+                    str(tmp_path / "oc.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
+
+
 @pytest.mark.parametrize("m, code", [(3, 0), (4, 3)])
 def test_oracle_compare_grid_exactness_guard(tmp_path, m, code):
     """A 2-point radial axis integrates degree <= 3 exactly: at m = 3 the
@@ -257,3 +271,16 @@ def test_cli_import_loads_no_scipy():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_gamma_command_loads_no_numpy_random(config_path, tmp_path):
+    """The domain pre-check probes fixed points, so a deterministic command
+    never imports numpy.random."""
+    code = ("import sys; from bergtoep.cli import main; "
+            f"code = main(['gamma', '--config', {config_path!r}, '--out', "
+            f"{str(tmp_path / 'g.csv')!r}]); "
+            "print(code, 'numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 False"

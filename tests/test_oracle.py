@@ -265,3 +265,90 @@ def test_oracle_imports_no_formula_code():
         parts = name.split(".")
         assert parts[:2] not in (["bergtoep", "gamma"],
                                  ["bergtoep", "operators"]), name
+
+
+# ------------------------------------------------ theta grid by agreement
+
+def test_theta_agreement_resolves_an_alias_cheaply(monkeypatch):
+    """<z^(4,0), z^(0,4)> = 0, but a 4-point theta axis aliases the
+    frequency (-4, 4) onto 0; the 5-point axis disagrees, so the 8/9 pair
+    answers, with a tenth of the points of the 64^2 cap grid."""
+    counted = []
+
+    def counting(psi, Z, k):
+        counted.append(Z.size // Z.shape[-1])
+        return evaluate_symbol_batch(psi, Z, k)
+
+    monkeypatch.setattr(oracle, "evaluate_symbol_batch", counting)
+    res = inner_product_projective(UNIT, (4, 0), (0, 4), 8, 2, K2, q_r=8,
+                                   q_theta=64)
+    assert abs(res.value) < 1e-14
+    assert sum(counted) < (8 * 64)**2 / 10
+    assert res.samples_or_points == (8 * 64)**2
+    # with the cap at 4 there is no pair to compare, and the lone
+    # 4-point axis keeps its alias
+    alias = inner_product_projective(UNIT, (4, 0), (0, 4), 8, 2, K2, q_r=8,
+                                     q_theta=4)
+    assert alias.value == pytest.approx(2.38e-3, rel=1e-2)
+    # the frequency (-5, 5) aliases on the 5-point axis instead, which the
+    # pair must not take alone either
+    res = inner_product_projective(UNIT, (5, 0), (0, 5), 10, 2, K2, q_r=8,
+                                   q_theta=64)
+    assert abs(res.value) < 1e-14
+
+
+def _projective_rho(X):
+    return np.sqrt(X / (1 - X.sum(axis=-1, keepdims=True)))
+
+
+@pytest.mark.parametrize("space", ["projective", 0.0, 1.0])
+@pytest.mark.parametrize("bsrc", ["1", "s1^2", "sin(s1^2)"])
+def test_theta_agreement_matches_full_grid(bsrc, space, monkeypatch):
+    """The criterion-02 symbols on P^2 (m = 3) and on the ball: with
+    q_theta chosen by agreement under a cap of 64, every value is that of
+    the full 64^2 theta grid on the same radial rule (the ladder starting
+    past the cap), and that of the whole-weight reference where its own
+    radial rule integrates to 1e-14.  sin(s1^2) = sin(x1/(x1 + x2)) is not
+    smooth at x = 0, so there the two radial rules differ by up to 2e-6
+    whatever theta does."""
+    m, q_theta = 3, 64
+
+    def value(alpha, beta, psi, q_r, memo):
+        if space == "projective":
+            return inner_product_projective(psi, alpha, beta, m, 2, K2,
+                                            q_r=q_r, q_theta=q_theta,
+                                            memo=memo).value
+        return inner_product_ball(psi, alpha, beta, space, 2, K2, q_r=q_r,
+                                  q_theta=q_theta, memo=memo).value
+
+    for p in ((0, 0), (1, -1), (2, -2)):
+        psi = Product((QuasiRadial("r1^2/(1+r1^2)"),
+                       MultiSphereFactor(0, bsrc, p)))
+        pairs = _table_pairs(2, m, p)
+        memo = {}
+        agreed = [value(a, b, psi, 4, memo) for a, b in pairs]
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_FIRST_THETA_GRID", q_theta)
+            memo = {}
+            full = [value(a, b, psi, 4, memo) for a, b in pairs]
+        for got, want in zip(agreed, full):
+            assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
+        if bsrc == "sin(s1^2)":
+            continue
+        # the whole-weight reference costs a full grid per alpha, so it
+        # checks one alpha per table.  On P^2 the radial integrands are
+        # polynomials of degree <= 4; on the ball r1^2/(1 + r1^2) is
+        # x/(1 + x) with x = x1 + x2, analytic on the simplex, and 10 points
+        # an axis integrate it well below 1e-13
+        alpha, beta = pairs[0]
+        if space == "projective":
+            q_r, rho_of = 4, _projective_rho
+            a0 = m - (sum(alpha) + sum(beta)) / 2
+            logpref = gammaln(2 + m + 1) - gammaln(m + 1)
+        else:
+            q_r, rho_of, a0 = 10, np.sqrt, space
+            logpref = gammaln(2 + space + 1) - gammaln(space + 1)
+        want = _whole_weight_rule(psi, K2, alpha, beta, a0, rho_of, logpref,
+                                  q_r, q_theta)
+        assert value(alpha, beta, psi, q_r, {}) == pytest.approx(
+            want, rel=1e-13, abs=1e-15)
