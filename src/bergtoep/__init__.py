@@ -31,7 +31,6 @@ from .geometry import (
 from .indexing import (
     DomainError,
     Partition,
-    ShiftVector,
     basis_index,
     enumerate_basis,
     monomial_norm_sq_ball,
@@ -40,7 +39,6 @@ from .indexing import (
 from .operators import (
     ToeplitzMatrix,
     assemble,
-    assemble_raw,
     audit_shift_structure,
     commutation_suite,
     commutator,

@@ -168,11 +168,10 @@ def _gamma(space, a_expr, blocks: dict, k: Partition, alpha, p,
 def _radial_value(space, a_expr, coupled: list, e, a0, spec) -> float:
     """Radial integral of a(rho) prod B(rho), each coupled block integral B
     (given as b, broadcast cosines, weights) summed at every radial node."""
-    dim = len(e) + sum(len(cosines) - 1 for _, cosines, _ in coupled)
-    if dim > quadrature.MAX_TENSOR_DIM:
-        raise DomainError(
-            f"coupled integral dimension {dim} > {quadrature.MAX_TENSOR_DIM}; "
-            "use a monte-carlo quadrature spec")
+    # the coupled grid: radial nodes times every coupled block's nodes
+    quadrature.check_tensor_size(
+        len(e) + sum(len(cosines) - 1 for _, cosines, _ in coupled),
+        spec.order)
 
     def g(rho):
         radii = radial_env(rho)
@@ -194,8 +193,12 @@ def _integral(expr, env, d: int, exps, a0, spec) -> float:
     over the d-simplex; the Dirichlet closed form when expr is None."""
     if expr is None:
         return dirichlet_closed_form(exps, a0)
-    return simplex_integrate(lambda X: _values(expr, env(X), X.shape[0]),
-                             d, exps, a0, spec)
+    # a Dirichlet draw also holds the last coordinate 1 - sum x
+    f = lambda X: _values(expr, env(X[:, :d]), X.shape[0])
+    if spec.method == "monte-carlo":
+        return mc_integrate(f, ("dirichlet", [(exps, a0)]), spec.order,
+                            spec.seed)[0]
+    return simplex_integrate(f, d, exps, a0, spec)
 
 
 def _block_rule(kj: int, exps, a0, spec):

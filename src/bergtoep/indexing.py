@@ -80,37 +80,6 @@ class Partition:
         return tuple(vec[self.block_slice(j)])
 
 
-@dataclass(frozen=True)
-class ShiftVector:
-    """Integer shift p with a declared zero-sum mode.
-
-    mode "total-zero" requires sum(p) == 0; mode "blockwise-zero" requires
-    sum over every block of the attached partition to vanish (which implies
-    total-zero).
-    """
-
-    entries: tuple[int, ...]
-    mode: str = "total-zero"
-    partition: Partition | None = None
-
-    def __post_init__(self):
-        entries = tuple(int(p) for p in self.entries)
-        object.__setattr__(self, "entries", entries)
-        if self.mode not in ("total-zero", "blockwise-zero"):
-            raise DomainError(f"unknown shift mode {self.mode!r}")
-        if self.mode == "total-zero":
-            if sum(entries) != 0:
-                raise DomainError(f"shift {entries} does not sum to zero")
-        else:
-            if self.partition is None:
-                raise DomainError("blockwise-zero mode needs a partition")
-            for j in range(self.partition.num_blocks):
-                if sum(self.partition.block(entries, j)) != 0:
-                    raise DomainError(
-                        f"shift {entries} has nonzero sum on block {j}"
-                    )
-
-
 def enumerate_basis(n: int, m: int) -> list[tuple[int, ...]]:
     """All alpha in N^n with |alpha| <= m, graded lexicographic.
 

@@ -7,7 +7,7 @@ its weight and its row(alpha+p), or -1 (weight 0) where alpha+p leaves the
 basis or gamma(alpha) = 0.  The algebra runs as O(dim) gathers over these
 two arrays; `data` builds the dense matrix on request.  Weights are in the
 orthonormal basis, where the conjugate symbol gives the conjugate
-transpose; raw weights gamma(alpha) are kept as a debugging mode.
+transpose.
 """
 from __future__ import annotations
 
@@ -51,7 +51,6 @@ class ToeplitzMatrix:
     shift: tuple[int, ...]
     basis: tuple[tuple[int, ...], ...]
     space: ProjectiveSpace | BallSpace
-    normalized: bool = True
 
     @property
     def dim(self) -> int:
@@ -73,16 +72,6 @@ class ToeplitzMatrix:
         return self.target[cols], cols, self.weights[cols]
 
 
-def _columns(table: GammaTable, basis):
-    """gamma(alpha) and the target row of every column alpha."""
-    target = shift_targets(basis, table.shift)
-    g = np.array([table.entries.get(alpha, 0j) for alpha in basis],
-                 dtype=complex)
-    target[g == 0] = -1
-    g[target < 0] = 0
-    return g, target
-
-
 def assemble(table: GammaTable, space=None, basis=None) -> ToeplitzMatrix:
     """Materialize a gamma table as a weighted shift in the orthonormal
     basis, in the frozen basis order.
@@ -94,20 +83,17 @@ def assemble(table: GammaTable, space=None, basis=None) -> ToeplitzMatrix:
     if space != table.space:
         raise DomainError("table and target space disagree")
     basis = space_basis(space) if basis is None else list(basis)
-    g, target = _columns(table, basis)
+    # gamma(alpha) and the target row of every column alpha
+    target = shift_targets(basis, table.shift)
+    g = np.array([table.entries.get(alpha, 0j) for alpha in basis],
+                 dtype=complex)
+    target[g == 0] = -1
+    g[target < 0] = 0
     kept = target >= 0
     alpha = np.array(basis, dtype=float)[kept]
     beta = alpha + np.asarray(table.shift, dtype=float)
     g[kept] *= np.exp(0.5 * (gammaln(beta + 1) - gammaln(alpha + 1)).sum(1))
     return ToeplitzMatrix(g, target, table.shift, tuple(basis), space)
-
-
-def assemble_raw(table: GammaTable) -> ToeplitzMatrix:
-    """Monomial-basis (unnormalized) variant, entry gamma(alpha) itself."""
-    basis = space_basis(table.space)
-    g, target = _columns(table, basis)
-    return ToeplitzMatrix(g, target, table.shift, tuple(basis), table.space,
-                          normalized=False)
 
 
 def compose(m1: ToeplitzMatrix, m2: ToeplitzMatrix) -> ToeplitzMatrix:
@@ -118,8 +104,7 @@ def compose(m1: ToeplitzMatrix, m2: ToeplitzMatrix) -> ToeplitzMatrix:
     mid = m2.target
     target = np.where(mid >= 0, m1.target[mid], -1)
     weights = np.where(mid >= 0, m1.weights[mid] * m2.weights, 0)
-    return ToeplitzMatrix(weights, target, shift, m1.basis, m1.space,
-                          m1.normalized)
+    return ToeplitzMatrix(weights, target, shift, m1.basis, m1.space)
 
 
 def commutator(m1: ToeplitzMatrix, m2: ToeplitzMatrix) -> ToeplitzMatrix:
@@ -128,7 +113,7 @@ def commutator(m1: ToeplitzMatrix, m2: ToeplitzMatrix) -> ToeplitzMatrix:
     a, b = compose(m1, m2), compose(m2, m1)
     return ToeplitzMatrix(a.weights - b.weights,
                           np.where(a.target >= 0, a.target, b.target),
-                          a.shift, a.basis, a.space, a.normalized)
+                          a.shift, a.basis, a.space)
 
 
 def frobenius_norm(m) -> float:

@@ -37,10 +37,13 @@ agrees, the q_theta grid decides, so a table costs at most twice the full
 grid.  samples_or_points stays the nominal q_r^n q_theta^n.  psi is
 evaluated in chunks of at most _CHUNK_POINTS points.
 
-Monte Carlo.  On P^n every alpha with the same importance weight M, samples
-and seed reads the same draw, so the memo takes it once (through
-mc_integrate) and evaluates psi on it once; each alpha then costs its
-monomial, and its estimate is bitwise that of a separate call.
+Monte Carlo.  Both spaces draw from their own measures, through
+mc_integrate: the ball from its weight-lambda probability measure, P^n from
+the weight-M one, with the importance weight of weight m against M.  Every
+alpha with the same measure, samples and seed reads the same draw (on the
+ball, the whole table; on P^n, each M), so the memo takes it once and
+evaluates psi on it once; each alpha then costs its monomial, and its
+estimate is bitwise that of a separate call.
 """
 
 from __future__ import annotations
@@ -162,15 +165,17 @@ def _polar_inner(psi, k, alpha, beta, a0_rule, a0_int, to_rho, q_r, q_theta,
     return complex(np.sum(W * profile)), len(W) * q_theta**n
 
 
-def _nu_m_draw(psi, k, n, m, M, samples, seed, memo):
-    """Points of the seeded weight-M draw, psi at them, and the importance
-    weight of the weight-m measure against weight M.
+def _mc_inner(psi, k, alpha, beta, domain, m, samples, seed, memo):
+    """Estimate of E[psi z^alpha conj(z^beta) w] on the seeded draw from
+    domain (a measure of mc_integrate), with the importance weight w of the
+    weight-m measure against the drawn weight M on P^n, and w = 1 on the
+    ball.
 
     The memo keeps the latest draw only: a table meets its alpha grade by
     grade, so M changes monotonically and an earlier draw is not asked for
     again, and one draw of the default 10^6 samples already holds tens of MB.
     """
-    key = (M, samples, seed)
+    key = (domain, samples, seed)
     if memo.get("monte-carlo", (None,))[0] != key:
         memo.pop("monte-carlo", None)  # free the earlier draw first
         kept = []
@@ -181,14 +186,20 @@ def _nu_m_draw(psi, k, n, m, M, samples, seed, memo):
 
         # mc_integrate is the one place that draws; its estimate of E[psi]
         # is not needed
-        mc_integrate(psi_at, ("nu_m", n, M), samples, seed)
+        mc_integrate(psi_at, domain, samples, seed)
         Z, psi_z = kept[0]
-        log_c = lambda w: gammaln(n + w + 1) - gammaln(w + 1)
-        logw0 = log_c(m) - log_c(M)
-        w = np.exp(logw0 + (M - m) * np.log1p(
-            np.sum(np.abs(Z) ** 2, axis=-1)))
+        w = 1.0
+        if domain[0] == "nu_m":
+            n, M = domain[1:]
+            log_c = lambda x: gammaln(n + x + 1) - gammaln(x + 1)
+            w = np.exp(log_c(m) - log_c(M) + (M - m) * np.log1p(
+                np.sum(np.abs(Z) ** 2, axis=-1)))
         memo["monte-carlo"] = (key, (Z, psi_z, w))
-    return memo["monte-carlo"][1]
+    Z, psi_z, w = memo["monte-carlo"][1]
+    mono = np.prod(Z ** np.asarray(alpha), axis=-1)
+    mono = mono * np.prod(np.conj(Z) ** np.asarray(beta), axis=-1)
+    est, stderr = mc_mean(psi_z * mono * w)
+    return OracleResult(complex(est), stderr, "monte-carlo", samples)
 
 
 def inner_product_projective(psi: SymbolSpec, alpha, beta, m: int, n: int,
@@ -224,11 +235,8 @@ def inner_product_projective(psi: SymbolSpec, alpha, beta, m: int, n: int,
     # exactly when M <= 2m - D.
     D = sum(alpha) + sum(beta)
     M = m if D <= m else 2 * m - D
-    Z, psi_z, w = _nu_m_draw(psi, k, n, m, M, samples, seed, memo)
-    mono = np.prod(Z ** np.asarray(alpha), axis=-1)
-    mono = mono * np.prod(np.conj(Z) ** np.asarray(beta), axis=-1)
-    est, stderr = mc_mean(psi_z * mono * w)
-    return OracleResult(complex(est), stderr, "monte-carlo", samples)
+    return _mc_inner(psi, k, alpha, beta, ("nu_m", n, M), m, samples, seed,
+                     memo)
 
 
 def inner_product_ball(psi: SymbolSpec, alpha, beta, lam: float, n: int,
@@ -239,33 +247,22 @@ def inner_product_ball(psi: SymbolSpec, alpha, beta, lam: float, n: int,
                        memo: dict | None = None) -> OracleResult:
     """<psi z^alpha, z^beta> on the weight-lambda ball space.
 
-    memo shares the polar work across the alpha of one table."""
+    memo shares the work across the alpha of one table."""
     if lam <= -1:
         raise DomainError(f"need lambda > -1, got {lam}")
     alpha = tuple(int(x) for x in alpha)
     beta = tuple(int(x) for x in beta)
+    memo = {} if memo is None else memo
     if method == "polar-grid":
         value, npoints = _polar_inner(psi, k, alpha, beta, float(lam), 0,
-                                      np.sqrt, q_r, q_theta,
-                                      {} if memo is None else memo)
+                                      np.sqrt, q_r, q_theta, memo)
         logpref = gammaln(n + lam + 1) - gammaln(lam + 1)
         return OracleResult(complex(np.exp(logpref) * value), 0.0,
                             "polar-grid", npoints)
     if method != "monte-carlo":
         raise DomainError(f"unknown oracle method {method!r}")
-
-    c_norm = float(np.exp(gammaln(n + lam + 1) - gammaln(lam + 1))) / np.pi**n
-
-    def f(Z):
-        inside = np.sum(np.abs(Z) ** 2, axis=-1) < 1.0
-        weight = np.where(inside, (1.0 - np.sum(np.abs(Z) ** 2, axis=-1))
-                          ** lam, 0.0)
-        mono = np.prod(Z ** np.asarray(alpha), axis=-1)
-        mono = mono * np.prod(np.conj(Z) ** np.asarray(beta), axis=-1)
-        return evaluate_symbol_batch(psi, Z, k) * mono * weight * c_norm
-
-    est, stderr = mc_integrate(f, ("polydisk", n), samples, seed)
-    return OracleResult(complex(est), stderr, "monte-carlo", samples)
+    return _mc_inner(psi, k, alpha, beta, ("ball", n, float(lam)), None,
+                     samples, seed, memo)
 
 
 def gamma_from_oracle(psi: SymbolSpec, alpha, p, m: int, n: int,

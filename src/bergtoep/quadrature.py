@@ -14,7 +14,12 @@ matrix, and the weights are the Christoffel numbers 1/sum_k p_k(x)^2 of the
 orthonormal recurrence, scaled to the exact mass B(a+1, b+1).  Christoffel
 numbers keep tiny endpoint weights to relative accuracy, where squared
 eigenvector components would not.  A mass below the normal double range
-raises DomainError instead of returning a rule without accurate digits.
+raises DomainError instead of returning a rule without accurate digits,
+and so does a rule over the node budget, before anything is allocated.
+
+The Monte Carlo estimator draws every point from the Dirichlet weight it
+integrates; the deterministic kernels refuse a Monte Carlo spec, whose
+order counts samples rather than Gauss points.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ from .indexing import DomainError, gammaln
 
 DEFAULT_ORDER = 40
 MAX_TENSOR_DIM = 8
+# largest q^d of a tensor rule, and q^2 of each axis's Jacobi matrix
+MAX_NODES = 2**22
 
 
 @dataclass(frozen=True)
@@ -95,6 +102,19 @@ def jacobi_rule_01(a: float, b: float, q: int):
         "double precision")
 
 
+def check_tensor_size(d: int, q: int) -> None:
+    """Refuse a d-dimensional order-q tensor rule before anything is
+    allocated: it holds q^d nodes, and each axis a q x q Jacobi matrix."""
+    if d > MAX_TENSOR_DIM:
+        raise DomainError(
+            f"tensor rule unsupported for dimension {d} > {MAX_TENSOR_DIM}; use Monte Carlo"
+        )
+    if q ** max(d, 2) > MAX_NODES:
+        raise DomainError(
+            f"a {d}-dimensional rule of order {q} exceeds the budget of "
+            f"{MAX_NODES} nodes; lower the order or use Monte Carlo")
+
+
 def simplex_rule(d: int, a: tuple, a0: float, q: int):
     """Tensor rule for int_{Delta_d} f(x) prod x_l^{a_l} (1-sum x)^{a0} dx.
 
@@ -105,10 +125,7 @@ def simplex_rule(d: int, a: tuple, a0: float, q: int):
         raise DomainError(f"got {len(a)} exponents for dimension {d}")
     if d == 0:
         return np.zeros((1, 0)), np.ones(1)
-    if d > MAX_TENSOR_DIM:
-        raise DomainError(
-            f"tensor rule unsupported for dimension {d} > {MAX_TENSOR_DIM}; use Monte Carlo"
-        )
+    check_tensor_size(d, q)
     # Duffy map x_i = u_i * prod_{j<i}(1 - u_j), built on broadcast 1-D axes
     # rather than on full meshgrid copies
     X = np.empty((q,) * d + (d,))
@@ -142,12 +159,9 @@ def simplex_integrate(f, d: int, a, a0: float, spec: QuadratureSpec) -> float:
     if any(x <= -1 for x in a) or a0 <= -1:
         raise DomainError(f"exponents must exceed -1, got a={a}, a0={a0}")
     if spec.method == "monte-carlo":
-        est, _ = mc_integrate(
-            lambda X: (np.ones(X.shape[0]) if f is None else f(X))
-            * np.prod(X ** np.asarray(a), axis=-1)
-            * (1.0 - X.sum(axis=-1)) ** a0,
-            ("simplex", d), spec.order, spec.seed)
-        return float(np.real(est))
+        # a Monte Carlo order counts samples, not Gauss points
+        raise DomainError("simplex_integrate is deterministic; draw from "
+                          "the weight with mc_integrate(('dirichlet', ...))")
     X, W = simplex_rule(d, a, float(a0), spec.order)
     vals = np.ones(X.shape[0]) if f is None else np.asarray(f(X))
     return float(np.sum(W * vals))
@@ -179,63 +193,41 @@ def radial_integrate_projective(g, ell: int, e, N: float,
     return simplex_integrate(f, ell, e, a0, spec)
 
 
-def _dirichlet(rng, alphas, size):
-    return rng.dirichlet(alphas, size=size)
-
-
 def mc_integrate(f, domain, N: int, seed: int):
     """Unbiased Monte Carlo estimate with sample standard error.
 
-    domain is one of
-      ("simplex", d)          -- int_{Delta_d} f(x) dx
+    Every point is drawn from the Dirichlet weight it integrates.  domain is
+    one of
       ("dirichlet", factors)  -- int over a product of simplices of
                                  f(u_0, u_1, ...) prod_i x^a_i (1-sum x)^a0_i
                                  for factors [(a_i, a0_i), ...]; u_i is
                                  drawn from Dirichlet(a_i+1, a0_i+1) and
                                  holds all d_i+1 coordinates
-      ("orthant", ell, Npow)  -- int_{R_+^ell} f(r) (1+sum r)^{-Npow} dr
-      ("polydisk", n)         -- int over the unit polydisk of f(z) dV
       ("nu_m", n, m)          -- E[f(z)] under the weight-m probability
-                                 measure on C^n (Dirichlet moduli with
-                                 independent uniform phases)
+                                 measure on C^n
+      ("ball", n, lam)        -- E[f(z)] under the weight-lambda probability
+                                 measure on the unit ball of C^n
+    Both measures draw |z|^2 from Dirichlet(1, ..., 1, w+1) with
+    independent uniform phases: rho^2 = y/y_last on C^n (w = m), rho^2 = y
+    on the ball (w = lambda).
     Deterministic for a fixed seed.  Returns (estimate, stderr).
     """
     if N < 100:
         raise DomainError("need at least 100 samples")
     rng = np.random.default_rng(seed)
     kind = domain[0]
-    if kind == "simplex":
-        d = domain[1]
-        u = _dirichlet(rng, np.ones(d + 1), N)[:, :d]
-        vals = np.asarray(f(u)) * dirichlet_closed_form((0.0,) * d, 0.0)
-    elif kind == "dirichlet":
+    if kind == "dirichlet":
         factors = domain[1]
-        draws = [_dirichlet(rng, np.append(np.asarray(a, dtype=float), a0)
-                            + 1.0, N) for a, a0 in factors]
+        draws = [rng.dirichlet(np.append(np.asarray(a, dtype=float), a0)
+                               + 1.0, size=N) for a, a0 in factors]
         scale = np.prod([dirichlet_closed_form(a, a0) for a, a0 in factors])
         vals = np.asarray(f(*draws)) * scale
-    elif kind == "orthant":
-        ell, Npow = domain[1], float(domain[2])
-        if Npow <= ell:
-            raise DomainError("need Npow > ell for integrability")
-        u = _dirichlet(rng, np.concatenate([np.ones(ell), [Npow - ell]]), N)
-        rem = u[:, -1:]
-        r = u[:, :ell] / rem
-        scale = float(np.exp(gammaln(Npow - ell) - gammaln(Npow)))
-        vals = np.asarray(f(r)) * scale
-    elif kind == "polydisk":
-        n = domain[1]
-        rho = np.sqrt(rng.random((N, n)))
+    elif kind in ("nu_m", "ball"):
+        n, w = domain[1], domain[2]
+        y = rng.dirichlet(np.concatenate([np.ones(n), [w + 1.0]]), size=N)
+        rho = np.sqrt(y[:, :n] / y[:, n:] if kind == "nu_m" else y[:, :n])
         theta = rng.random((N, n)) * 2 * np.pi
-        z = rho * np.exp(1j * theta)
-        vals = np.asarray(f(z)) * np.pi**n
-    elif kind == "nu_m":
-        n, m = domain[1], domain[2]
-        y = _dirichlet(rng, np.concatenate([np.ones(n), [m + 1.0]]), N)
-        rho = np.sqrt(y[:, :n] / y[:, n:])
-        theta = rng.random((N, n)) * 2 * np.pi
-        z = rho * np.exp(1j * theta)
-        vals = np.asarray(f(z))
+        vals = np.asarray(f(rho * np.exp(1j * theta)))
     else:
         raise DomainError(f"unknown MC domain {kind!r}")
     return mc_mean(vals)

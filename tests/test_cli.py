@@ -94,6 +94,24 @@ def test_unrepresentable_jacobi_rule_is_numerical_error(tmp_path):
                 str(tmp_path / "g.csv")]) == 3
 
 
+@pytest.mark.parametrize("n, partition, symbols", [
+    (4, [1] * 4, [{"kind": "quasi-radial", "a": "r1^2/(1+r1^2+r2^2)"}]),
+    (4, [2, 2], [{"kind": "extended", "block": j,
+                  "b": f"s1^2*r{j}^2/(1+r{j}^2)", "p": [0, 0]}
+                 for j in (1, 2)]),
+])
+def test_grid_over_node_budget_is_numerical_error(tmp_path, n, partition,
+                                                  symbols):
+    # a 46^4-node radial or coupled grid is refused before it is allocated
+    cfg = {"space": {"type": "projective", "n": n, "m": 1},
+           "partition": partition, "symbols": symbols,
+           "quadrature": {"method": "gauss-jacobi-tensor", "order": 46}}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["gamma", "--config", str(path), "--out",
+                str(tmp_path / "g.csv")]) == 3
+
+
 @pytest.mark.parametrize("m", [1020, 1050])
 def test_large_weight_never_writes_nonfinite_rows(tmp_path, m):
     # gamma = (1+alpha)/(m+2) on P^1; past the double range of the radial

@@ -253,6 +253,23 @@ def test_extended_mc_backend_consistency():
         assert mc == pytest.approx(det, rel=0.05)
 
 
+def test_block_factor_mc_backend_consistency():
+    # the per-block factors draw from their Dirichlet weight, as the engine
+    # does, and read the spec's order as a sample count
+    k = Partition((2, 1))
+    mc_spec = QuadratureSpec(method="monte-carlo", order=200_000, seed=4)
+    cases = (
+        lambda spec: gamma_multisphere_factor(parse("s1^2 + s2"), k, 0,
+                                              (1, -1), (2, 1, 5), spec),
+        lambda spec: gamma_single_sphere(parse("sig1^2 + sig2"), k, 0,
+                                         (1, -1), 3, (1, 1, 1), spec),
+    )
+    for gamma in cases:
+        det, mc = gamma(SPEC), gamma(mc_spec)
+        assert mc != det
+        assert mc == pytest.approx(det, rel=0.05)
+
+
 def test_monte_carlo_needs_100_samples():
     k = Partition((2,))
     psi = Product((QuasiRadial("r1^2/(1+r1^2)"),

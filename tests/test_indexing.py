@@ -9,7 +9,6 @@ import pytest
 from bergtoep.indexing import (
     DomainError,
     Partition,
-    ShiftVector,
     basis_index,
     enumerate_basis,
     gammaln,
@@ -78,16 +77,6 @@ def test_partition_blocks():
 def test_partition_rejects_nonpositive_parts():
     with pytest.raises((DomainError, ValueError)):
         Partition((2, 0))
-
-
-def test_shift_vector_modes():
-    k = Partition((2, 1))
-    ShiftVector((1, -1, 0), mode="blockwise-zero", partition=k)
-    ShiftVector((1, 0, -1), mode="total-zero")
-    with pytest.raises((DomainError, ValueError)):
-        ShiftVector((1, 0, -1), mode="blockwise-zero", partition=k)
-    with pytest.raises((DomainError, ValueError)):
-        ShiftVector((1, 0, 0), mode="total-zero")
 
 
 def test_gammaln_scalars_arrays_and_poles():

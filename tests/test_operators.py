@@ -15,7 +15,6 @@ from bergtoep.indexing import Partition
 from bergtoep.operators import (
     ToeplitzMatrix,
     assemble,
-    assemble_raw,
     audit_shift_structure,
     commutation_suite,
     commutator,
@@ -65,15 +64,6 @@ def test_diagonal_beta_matrix():
     M = assemble(table)
     want = np.diag([2 / 5, 3 / 5, 3 / 5, 4 / 5, 4 / 5, 4 / 5])
     assert np.allclose(M.data, want, atol=1e-12)
-
-
-def test_raw_vs_normalized_entries():
-    table = build_gamma_table(PhaseMonomial((1, -1)), SP22, K2, SPEC)
-    raw = assemble_raw(table)
-    norm = assemble(table)
-    assert not norm.normalized == raw.normalized
-    # same sparsity pattern, rescaled values
-    assert np.array_equal(raw.data != 0, norm.data != 0)
 
 
 def test_adjoint_consistency():

@@ -72,6 +72,17 @@ def test_mc_measure_validation():
         assert stderr < 5e-3
 
 
+def test_mc_ball_measure_validation():
+    """E[|z_u|^2] under the weight-lambda ball measure is the exact norm
+    ratio ||z^e_u||^2 / ||1||^2."""
+    for lam in (0.0, 1.0):
+        for u, alpha in [(0, (1, 0)), (1, (0, 1))]:
+            est, stderr = mc_integrate(lambda Z: np.abs(Z[:, u]) ** 2,
+                                       ("ball", 2, lam), 200_000, 9)
+            want = monomial_norm_sq_ball(alpha, lam, 2)
+            assert abs(est - want) < 4 * stderr
+
+
 def test_mc_oracle_agrees_with_grid():
     psi = QuasiRadial("r1^2/(1+r1^2)")
     grid = inner_product_projective(psi, (1, 0), (1, 0), 3, 2, K2,
@@ -232,6 +243,26 @@ def test_mc_memo_is_bitwise_per_alpha_draws():
         assert (shared.value, shared.stderr) == (alone.value, alone.stderr)
         assert (shared.value, shared.stderr) == want
         assert shared.samples_or_points == samples
+
+
+def test_ball_mc_memo_draws_once_per_table(monkeypatch):
+    """One draw serves a whole ball table, and each row is bitwise that of
+    a separate call."""
+    psi, k, lam, p = _multisphere((1, -1)), K2, 1.0, (1, -1)
+    calls = []
+    draw = oracle.mc_integrate
+    monkeypatch.setattr(oracle, "mc_integrate",
+                        lambda *a: calls.append(a[1]) or draw(*a))
+    memo, rows = {}, _table_pairs(2, 3, p)
+    shared = [inner_product_ball(psi, alpha, beta, lam, 2, k,
+                                 method="monte-carlo", samples=2000, seed=4,
+                                 memo=memo) for alpha, beta in rows]
+    assert calls == [("ball", 2, lam)]
+    for (alpha, beta), got in zip(rows, shared):
+        alone = inner_product_ball(psi, alpha, beta, lam, 2, k,
+                                   method="monte-carlo", samples=2000, seed=4)
+        assert (got.value, got.stderr) == (alone.value, alone.stderr)
+    assert len(calls) == 1 + len(rows)
 
 
 def test_unit_symbol_norms_at_boundary_degree():
