@@ -9,11 +9,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import metadata
 
 import numpy as np
 
-from . import operators, oracle
+from . import __version__, operators, oracle
 from .expr import EvalError, ParseError
 from .gamma import BallSpace, ProjectiveSpace, build_gamma_table
 from .geometry import factorization_check, invariance_check
@@ -37,13 +36,6 @@ EXIT_IO = 4
 
 class ConfigError(ValueError):
     pass
-
-
-def _version() -> str:
-    try:
-        return metadata.version("bergtoep")
-    except metadata.PackageNotFoundError:
-        return "unknown"
 
 
 def parse_symbol(desc: dict):
@@ -134,7 +126,7 @@ def domain_precheck(symbols, k: Partition) -> None:
 def meta_block(cfg, extra=None) -> dict:
     spec = cfg["quadrature"]
     meta = {
-        "version": _version(),
+        "version": __version__,
         "basis_order": "graded-lexicographic",
         "config": cfg["raw"],
         "quadrature": {"method": spec.method, "order": spec.order,

@@ -8,8 +8,14 @@ B_j(rho) against a Dirichlet weight of exponents e_j = |alpha_(j)| +
 on P^n the orthant mapped by r = u/(1-sum u) with a0 = m-|alpha|, on the
 ball the simplex with a0 = lambda and rho = sqrt(u).  Blocks whose factor
 mentions no radius r* factor out as weight-free integrals (closed forms
-when absent); the others are summed at every radial node.  A table build
-memoizes radial values by e and block values or rules by (j, exps, a0).
+when absent); the others are summed at every radial node.  Every rule is
+kept as per-axis factors: a coupled block's axes follow the radial axes,
+its factor is evaluated by broadcasting and contracted back onto them.
+
+A table build first works out each alpha's exponents (`_terms`, memoized
+for the evaluation that follows) and builds every Jacobi rule the table
+will ask for in one batch; it memoizes radial values by e and block
+values or rules by (j, exps, a0).
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .quadrature import (QuadratureSpec, dirichlet_closed_form, mc_integrate,
                          radial_integrate_projective, simplex_integrate)
 from .symbols import (ExtendedFactor, MultiSphereFactor, PhaseMonomial,
                       QuasiRadial, SingleSphereFactor, SymbolSpec,
-                      ValidationError, flatten, radial_env, total_shift,
+                      ValidationError, flatten, total_shift,
                       validate_product)
 
 _EXTENDED = (ExtendedFactor, MultiSphereFactor)
@@ -68,16 +74,24 @@ def _memoized(memo: dict, key, compute):
     return memo[key]
 
 
-def _values(e: Expr | None, env: dict, shape) -> np.ndarray:
-    """e at env broadcast to shape; ones for an absent factor."""
-    return np.ones(shape) if e is None else evaluate(e, env) * np.ones(shape)
+def _evaluate(e: Expr | None, env: dict):
+    """e at env, by broadcasting; 1 for an absent factor."""
+    return 1.0 if e is None else evaluate(e, env)
 
 
-def _cosines_env(S: np.ndarray, kj: int) -> dict:
-    """Cosines s1..s_kj from nodes S of the first k_j - 1 squared cosines."""
-    env = {f"s{l + 1}": np.sqrt(S[:, l]) for l in range(kj - 1)}
-    env[f"s{kj}"] = np.sqrt(np.clip(1.0 - S.sum(axis=-1), 0.0, None))
-    return env
+def _radii_env(radii) -> dict:
+    """Expression variables r1..rl bound to the block radii."""
+    return {f"r{j + 1}": r for j, r in enumerate(radii)}
+
+
+def _cosines_env(x, kj: int) -> dict:
+    """Cosines s1..s_kj from the block simplex's k_j coordinates x, the
+    squared cosines."""
+    return {f"s{l + 1}": np.sqrt(x[l]) for l in range(kj)}
+
+
+def _reads_radii(e: Expr) -> bool:
+    return any(v.startswith("r") for v in variables(e))
 
 
 def _split_product(psi: SymbolSpec, k: Partition, allowed):
@@ -119,15 +133,14 @@ def _space_terms(space, n: int, d: int):
     return gammaln(n + d + space.lam + 1) - gammaln(space.lam + 1), space.lam
 
 
-def _gamma(space, a_expr, blocks: dict, k: Partition, alpha, p,
-           spec: QuadratureSpec, memo: dict | None = None) -> float:
-    """gamma(alpha) = prefactor * radial x block integrals on either space."""
-    memo = {} if memo is None else memo
-    alpha = tuple(int(x) for x in alpha)
+def _terms(space, blocks: dict, k: Partition, alpha, p):
+    """The exponent bookkeeping of gamma(alpha), None at a hard zero: the
+    log Gamma-prefactor, the log of the blocks' Gamma ratios, the radial
+    exponents e and a0, and (exps, a0_j) of every block with a factor."""
     prefactor, a0 = _space_terms(space, k.n, sum(alpha))
     shifted = [x + q for x, q in zip(alpha, p)]
     if min(shifted) < 0:
-        return 0.0
+        return None
     half = [x + q / 2 for x, q in zip(alpha, p)]
     log_value, e, weights = 0.0, (), {}
     for j, kj in enumerate(k.parts):
@@ -142,13 +155,26 @@ def _gamma(space, a_expr, blocks: dict, k: Partition, alpha, p,
             # term by term, so that a zero block shift cancels exactly
             log_value += sum(gammaln(x + 1) - gammaln(y + 1)
                              for x, y in zip(h, s)) - gammaln(kj + sum(h))
+    return prefactor, log_value, e, a0, weights
+
+
+def _gamma(space, a_expr, blocks: dict, k: Partition, alpha, p,
+           spec: QuadratureSpec, memo: dict | None = None) -> float:
+    """gamma(alpha) = prefactor * radial x block integrals on either space."""
+    memo = {} if memo is None else memo
+    alpha = tuple(int(x) for x in alpha)
+    terms = _memoized(memo, ("terms", alpha),
+                      partial(_terms, space, blocks, k, alpha, p))
+    if terms is None:
+        return 0.0
+    prefactor, log_value, e, a0, weights = terms
     if spec.method == "monte-carlo":
         return _scaled(prefactor + log_value, _mc_value(
             space, a_expr, blocks, k, e, a0, weights, spec))
     value, coupled = 1.0, []
     for j, (exps, a0_j) in weights.items():
         kj, b_expr, key = k.parts[j], blocks[j], ("block", j, exps, a0_j)
-        if any(v.startswith("r") for v in variables(b_expr)):
+        if _reads_radii(b_expr):
             coupled.append((b_expr, *_memoized(memo, key, partial(
                 _block_rule, kj, exps, a0_j, spec))))
         else:
@@ -167,44 +193,50 @@ def _gamma(space, a_expr, blocks: dict, k: Partition, alpha, p,
 
 def _radial_value(space, a_expr, coupled: list, e, a0, spec) -> float:
     """Radial integral of a(rho) prod B(rho), each coupled block integral B
-    (given as b, broadcast cosines, weights) summed at every radial node."""
+    (given as b, cosines and weights on the block's own axes) contracted
+    at every radial node."""
     # the coupled grid: radial nodes times every coupled block's nodes
     quadrature.check_tensor_size(
-        len(e) + sum(len(cosines) - 1 for _, cosines, _ in coupled),
-        spec.order)
+        len(e) + sum(len(ws) for *_, ws in coupled), spec.order)
 
-    def g(rho):
-        radii = radial_env(rho)
-        vals = _values(a_expr, radii, rho.shape[0])
-        radii = {name: r[:, None] for name, r in radii.items()}
-        for b_expr, cosines, Wb in coupled:
-            h = _values(b_expr, {**radii, **cosines}, (len(vals), len(Wb)))
-            vals = vals * (h @ Wb)
+    def g(radii):
+        env = _radii_env(radii)
+        vals = _evaluate(a_expr, env)
+        for b_expr, cosines, ws in coupled:
+            # the block's axes follow the radial ones
+            pad = (...,) + (None,) * len(ws)
+            h = evaluate(b_expr, {**{v: r[pad] for v, r in env.items()},
+                                  **cosines})
+            vals = vals * quadrature.contract(h, ws)
         return vals
 
     if isinstance(space, ProjectiveSpace):
         return radial_integrate_projective(g, len(e), e,
                                            space.n + space.m + 1, spec)
-    return simplex_integrate(lambda U: g(np.sqrt(U)), len(e), e, a0, spec)
+    return simplex_integrate(lambda x: g([np.sqrt(v) for v in x[:-1]]),
+                             len(e), e, a0, spec)
 
 
 def _integral(expr, env, d: int, exps, a0, spec) -> float:
     """Integral of expr, at the variables env(x), against x^exps (1-sum x)^a0
-    over the d-simplex; the Dirichlet closed form when expr is None."""
+    over the d-simplex; the Dirichlet closed form when expr is None.  x
+    holds all d+1 coordinates, the last 1 - sum x."""
     if expr is None:
         return dirichlet_closed_form(exps, a0)
-    # a Dirichlet draw also holds the last coordinate 1 - sum x
-    f = lambda X: _values(expr, env(X[:, :d]), X.shape[0])
     if spec.method == "monte-carlo":
-        return mc_integrate(f, ("dirichlet", [(exps, a0)]), spec.order,
-                            spec.seed)[0]
-    return simplex_integrate(f, d, exps, a0, spec)
+        # a Dirichlet draw holds one point per row
+        return mc_integrate(
+            lambda X: np.broadcast_to(evaluate(expr, env(X.T)), len(X)),
+            ("dirichlet", [(exps, a0)]), spec.order, spec.seed)[0]
+    return simplex_integrate(lambda x: evaluate(expr, env(x)), d, exps, a0,
+                             spec)
 
 
 def _block_rule(kj: int, exps, a0, spec):
-    """Cosines of the block rule, broadcast over radial nodes, and weights."""
-    S, Wb = quadrature.simplex_rule(kj - 1, exps, float(a0), spec.order)
-    return {name: s[None, :] for name, s in _cosines_env(S, kj).items()}, Wb
+    """Cosines of the block rule on the block's own axes, and its per-axis
+    weights."""
+    us, ws = quadrature.simplex_axes(kj - 1, exps, float(a0), spec.order)
+    return _cosines_env(quadrature.barycentric(us), kj), ws
 
 
 def _mc_value(space, a_expr, blocks: dict, k: Partition, e, a0, weights,
@@ -214,12 +246,12 @@ def _mc_value(space, a_expr, blocks: dict, k: Partition, e, a0, weights,
 
     def f(u, *S):
         rest = u[:, ell:] if isinstance(space, ProjectiveSpace) else 1.0
-        env = radial_env(np.sqrt(u[:, :ell] / rest))
-        vals = _values(a_expr, env, u.shape[0])
+        env = _radii_env(np.sqrt(u[:, :ell] / rest).T)
+        vals = _evaluate(a_expr, env)
         for j, Sj in zip(weights, S):
-            cosines = _cosines_env(Sj[:, :k.parts[j] - 1], k.parts[j])
+            cosines = _cosines_env(Sj.T, k.parts[j])
             vals = vals * evaluate(blocks[j], {**env, **cosines})
-        return vals
+        return np.broadcast_to(vals, len(u))
 
     factors = [(e, a0), *weights.values()]
     return mc_integrate(f, ("dirichlet", factors), spec.order, spec.seed)[0]
@@ -258,6 +290,30 @@ def gamma_multisphere(psi: SymbolSpec, k: Partition, m: int, alpha,
     return _gamma(ProjectiveSpace(k.n, m), a_expr, blocks, k, alpha, p, spec)
 
 
+def _sphere_terms(k: Partition, j: int, p_j, n: int, alpha):
+    """The exponent bookkeeping of a single-sphere gamma(alpha), None at a
+    hard zero: the log prefactor and the weight (exps, a0) of its integral
+    over the k_j-simplex."""
+    kj = k.parts[j]
+    if kj >= n:
+        raise UnsupportedCaseError(
+            "single-sphere factor with k_j = n is not covered; "
+            "use the one-block multi-sphere form instead")
+    p_j = tuple(int(x) for x in p_j)
+    if len(p_j) != kj or sum(p_j) != 0:
+        raise ValidationError(f"shift {p_j} is not blockwise-zero on block {j}")
+    a_j = k.block(alpha, j)
+    shifted = tuple(a + q for a, q in zip(a_j, p_j))
+    if any(x < 0 for x in shifted):
+        return None
+    d = sum(alpha)
+    a0 = d - sum(a_j) + n - kj - 1
+    exps = tuple(a_j[l] + p_j[l] / 2 for l in range(kj))
+    logpref = gammaln(d + n) - gammaln(a0 + 1)
+    logpref -= sum(gammaln(x + 1) for x in shifted)
+    return logpref, exps, a0
+
+
 def gamma_single_sphere(b: Expr | None, k: Partition, j: int, p_j, n: int,
                         alpha, spec: QuadratureSpec,
                         memo: dict | None = None) -> float:
@@ -267,27 +323,17 @@ def gamma_single_sphere(b: Expr | None, k: Partition, j: int, p_j, n: int,
     |alpha|.  The case k_j = n is outside the theorem (the leftover simplex
     factor degenerates) and raises.  memo keeps integrals by (j, exps, a0).
     """
-    kj = k.parts[j]
-    if kj >= n:
-        raise UnsupportedCaseError(
-            "single-sphere factor with k_j = n is not covered; "
-            "use the one-block multi-sphere form instead")
-    p_j = tuple(int(x) for x in p_j)
-    if len(p_j) != kj or sum(p_j) != 0:
-        raise ValidationError(f"shift {p_j} is not blockwise-zero on block {j}")
+    memo = {} if memo is None else memo
     alpha = tuple(int(x) for x in alpha)
-    a_j = k.block(alpha, j)
-    shifted = tuple(a + q for a, q in zip(a_j, p_j))
-    if any(x < 0 for x in shifted):
+    terms = _memoized(memo, ("terms", alpha),
+                      partial(_sphere_terms, k, j, p_j, n, alpha))
+    if terms is None:
         return 0.0
-    d = sum(alpha)
-    a0 = d - sum(a_j) + n - kj - 1
-    exps = tuple(a_j[l] + p_j[l] / 2 for l in range(kj))
-    logpref = gammaln(d + n) - gammaln(a0 + 1)
-    logpref -= sum(gammaln(x + 1) for x in shifted)
-    integral = _memoized({} if memo is None else memo, ("block", j, exps, a0),
-                         lambda: _integral(b, lambda S: {
-                             f"sig{l + 1}": np.sqrt(S[:, l]) for l in range(kj)
+    logpref, exps, a0 = terms
+    kj = k.parts[j]
+    integral = _memoized(memo, ("block", j, exps, a0),
+                         lambda: _integral(b, lambda x: {
+                             f"sig{l + 1}": np.sqrt(x[l]) for l in range(kj)
                          }, kj, exps, a0, spec))
     return _scaled(logpref, integral)
 
@@ -324,14 +370,56 @@ def build_gamma_table(psi: SymbolSpec, space, k: Partition,
                else "single-sphere" if single
                else "extended-projective" if extended
                else "quasi-radial-pseudo-homogeneous")
+    basis = enumerate_basis(space.n, degree)
     memo: dict = {}
     if single:
         (j, b), = blocks.items()
-        gamma = partial(gamma_single_sphere, b, k, j, k.block(p, j), space.n,
+        p_j = k.block(p, j)
+        gamma = partial(gamma_single_sphere, b, k, j, p_j, space.n,
                         spec=spec, memo=memo)
+
+        def rule_weights(alpha):
+            terms = _memoized(memo, ("terms", alpha), partial(
+                _sphere_terms, k, j, p_j, space.n, alpha))
+            return [] if terms is None else [terms[1:]]
     else:
         gamma = partial(_gamma, space, a_expr, blocks, k, p=p, spec=spec,
                         memo=memo)
-    entries = {alpha: complex(gamma(alpha=alpha))
-               for alpha in enumerate_basis(space.n, degree)}
+        rule_weights = partial(_rule_weights, space, a_expr, blocks, k, p,
+                               spec.order, memo)
+    if spec.method != "monte-carlo":
+        _build_rules(rule_weights, basis, spec.order)
+    entries = {alpha: complex(gamma(alpha=alpha)) for alpha in basis}
     return GammaTable(space, k, p, entries, theorem)
+
+
+def _rule_weights(space, a_expr, blocks: dict, k: Partition, p, q: int,
+                  memo: dict, alpha) -> list:
+    """The simplex weights (a, a0) whose order-q rules the deterministic
+    _gamma builds for alpha, after the same coupled-grid budget check;
+    alpha's exponents are kept in memo for _gamma."""
+    terms = _memoized(memo, ("terms", alpha),
+                      partial(_terms, space, blocks, k, alpha, p))
+    if terms is None:
+        return []
+    *_, e, a0, weights = terms
+    coupled = [len(exps) for j, (exps, _) in weights.items()
+               if _reads_radii(blocks[j])]
+    if a_expr is None and not coupled:
+        return list(weights.values())
+    quadrature.check_tensor_size(len(e) + sum(coupled), q)
+    return [*weights.values(), (e, a0)]
+
+
+def _build_rules(rule_weights, basis, q: int) -> None:
+    """Build the Jacobi rules of every alpha in basis in one batch, up to
+    the first alpha whose checks refuse it: its gamma raises the same
+    error in turn, after the alpha before it are computed."""
+    pairs: dict = {}
+    for alpha in basis:
+        try:
+            for a, a0 in rule_weights(alpha):
+                pairs.update(dict.fromkeys(quadrature.simplex_pairs(a, a0, q)))
+        except (DomainError, ValidationError):
+            break
+    quadrature.build_jacobi_rules(pairs, q)

@@ -9,8 +9,10 @@ row/column index in the package refers to this order.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -80,11 +82,13 @@ class Partition:
         return tuple(vec[self.block_slice(j)])
 
 
-def enumerate_basis(n: int, m: int) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=8)
+def enumerate_basis(n: int, m: int) -> tuple[tuple[int, ...], ...]:
     """All alpha in N^n with |alpha| <= m, graded lexicographic.
 
     Length is binomial(n+m, n).  The order is the package-wide contract:
-    grade ascending, lexicographic within each grade.
+    grade ascending, lexicographic within each grade.  The tuple is
+    memoized, so the tables and operators of one command share one basis.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
@@ -101,10 +105,10 @@ def enumerate_basis(n: int, m: int) -> list[tuple[int, ...]]:
             grade.append(tuple(alpha))
         grade.sort()
         out.extend(grade)
-    return out
+    return tuple(out)
 
 
-def basis_index(basis: list[tuple[int, ...]]) -> dict[tuple[int, ...], int]:
+def basis_index(basis: Sequence[tuple[int, ...]]) -> dict[tuple[int, ...], int]:
     return {alpha: i for i, alpha in enumerate(basis)}
 
 

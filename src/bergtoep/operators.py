@@ -31,7 +31,7 @@ from .symbols import (
 )
 
 
-def space_basis(space) -> list[tuple[int, ...]]:
+def space_basis(space) -> tuple[tuple[int, ...], ...]:
     if isinstance(space, ProjectiveSpace):
         return enumerate_basis(space.n, space.m)
     return enumerate_basis(space.n, space.cap)
@@ -39,7 +39,7 @@ def space_basis(space) -> list[tuple[int, ...]]:
 
 def shift_targets(basis, shift) -> np.ndarray:
     """Row of alpha+shift for every column alpha, -1 outside the basis."""
-    index = basis_index(list(basis))
+    index = basis_index(basis)
     return np.array([index.get(tuple(a + q for a, q in zip(alpha, shift)), -1)
                      for alpha in basis], dtype=np.intp)
 
@@ -82,7 +82,7 @@ def assemble(table: GammaTable, space=None, basis=None) -> ToeplitzMatrix:
     space = table.space if space is None else space
     if space != table.space:
         raise DomainError("table and target space disagree")
-    basis = space_basis(space) if basis is None else list(basis)
+    basis = space_basis(space) if basis is None else tuple(basis)
     # gamma(alpha) and the target row of every column alpha
     target = shift_targets(basis, table.shift)
     g = np.array([table.entries.get(alpha, 0j) for alpha in basis],
@@ -93,12 +93,12 @@ def assemble(table: GammaTable, space=None, basis=None) -> ToeplitzMatrix:
     alpha = np.array(basis, dtype=float)[kept]
     beta = alpha + np.asarray(table.shift, dtype=float)
     g[kept] *= np.exp(0.5 * (gammaln(beta + 1) - gammaln(alpha + 1)).sum(1))
-    return ToeplitzMatrix(g, target, table.shift, tuple(basis), space)
+    return ToeplitzMatrix(g, target, table.shift, basis, space)
 
 
 def compose(m1: ToeplitzMatrix, m2: ToeplitzMatrix) -> ToeplitzMatrix:
     """m1 m2: column alpha goes to m1's target of m2's target."""
-    if m1.basis != m2.basis:
+    if m1.basis is not m2.basis and m1.basis != m2.basis:
         raise DomainError("operands assembled over different bases")
     shift = tuple(a + b for a, b in zip(m1.shift, m2.shift))
     mid = m2.target
@@ -123,7 +123,7 @@ def frobenius_norm(m) -> float:
 
 def audit_shift_structure(m: ToeplitzMatrix) -> bool:
     """Every column has at most one nonzero, in row(alpha + p)."""
-    index = basis_index(list(m.basis))
+    index = basis_index(m.basis)
     data = m.data
     for col, alpha in enumerate(m.basis):
         nz = np.flatnonzero(data[:, col])

@@ -8,6 +8,14 @@ rule is a tensor Gauss-Jacobi rule under the Duffy (collapsed-cube) map;
 the monomial weights are absorbed into the Jacobi weights so endpoint
 algebraic behavior costs no accuracy.
 
+The kernels keep a tensor rule as its per-axis factors: the cube
+coordinates u_i lie on broadcast 1-D axes, the integrand's variables are
+derived on those axes (x_i = u_i prod_{j<i}(1-u_j), 1 - sum x =
+prod_j (1-u_j), and on the orthant r_i^2 = u_i / prod_{j>=i}(1-u_j)), the
+integrand is evaluated by broadcasting, and `contract` sums it against the
+1-D weights one axis at a time.  No node or weight array of the full grid
+is built; only `simplex_rule` materializes one, from the same axes.
+
 Each one-dimensional Gauss-Jacobi rule is built by the Golub-Welsch method
 in NumPy: the nodes are the eigenvalues of the symmetric tridiagonal Jacobi
 matrix, and the weights are the Christoffel numbers 1/sum_k p_k(x)^2 of the
@@ -16,6 +24,9 @@ numbers keep tiny endpoint weights to relative accuracy, where squared
 eigenvector components would not.  A mass below the normal double range
 raises DomainError instead of returning a rule without accurate digits,
 and so does a rule over the node budget, before anything is allocated.
+Rules live in a bounded cache; `build_jacobi_rules` fills it with many
+rules of one order in a single vectorized build, bitwise equal to building
+each alone.
 
 The Monte Carlo estimator draws every point from the Dirichlet weight it
 integrates; the deterministic kernels refuse a Monte Carlo spec, whose
@@ -26,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -36,6 +46,16 @@ DEFAULT_ORDER = 40
 MAX_TENSOR_DIM = 8
 # largest q^d of a tensor rule, and q^2 of each axis's Jacobi matrix
 MAX_NODES = 2**22
+# largest Monte Carlo draw, in points: a point costs several (d+1)- or
+# n-vectors where a rule node costs one, so the budget is a quarter of
+# MAX_NODES; it admits the oracle's default 10^6 samples
+MAX_SAMPLES = 2**20
+# the most Jacobi rules kept at once, least recently used dropped first
+RULE_CACHE_SIZE = 4096
+# doubles per array of one vectorized Golub-Welsch build (2 MB)
+_BATCH_DOUBLES = 2**18
+
+_rules: dict = {}  # (a, b, q) -> (nodes, weights), in order of last use
 
 
 @dataclass(frozen=True)
@@ -51,55 +71,93 @@ class QuadratureSpec:
             raise DomainError("order must be >= 1")
 
 
-def _golub_welsch(a: float, b: float, q: int):
+def _golub_welsch(a, b, q: int):
     """Gauss nodes on [-1, 1] for the weight (1-x)^b (1+x)^a, with weights
-    normalised to sum to one."""
+    normalised to sum to one; a and b may be equal-shaped arrays, and every
+    rule of the stack comes out bitwise as it would alone."""
+    a = np.asarray(a, dtype=float)[..., None]
+    b = np.asarray(b, dtype=float)[..., None]
     # recurrence of the orthonormal Jacobi polynomials: diagonal and
     # off-diagonal of the symmetric tridiagonal Jacobi matrix
     s = a + b
     k = np.arange(1.0, q)
     t = 2 * k + s
-    diag = np.empty(q)
-    diag[0] = (a - b) / (s + 2)
-    diag[1:] = (a * a - b * b) / (t * (t + 2))
+    diag = np.empty(s.shape[:-1] + (q,))
+    diag[..., :1] = (a - b) / (s + 2)
+    diag[..., 1:] = (a * a - b * b) / (t * (t + 2))
     off = 2 / t * np.sqrt((k + a) * (k + b) / (t + 1))
-    off[1:] *= np.sqrt(k[1:] * (k[1:] + s) / (t[1:] - 1))
-    J = np.diag(diag)
-    J[range(q - 1), range(1, q)] = off
+    off[..., 1:] *= np.sqrt(k[1:] * (k[1:] + s) / (t[..., 1:] - 1))
+    J = np.zeros(diag.shape + (q,))
+    i = np.arange(q)
+    J[..., i, i] = diag
+    J[..., i[:-1], i[1:]] = off
     x = np.linalg.eigvalsh(J, UPLO="U")
     # Christoffel numbers 1/sum_k p_k(x)^2, evaluated at all nodes at once
-    P = np.empty((q, q))
-    P[0] = 1.0
-    tmp = np.empty(q)
-    diag, off = diag.tolist(), off.tolist()
+    P = np.empty(J.shape)
+    P[..., 0, :] = 1.0
+    tmp = np.empty(x.shape)
     for j in range(q - 1):
-        row = P[j + 1]
-        np.subtract(x, diag[j], out=row)
-        row *= P[j]
+        row = P[..., j + 1, :]
+        np.subtract(x, diag[..., j:j + 1], out=row)
+        row *= P[..., j, :]
         if j:
-            row -= np.multiply(P[j - 1], off[j - 1], out=tmp)
-        row /= off[j]
-    w = 1.0 / np.einsum("ij,ij->j", P, P)
-    return x, w / np.sum(w)
+            row -= np.multiply(P[..., j - 1, :], off[..., j - 1:j], out=tmp)
+        row /= off[..., j:j + 1]
+    w = 1.0 / np.einsum("...ij,...ij->...j", P, P)
+    return x, w / np.sum(w, axis=-1, keepdims=True)
 
 
-@lru_cache(maxsize=4096)
+def _mass(a: float, b: float) -> float:
+    """B(a+1, b+1), the mass of the weight u^a (1-u)^b on [0, 1]."""
+    return math.exp(gammaln(a + 1) + gammaln(b + 1) - gammaln(a + b + 2))
+
+
+def build_jacobi_rules(pairs, q: int) -> None:
+    """Build jacobi_rule_01(a, b, q) for every (a, b) in pairs that the
+    cache lacks, in one Golub-Welsch build vectorized over the stack (in
+    chunks of a few MB), and keep them in the cache.  A pair jacobi_rule_01
+    would refuse is left out, so that it still raises there; at most
+    RULE_CACHE_SIZE rules are built."""
+    keys, masses = [], []
+    for a, b in dict.fromkeys((float(a), float(b)) for a, b in pairs):
+        if (a, b, q) in _rules or a <= -1 or b <= -1:
+            continue
+        # below the normal range the weights would lose their relative
+        # accuracy without a warning
+        mu0 = _mass(a, b)
+        if mu0 >= np.finfo(float).tiny:
+            keys.append((a, b, q))
+            masses.append(mu0)
+    keys, masses = keys[:RULE_CACHE_SIZE], masses[:RULE_CACHE_SIZE]
+    chunk = max(1, _BATCH_DOUBLES // (q * q))
+    for lo in range(0, len(keys), chunk):
+        batch = keys[lo:lo + chunk]
+        x, w = _golub_welsch([key[0] for key in batch],
+                             [key[1] for key in batch], q)
+        u, w = 0.5 * (x + 1.0), w * np.array(masses[lo:lo + chunk])[:, None]
+        u.flags.writeable = w.flags.writeable = False
+        for key, u_i, w_i in zip(batch, u, w):
+            # single zero weights (underflow at the endpoints) are
+            # legitimate
+            if np.all(np.isfinite(w_i)):
+                _rules[key] = u_i, w_i
+    while len(_rules) > RULE_CACHE_SIZE:
+        del _rules[next(iter(_rules))]
+
+
 def jacobi_rule_01(a: float, b: float, q: int):
-    """Nodes/weights for int_0^1 u^a (1-u)^b f(u) du."""
+    """Nodes/weights for int_0^1 u^a (1-u)^b f(u) du, from the cache."""
     if a <= -1 or b <= -1:
         raise DomainError(f"Jacobi exponents must exceed -1, got ({a}, {b})")
-    # the mass B(a+1, b+1); below the normal range the weights would lose
-    # their relative accuracy without a warning.  Single zero weights
-    # (underflow at the endpoints) are legitimate.
-    mu0 = math.exp(gammaln(a + 1) + gammaln(b + 1) - gammaln(a + b + 2))
-    if mu0 >= np.finfo(float).tiny:
-        x, w = _golub_welsch(a, b, q)
-        w = w * mu0
-        if np.all(np.isfinite(w)):
-            return 0.5 * (x + 1.0), w
-    raise DomainError(
-        f"Jacobi rule for exponents ({a}, {b}) is not representable in "
-        "double precision")
+    key = (float(a), float(b), q)
+    if key not in _rules:
+        build_jacobi_rules([key[:2]], q)
+        if key not in _rules:
+            raise DomainError(
+                f"Jacobi rule for exponents ({a}, {b}) is not representable "
+                "in double precision")
+    _rules[key] = rule = _rules.pop(key)  # now the most recently used
+    return rule
 
 
 def check_tensor_size(d: int, q: int) -> None:
@@ -115,29 +173,79 @@ def check_tensor_size(d: int, q: int) -> None:
             f"{MAX_NODES} nodes; lower the order or use Monte Carlo")
 
 
+def simplex_pairs(a, a0: float, q: int) -> list[tuple[float, float]]:
+    """The Jacobi exponents (a_i, b_i) of the Duffy axes of the order-q
+    rule for the weight prod x_l^{a_l} (1-sum x)^{a0}, after the budget
+    check: axis i carries u^{a_i} (1-u)^{b_i}."""
+    d = len(a)
+    if d == 0:
+        return []
+    check_tensor_size(d, q)
+    return [(float(a[i]), float(a0 + (d - 1 - i) + sum(a[i + 1:])))
+            for i in range(d)]
+
+
+def simplex_axes(d: int, a: tuple, a0: float, q: int):
+    """The tensor rule of `simplex_rule` kept as per-axis factors: the cube
+    coordinates u_i, each broadcast along axis i of d, and the 1-D
+    weights w_i, the monomial weight folded in."""
+    if len(a) != d:
+        raise DomainError(f"got {len(a)} exponents for dimension {d}")
+    us, ws = [], []
+    for i, (ai, bi) in enumerate(simplex_pairs(a, a0, q)):
+        u, w = jacobi_rule_01(ai, bi, q)
+        us.append(u.reshape((1,) * i + (q,) + (1,) * (d - 1 - i)))
+        ws.append(w)
+    return us, ws
+
+
+def barycentric(us) -> list:
+    """The d+1 coordinates of the Duffy map on the broadcast axes us:
+    x_i = u_i prod_{j<i}(1-u_j), and last 1 - sum x = prod_j (1-u_j)."""
+    x, rem = [], 1.0
+    for u in us:
+        x.append(u * rem)
+        rem = rem * (1.0 - u)
+    return x + [rem]
+
+
+def projective_radii(us) -> list:
+    """The orthant point r = x/(1-sum x) of the Duffy map, as its square
+    roots: sqrt(r_i) = sqrt(u_i / prod_{j>=i}(1-u_j)), on the axes us."""
+    radii, tail = [], 1.0
+    for u in reversed(us):
+        tail = tail * (1.0 - u)
+        radii.append(np.sqrt(u / tail))
+    return radii[::-1]
+
+
+def contract(F, ws):
+    """Sum of F times prod_i w_i over the last len(ws) axes of F, one axis
+    at a time; an axis along which F is constant (length 1, or absent)
+    takes the sum of its weights."""
+    F = np.asarray(F)
+    for w in reversed(ws):
+        if F.ndim and F.shape[-1] > 1:
+            F = np.dot(F, w)
+        else:
+            F = (F[..., 0] if F.ndim else F) * np.sum(w)
+    return F
+
+
 def simplex_rule(d: int, a: tuple, a0: float, q: int):
     """Tensor rule for int_{Delta_d} f(x) prod x_l^{a_l} (1-sum x)^{a0} dx.
 
     Returns (nodes, weights): nodes of shape (q^d, d), the monomial weight
     already folded into weights.
     """
-    if len(a) != d:
-        raise DomainError(f"got {len(a)} exponents for dimension {d}")
+    us, ws = simplex_axes(d, a, a0, q)
     if d == 0:
         return np.zeros((1, 0)), np.ones(1)
-    check_tensor_size(d, q)
-    # Duffy map x_i = u_i * prod_{j<i}(1 - u_j), built on broadcast 1-D axes
-    # rather than on full meshgrid copies
     X = np.empty((q,) * d + (d,))
-    W = rem = 1.0
-    for i in range(d):
-        bi = a0 + (d - 1 - i) + sum(a[i + 1:])
-        u, w = jacobi_rule_01(float(a[i]), float(bi), q)
-        axis = (1,) * i + (q,) + (1,) * (d - 1 - i)
-        u, w = u.reshape(axis), w.reshape(axis)
-        X[..., i] = u * rem
-        rem = rem * (1.0 - u)
-        W = W * w
+    W = 1.0
+    for i, (x, w) in enumerate(zip(barycentric(us), ws)):
+        X[..., i] = x
+        W = W * w.reshape(us[i].shape)
     return X.reshape(-1, d), W.reshape(-1)
 
 
@@ -149,30 +257,41 @@ def dirichlet_closed_form(a, a0: float) -> float:
     return float(np.exp(logv))
 
 
-def simplex_integrate(f, d: int, a, a0: float, spec: QuadratureSpec) -> float:
-    """int_{Delta_d} f(x) prod x_l^{a_l} (1-sum x)^{a0} dx.
-
-    f is a vectorized evaluator taking an (N, d) array and returning (N,);
-    pass None for f == 1.  Exponents may be half-integers but must exceed -1.
-    """
-    a = tuple(float(x) for x in a)
+def _tensor_integral(integrand, d: int, a: tuple, a0: float,
+                     spec: QuadratureSpec) -> float:
+    """Sum of integrand(us) over the Duffy rule of the weight x^a
+    (1-sum x)^a0 on the d-simplex, us the rule's broadcast cube
+    coordinates."""
     if any(x <= -1 for x in a) or a0 <= -1:
         raise DomainError(f"exponents must exceed -1, got a={a}, a0={a0}")
     if spec.method == "monte-carlo":
         # a Monte Carlo order counts samples, not Gauss points
-        raise DomainError("simplex_integrate is deterministic; draw from "
+        raise DomainError("the tensor kernels are deterministic; draw from "
                           "the weight with mc_integrate(('dirichlet', ...))")
-    X, W = simplex_rule(d, a, float(a0), spec.order)
-    vals = np.ones(X.shape[0]) if f is None else np.asarray(f(X))
-    return float(np.sum(W * vals))
+    us, ws = simplex_axes(d, a, float(a0), spec.order)
+    return float(contract(1.0 if integrand is None else integrand(us), ws))
+
+
+def simplex_integrate(f, d: int, a, a0: float, spec: QuadratureSpec) -> float:
+    """int_{Delta_d} f(x) prod x_l^{a_l} (1-sum x)^{a0} dx.
+
+    f takes the d+1 coordinates x_1, ..., x_d, 1 - sum x, each an array
+    broadcast on the rule's d axes, and returns values that broadcast
+    against them; pass None for f == 1.  Exponents may be half-integers
+    but must exceed -1.
+    """
+    return _tensor_integral(
+        None if f is None else lambda us: f(barycentric(us)), d,
+        tuple(float(x) for x in a), a0, spec)
 
 
 def radial_integrate_projective(g, ell: int, e, N: float,
                                 spec: QuadratureSpec) -> float:
     """int_{R_+^ell} g(sqrt(r)) prod r_j^{e_j} (1+sum r)^{-N} dr.
 
-    g takes the componentwise square roots of r (the block radii).  The
-    unbounded domain is mapped to the simplex by r = u/(1-sum u).
+    g takes the componentwise square roots of r (the block radii), each an
+    array broadcast on the rule's ell axes.  The unbounded domain is
+    mapped to the simplex by r = u/(1-sum u).
     """
     e = tuple(float(x) for x in e)
     if any(x <= -1 for x in e):
@@ -182,15 +301,9 @@ def radial_integrate_projective(g, ell: int, e, N: float,
         raise DomainError(
             f"integrability violated: need N > ell + sum(e), got N={N}, e={e}"
         )
-
-    if g is None:
-        f = None
-    else:
-        def f(U):
-            rem = 1.0 - U.sum(axis=-1, keepdims=True)
-            return g(np.sqrt(U / rem))
-
-    return simplex_integrate(f, ell, e, a0, spec)
+    return _tensor_integral(
+        None if g is None else lambda us: g(projective_radii(us)), ell, e,
+        a0, spec)
 
 
 def mc_integrate(f, domain, N: int, seed: int):
@@ -210,10 +323,15 @@ def mc_integrate(f, domain, N: int, seed: int):
     Both measures draw |z|^2 from Dirichlet(1, ..., 1, w+1) with
     independent uniform phases: rho^2 = y/y_last on C^n (w = m), rho^2 = y
     on the ball (w = lambda).
-    Deterministic for a fixed seed.  Returns (estimate, stderr).
+    Deterministic for a fixed seed.  Returns (estimate, stderr).  A count
+    of N below 100 or above MAX_SAMPLES is refused before anything is
+    drawn.
     """
     if N < 100:
         raise DomainError("need at least 100 samples")
+    if N > MAX_SAMPLES:
+        raise DomainError(f"{N} samples exceed the budget of {MAX_SAMPLES} "
+                          "points; lower the sample count")
     rng = np.random.default_rng(seed)
     kind = domain[0]
     if kind == "dirichlet":

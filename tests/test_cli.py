@@ -2,9 +2,12 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -289,6 +292,46 @@ def test_cli_import_loads_no_scipy():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_importlib_metadata():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, bergtoep.cli; "
+         "print('importlib.metadata' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_csv_header_names_the_project_version(config_path, tmp_path):
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    version = re.search(r'^version = "([^"]+)"$', pyproject.read_text(),
+                        re.MULTILINE).group(1)
+    out = tmp_path / "g.csv"
+    assert run(["gamma", "--config", config_path, "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0] == f"# bergtoep {version}"
+
+
+@pytest.mark.parametrize("command, section, settings, flags", [
+    ("gamma", "quadrature", {"method": "monte-carlo", "order": 10**12}, []),
+    ("oracle-compare", "oracle", {"method": "monte-carlo"},
+     ["--mc-samples", "1000000000000"]),
+], ids=["gamma", "oracle-compare"])
+def test_over_budget_sample_count_is_numerical_error(tmp_path, command,
+                                                     section, settings,
+                                                     flags):
+    """A sample count over MAX_SAMPLES is refused before anything is
+    drawn: 10^12 samples would need tens of TB."""
+    cfg = dict(BASE_CONFIG)
+    cfg[section] = settings
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(cfg))
+    start = time.perf_counter()
+    code = run([command, "--config", str(path), "--out",
+                str(tmp_path / "o.csv")] + flags)
+    assert code == 3
+    assert time.perf_counter() - start < 1.0
 
 
 def test_gamma_command_loads_no_numpy_random(config_path, tmp_path):

@@ -5,11 +5,19 @@ computed with math.gamma (never through the package's own quadrature) or a
 reduction-consistency statement between two independently coded paths.
 """
 
+import json
 import math
+import runpy
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bergtoep import gamma as gamma_module
+from bergtoep import quadrature
+from bergtoep.cli import main
+from bergtoep.expr import evaluate
 from bergtoep.gamma import (
     BallSpace,
     ProjectiveSpace,
@@ -24,7 +32,7 @@ from bergtoep.gamma import (
 )
 from bergtoep.expr import parse
 from bergtoep.indexing import DomainError, Partition, enumerate_basis
-from bergtoep.quadrature import QuadratureSpec
+from bergtoep.quadrature import QuadratureSpec, simplex_rule
 from bergtoep.symbols import (
     ExtendedFactor,
     MultiSphereFactor,
@@ -281,3 +289,89 @@ def test_monte_carlo_needs_100_samples():
         gamma_extended_ball(psi, k, 1.0, (1, 1), few)
     with pytest.raises(DomainError):
         gamma_multisphere(PhaseMonomial((1, -1)), k, 3, (0, 1), few)
+
+
+# ------------------------------------------- tensor rules kept as factors
+
+@pytest.mark.parametrize("space", [ProjectiveSpace(3, 5), BallSpace(3, 1.0, 5)])
+def test_coupled_grid_matches_materialised_rules(space):
+    """The radial x block grid contracted one axis at a time against sums
+    over simplex_rule's nodes: sum_r W_r a(r) sum_s W_s b(r, s)."""
+    a, b = parse("r1^2*r2/(1+r1^2+r2^2)"), parse("s1^2*r2 + s2/(1+r1^2)")
+    spec = QuadratureSpec(order=24)
+    e, exps, b0 = (1.5, 0.5), (0.5,), 1.0
+    projective = isinstance(space, ProjectiveSpace)
+    # on P^n the radial rule's a0 is N - ell - 1 - sum(e)
+    a0 = space.n + space.m + 1 - 2 - 1 - sum(e) if projective else space.lam
+    X, W = simplex_rule(2, e, a0, spec.order)
+    rho = np.sqrt(X / (1.0 - X.sum(axis=-1, keepdims=True)) if projective
+                  else X)
+    S, Wb = simplex_rule(1, exps, b0, spec.order)
+    radii = {"r1": rho[:, 0, None], "r2": rho[:, 1, None]}
+    cosines = {"s1": np.sqrt(S[None, :, 0]), "s2": np.sqrt(1 - S[None, :, 0])}
+    inner = evaluate(b, {**radii, **cosines}) @ Wb
+    want = np.sum(W * evaluate(a, {"r1": rho[:, 0], "r2": rho[:, 1]}) * inner)
+    coupled = [(b, *gamma_module._block_rule(2, exps, b0, spec))]
+    got = gamma_module._radial_value(space, a, coupled, e, a0, spec)
+    assert got == pytest.approx(want, rel=1e-14)
+
+
+BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
+# run_path compiles from source, so nothing is written under benchmarks/
+JOBS = runpy.run_path(str(BENCH / "jobs.py"))
+BENCH_GAMMA_JOBS = {j["name"]: j for j in JOBS["TABLES"] + JOBS["VERIFY"]
+                    if j["command"] == "gamma"}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_GAMMA_JOBS))
+def test_table_builds_the_rules_of_the_per_alpha_path(name, tmp_path,
+                                                      monkeypatch):
+    """Each benchmark gamma job builds the same (a, b, q) Jacobi rules with
+    the table's batched build as when every kernel builds its own, each
+    rule once and in batches, and writes the same bytes."""
+    built = []
+    golub_welsch = quadrature._golub_welsch
+
+    def record(a, b, q):
+        built.append([(x, y, q) for x, y in zip(a, b)])
+        return golub_welsch(a, b, q)
+
+    monkeypatch.setattr(quadrature, "_golub_welsch", record)
+    config = JOBS["config_for"](BENCH_GAMMA_JOBS[name], 0)
+    q = config["quadrature"]["order"]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+
+    def run(out):
+        built.clear()
+        monkeypatch.setattr(quadrature, "_rules", {})
+        assert main(["gamma", "--config", str(cfg), "--out", str(out)]) == 0
+        return [key for batch in built for key in batch], len(built)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(gamma_module, "_build_rules", lambda *args: None)
+        alone, _ = run(tmp_path / "alone.csv")
+    batched, calls = run(tmp_path / "batched.csv")
+    assert len(set(alone)) == len(alone) == len(batched) == len(set(batched))
+    assert set(batched) == set(alone)
+    assert calls == math.ceil(len(batched) / (quadrature._BATCH_DOUBLES
+                                              // q**2))
+    assert ((tmp_path / "alone.csv").read_bytes()
+            == (tmp_path / "batched.csv").read_bytes())
+
+
+def test_l3_table_memory_is_bounded(monkeypatch):
+    """The l=3, m=10 quasi-radial table, 286 alpha on a 64 000-node grid
+    each: 2.6 MB traced peak with per-axis factors, 6.3 MB when every
+    alpha materialised its rule."""
+    monkeypatch.setattr(quadrature, "_rules", {})
+    psi = QuasiRadial("r1^2*r2/(1+r1^2+r2^2+r3^2)")
+    tracemalloc.start()
+    try:
+        table = build_gamma_table(psi, ProjectiveSpace(3, 10),
+                                  Partition((1, 1, 1)), SPEC)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.entries) == 286
+    assert peak < 4 * 2**20

@@ -26,7 +26,7 @@ def test_basis_size_is_binomial():
 
 def test_basis_graded_lex_order():
     basis = enumerate_basis(2, 2)
-    assert basis == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+    assert basis == ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0))
     degrees = [sum(a) for a in basis]
     assert degrees == sorted(degrees)
 

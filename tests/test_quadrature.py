@@ -6,9 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from bergtoep import quadrature
 from bergtoep.indexing import DomainError
 from bergtoep.quadrature import (
     QuadratureSpec,
+    _golub_welsch,
+    build_jacobi_rules,
     dirichlet_closed_form,
     jacobi_rule_01,
     mc_integrate,
@@ -100,7 +103,7 @@ def test_simplex_rule_rejects_large_dimension():
 
 
 def test_simplex_integrate_polynomial():
-    got = simplex_integrate(lambda X: X[:, 0] ** 2 * X[:, 1], 2,
+    got = simplex_integrate(lambda x: x[0] ** 2 * x[1], 2,
                             (0.5, 0.0), 1.0, SPEC)
     assert got == pytest.approx(dirichlet_closed_form((2.5, 1.0), 1.0),
                                 rel=1e-12)
@@ -121,7 +124,7 @@ def test_radial_integral_rejects_divergent():
 def test_radial_integral_feeds_square_roots():
     # g(sqrt(r)) = r/(1+r): int r^2 (1+r)^(-7) dr = B(3, 4)
     got = radial_integrate_projective(
-        lambda s: s[:, 0] ** 2 / (1 + s[:, 0] ** 2), 1, (1.0,), 6.0, SPEC)
+        lambda s: s[0] ** 2 / (1 + s[0] ** 2), 1, (1.0,), 6.0, SPEC)
     assert got == pytest.approx(beta(3.0, 4.0), rel=1e-12)
 
 
@@ -161,3 +164,92 @@ def test_quadrature_spec_validation():
         QuadratureSpec(method="simpson")
     with pytest.raises(DomainError):
         QuadratureSpec(order=0)
+
+
+# ------------------------------------------- tensor rules kept as factors
+
+def _smooth(x):
+    """A non-separable integrand of the coordinates x[0], x[1], ..."""
+    lin = sum((i + 1) * xi for i, xi in enumerate(x))
+    sq = sum(xi * xi for xi in x)
+    return np.cos(lin) / (1.0 + sq) + lin * sq
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3, 4])
+def test_factored_simplex_matches_materialised_rule(d):
+    # the broadcast kernel against sum W f(X) over simplex_rule's nodes,
+    # at half-integer exponents
+    q = (40, 40, 24, 16, 10)[d]
+    for a, a0 in (((0.5, 0.0, 1.5, 2.0)[:d], 0.5),
+                  ((0.0, 2.5, 0.5, 1.0)[:d], 3.0)):
+        X, W = simplex_rule(d, a, a0, q)
+        want = np.sum(W * _smooth(list(X.T) + [1.0 - X.sum(axis=-1)]))
+        got = simplex_integrate(_smooth, d, a, a0, QuadratureSpec(order=q))
+        assert got == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 4])
+def test_factored_projective_map_matches_materialised_rule(ell):
+    # r_i^2 = u_i / prod_{j>=i}(1-u_j) against X / (1 - sum X)
+    q = (40, 40, 20, 10)[ell - 1]
+    e = (0.5, 1.0, 1.5, 0.0)[:ell]
+    N = ell + sum(e) + 4.5
+    X, W = simplex_rule(ell, e, N - ell - 1 - sum(e), q)
+    rho = np.sqrt(X / (1.0 - X.sum(axis=-1, keepdims=True)))
+    want = np.sum(W * _smooth(list(rho.T)))
+    got = radial_integrate_projective(_smooth, ell, e, N,
+                                      QuadratureSpec(order=q))
+    assert got == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 4])
+def test_factored_ball_map_matches_materialised_rule(ell):
+    # rho_i = sqrt(x_i) on the broadcast Duffy coordinates
+    q = (40, 40, 20, 10)[ell - 1]
+    e, a0 = (1.5, 0.0, 0.5, 1.0)[:ell], 1.0
+    X, W = simplex_rule(ell, e, a0, q)
+    want = np.sum(W * _smooth(list(np.sqrt(X).T)))
+    got = simplex_integrate(lambda x: _smooth([np.sqrt(v) for v in x[:-1]]),
+                            ell, e, a0, QuadratureSpec(order=q))
+    assert got == pytest.approx(want, rel=1e-14)
+
+
+def test_batched_rules_equal_single_builds():
+    pairs = [(a, b) for a in (0.0, 0.5, 3.0, 40.5, 500.0)
+             for b in (-0.5, 0.0, 7.0, 100.0, 500.0)]
+    for q in (1, 2, 5, 17, 40, 64):
+        x, w = _golub_welsch([a for a, _ in pairs], [b for _, b in pairs], q)
+        for i, (a, b) in enumerate(pairs):
+            x1, w1 = _golub_welsch(a, b, q)
+            assert np.array_equal(x[i], x1) and np.array_equal(w[i], w1)
+
+
+def test_batched_rules_keep_the_refusal_boundary(monkeypatch):
+    monkeypatch.setattr(quadrature, "_rules", {})
+    # B(511, 511) = 3.5e-309 is below the normal range, B(501, 501) is not
+    pairs = [(0.5, 2.0), (510.0, 510.0), (500.0, 500.0), (3.0, 0.0)]
+    build_jacobi_rules(pairs, 40)
+    assert set(quadrature._rules) == {(0.5, 2.0, 40), (500.0, 500.0, 40),
+                                      (3.0, 0.0, 40)}
+    for a, b in (0.5, 2.0), (500.0, 500.0), (3.0, 0.0):
+        x, w = _golub_welsch(a, b, 40)
+        u, w_ab = quadrature._rules[(a, b, 40)]
+        assert np.array_equal(u, 0.5 * (x + 1.0))
+        assert np.array_equal(w_ab, w * quadrature._mass(a, b))
+    with pytest.raises(DomainError, match="not representable"):
+        jacobi_rule_01(510.0, 510.0, 40)
+
+    # a rule whose weights come out non-finite stays out of the cache, and
+    # jacobi_rule_01 refuses it as before; the rest of its batch is kept
+    def nan_row(a, b, q):
+        x, w = _golub_welsch(a, b, q)
+        w = w.copy()
+        w[np.asarray(a) == 7.0] = np.nan
+        return x, w
+
+    monkeypatch.setattr(quadrature, "_golub_welsch", nan_row)
+    build_jacobi_rules([(7.0, 1.0), (8.0, 1.0)], 12)
+    assert (8.0, 1.0, 12) in quadrature._rules
+    assert (7.0, 1.0, 12) not in quadrature._rules
+    with pytest.raises(DomainError, match="not representable"):
+        jacobi_rule_01(7.0, 1.0, 12)
