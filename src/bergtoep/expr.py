@@ -245,6 +245,101 @@ def variables(e: Expr) -> set[str]:
     raise TypeError(f"not an expression node: {e!r}")
 
 
+# the most terms split_terms multiplies one subexpression out into, a
+# bound on the expansion's own work; whether the terms are worth using
+# is the caller's choice
+MAX_TERMS = 64
+
+
+def split_terms(e: Expr) -> list[tuple[float, list[tuple[Expr, int]]]]:
+    """e as a sum of terms c * prod atom^k, each a pair (c, [(atom, k)])
+    with integer k, k < 0 for a divisor.
+
+    + - * / and powers to an integer literal 1..MAX_TERMS are multiplied
+    out, like terms merged; every other node, and any node that would
+    expand past MAX_TERMS terms, is an atom.  A divisor stays a divisor and
+    is never cancelled against a numerator atom, so that `monomial` still
+    divides by it and `evaluate` still checks it for zero: its atoms when
+    it is one term with a nonzero coefficient and no divisor of its own,
+    else the whole divisor.
+    """
+    return [(c, [*num.items(), *((a, -k) for a, k in den.items())])
+            for c, num, den in _expand(e)]
+
+
+def _expand(e: Expr) -> list:
+    """The terms (c, num, den) of e, num and den as {atom: exponent}."""
+    if isinstance(e, Num):
+        return [(e.value, {}, {})]
+    if isinstance(e, Neg):
+        return [(-c, num, den) for c, num, den in _expand(e.operand)]
+    terms = []
+    if isinstance(e, BinOp):
+        left = _expand(e.left)
+        if e.op in "+-":
+            sign = 1.0 if e.op == "+" else -1.0
+            terms = _collect(left + [(sign * c, num, den)
+                                     for c, num, den in _expand(e.right)])
+        elif e.op == "*":
+            terms = _times(left, _expand(e.right))
+        elif e.op == "/":
+            right = _expand(e.right)
+            c, num, den = right[0] if len(right) == 1 else (0.0, {}, {})
+            inverse = ((1.0 / c, {}, num) if c and not den
+                       else (1.0, {}, {e.right: 1}))
+            terms = _times(left, [inverse])
+        elif (isinstance(e.right, Num) and float(e.right.value).is_integer()
+              and 1 <= e.right.value <= MAX_TERMS):
+            terms = [(1.0, {}, {})]
+            for _ in range(int(e.right.value)):
+                terms = _times(terms, left)
+                if len(terms) > MAX_TERMS:
+                    break
+    if 0 < len(terms) <= MAX_TERMS:
+        return terms
+    return [(1.0, {e: 1}, {})]
+
+
+def _times(xs: list, ys: list) -> list:
+    """The terms of the product of two sums of terms."""
+    def merged(a: dict, b: dict) -> dict:
+        out = dict(a)
+        for atom, k in b.items():
+            out[atom] = out.get(atom, 0) + k
+        return out
+
+    return _collect([(c * d, merged(xn, yn), merged(xd, yd))
+                     for c, xn, xd in xs for d, yn, yd in ys])
+
+
+def _collect(terms: list) -> list:
+    """terms with the same exponents (num, den) merged into the first of
+    them, its coefficient their sum."""
+    out = {}
+    for c, num, den in terms:
+        key = (frozenset(num.items()), frozenset(den.items()))
+        first = out.setdefault(key, (0.0, num, den))
+        out[key] = (first[0] + c, *first[1:])
+    return list(out.values())
+
+
+def monomial(factors) -> Expr | None:
+    """prod atom^k over the pairs (atom, k) of a `split_terms` term, the
+    k < 0 ones as one divisor; None for the empty product."""
+    def product(pairs):
+        out = None
+        for atom, k in pairs:
+            f = atom if k == 1 else BinOp("^", atom, Num(float(k)))
+            out = f if out is None else BinOp("*", out, f)
+        return out
+
+    num = product((a, k) for a, k in factors if k > 0)
+    den = product((a, -k) for a, k in factors if k < 0)
+    if den is None:
+        return num
+    return BinOp("/", Num(1.0) if num is None else num, den)
+
+
 def subst(e: Expr, mapping: dict[str, Expr]) -> Expr:
     """Replace variables by expressions throughout e."""
     if isinstance(e, Num):

@@ -1,36 +1,37 @@
 """Coefficient functions gamma(alpha) for every covered symbol family.
 
-T(z^alpha) = gamma(alpha) z^(alpha+p).  One evaluator (`_gamma`) serves P^n
-and the ball: a log Gamma-prefactor times the integral of a(rho) prod_j
-B_j(rho) against a Dirichlet weight of exponents e_j = |alpha_(j)| +
-|p_(j)|/2 + k_j - 1, B_j integrating b_j against the monomial weight of
-(alpha_(j), p_(j)).  The space supplies the prefactor and the radial rule:
-on P^n the orthant mapped by r = u/(1-sum u) with a0 = m-|alpha|, on the
-ball the simplex with a0 = lambda and rho = sqrt(u).  Blocks whose factor
-mentions no radius r* factor out as weight-free integrals (closed forms
-when absent); the others are summed at every radial node.  Every rule is
-kept as per-axis factors: a coupled block's axes follow the radial axes,
-its factor is evaluated by broadcasting and contracted back onto them.
-
-A table build first works out each alpha's exponents (`_terms`, memoized
-for the evaluation that follows) and builds every Jacobi rule the table
-will ask for in one batch; it memoizes radial values by e and block
-values or rules by (j, exps, a0).
+T(z^alpha) = gamma(alpha) z^(alpha+p).  One engine (`_values`) serves P^n and
+the ball: a log Gamma-prefactor times the integral of a(rho) prod_j B_j(rho)
+against a Dirichlet weight of exponents e_j = |alpha_(j)| + |p_(j)|/2 + k_j - 1
+and a0 (m-|alpha| on P^n, lambda on the ball), B_j integrating b_j against the
+monomial weight (exps, a0_j) of (alpha_(j), p_(j)).  It takes a whole basis:
+the bookkeeping is arrays with a row per alpha, and each distinct radial key
+(e, a0) and block key (j, exps, a0_j) is integrated once, in order of first
+appearance, after one batched build of all their Jacobi rules.  A b_j that
+reads radii is split into terms c_t R_t(r) S_t(s), and gamma = sum_t c_t
+radial(a R_t) block(S_t), unless a term reads radii and cosines in one factor
+or the terms outnumber the q^(k_j - 1) nodes per radial node of the coupled
+grid, the block's rule contracted at every radial node.  A lone single-sphere
+factor on P^n has its own theorem; Monte Carlo draws once per distinct key.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
+from itertools import product
+from operator import mul
 
 import numpy as np
 
 from . import quadrature
-from .expr import Expr, evaluate, variables
+from .expr import Expr, evaluate, monomial, split_terms, variables
 from .indexing import DomainError, Partition, enumerate_basis, gammaln
-from .quadrature import (QuadratureSpec, dirichlet_closed_form, mc_integrate,
-                         radial_integrate_projective, simplex_integrate)
+from .quadrature import (QuadratureSpec, build_jacobi_rules,
+                         dirichlet_closed_form, mc_integrate,
+                         radial_integrate_projective, simplex_integrate,
+                         simplex_pairs)
 from .symbols import (ExtendedFactor, MultiSphereFactor, PhaseMonomial,
                       QuasiRadial, SingleSphereFactor, SymbolSpec,
                       ValidationError, flatten, total_shift,
@@ -68,30 +69,14 @@ class GammaTable:
         return self.entries[tuple(alpha)]
 
 
-def _memoized(memo: dict, key, compute):
-    if key not in memo:
-        memo[key] = compute()
-    return memo[key]
-
-
 def _evaluate(e: Expr | None, env: dict):
     """e at env, by broadcasting; 1 for an absent factor."""
     return 1.0 if e is None else evaluate(e, env)
 
 
-def _radii_env(radii) -> dict:
-    """Expression variables r1..rl bound to the block radii."""
-    return {f"r{j + 1}": r for j, r in enumerate(radii)}
-
-
-def _cosines_env(x, kj: int) -> dict:
-    """Cosines s1..s_kj from the block simplex's k_j coordinates x, the
-    squared cosines."""
-    return {f"s{l + 1}": np.sqrt(x[l]) for l in range(kj)}
-
-
-def _reads_radii(e: Expr) -> bool:
-    return any(v.startswith("r") for v in variables(e))
+def _cosines_env(x, kj: int, name: str = "s") -> dict:
+    """Cosines s1..s_kj (or sig1..) at the block's squared cosines x."""
+    return {f"{name}{l + 1}": np.sqrt(x[l]) for l in range(kj)}
 
 
 def _split_product(psi: SymbolSpec, k: Partition, allowed):
@@ -109,6 +94,26 @@ def _split_product(psi: SymbolSpec, k: Partition, allowed):
     return a_expr, blocks, total_shift(psi, k)
 
 
+def _block_terms(b: Expr | None, limit: int):
+    """b as terms (c, R, S), R reading only radii, S no radii, None for 1;
+    None when a factor reads both or there are more than limit terms."""
+    reads = set() if b is None else {v[0] == "r" for v in variables(b)}
+    if reads != {True, False}:
+        return [(1.0, b, None) if True in reads else (1.0, None, b)]
+    if len(split := split_terms(b)) > limit:
+        return None
+    terms = []
+    for c, factors in split:
+        parts = {True: [], False: []}  # reads radii: radial, else angular
+        for atom, power in factors:
+            reads = {v[0] == "r" for v in variables(atom)}
+            if len(reads) > 1:
+                return None
+            parts[True in reads].append((atom, power))
+        terms.append((c, monomial(parts[True]), monomial(parts[False])))
+    return terms
+
+
 def _scaled(log_scale: float, value: float) -> float:
     """exp(log_scale) * value, combined in log space: a prefactor past the
     float range times a tiny integral is still a finite coefficient."""
@@ -122,93 +127,141 @@ def _scaled(log_scale: float, value: float) -> float:
                           "precision") from None
 
 
-def _space_terms(space, n: int, d: int):
-    """The log Gamma-prefactor and the last radial exponent a0."""
+def _gammaln_sum(x, y=None):
+    """The sum over the columns of x of gammaln(x) (minus gammaln(y)),
+    added left to right as Python's sum adds them."""
+    return sum(gammaln(x[:, i]) - (0.0 if y is None else gammaln(y[:, i]))
+               for i in range(x.shape[1]))
+
+
+def _distinct(keys):
+    """Distinct rows of keys by first appearance; each row's index there."""
+    rows = list(map(tuple, keys.tolist()))
+    index = {row: i for i, row in enumerate(dict.fromkeys(rows))}
+    return (np.array(list(index), dtype=float).reshape(-1, keys.shape[1]),
+            np.array([index[row] for row in rows], dtype=np.intp))
+
+
+def _values(space, a_expr, blocks: dict, k: Partition, p, alphas,
+            spec: QuadratureSpec) -> np.ndarray:
+    """gamma at every alpha of alphas, 0 at the hard zeros.  Its exponent
+    bookkeeping has a row per alpha that is no hard zero: the log Gamma-
+    prefactor, the log of the blocks' Gamma ratios, e, a0 and the weight
+    (exps, a0_j) of every block with a factor."""
+    A = np.array(alphas, dtype=int).reshape(-1, k.n)
+    d = A.sum(axis=1)
     if isinstance(space, ProjectiveSpace):
-        if d > space.m:
-            raise DomainError(f"|alpha|={d} exceeds m={space.m}")
-        return gammaln(n + space.m + 1) - gammaln(space.m - d + 1), space.m - d
-    if space.lam <= -1:
+        if np.any(d > space.m):
+            raise DomainError(f"|alpha|={d.max()} exceeds m={space.m}")
+        prefactor = gammaln(k.n + space.m + 1) - gammaln(space.m - d + 1)
+        a0 = (space.m - d).astype(float)
+    elif space.lam <= -1:
         raise DomainError(f"need lambda > -1, got {space.lam}")
-    return gammaln(n + d + space.lam + 1) - gammaln(space.lam + 1), space.lam
-
-
-def _terms(space, blocks: dict, k: Partition, alpha, p):
-    """The exponent bookkeeping of gamma(alpha), None at a hard zero: the
-    log Gamma-prefactor, the log of the blocks' Gamma ratios, the radial
-    exponents e and a0, and (exps, a0_j) of every block with a factor."""
-    prefactor, a0 = _space_terms(space, k.n, sum(alpha))
-    shifted = [x + q for x, q in zip(alpha, p)]
-    if min(shifted) < 0:
-        return None
-    half = [x + q / 2 for x, q in zip(alpha, p)]
-    log_value, e, weights = 0.0, (), {}
+    else:
+        prefactor = gammaln(k.n + d + space.lam + 1) - gammaln(space.lam + 1)
+        a0 = np.full(len(d), float(space.lam))
+    out, live = np.zeros(len(A)), np.flatnonzero(np.all(A + p >= 0, axis=1))
+    if not len(live):
+        return out
+    A, prefactor, a0 = A[live], prefactor[live], a0[live]
+    shifted, half = A + p, A + np.asarray(p) / 2
+    log_value, e, weights = np.zeros(len(A)), np.empty((len(A), 0)), {}
     for j, kj in enumerate(k.parts):
-        h, s = k.block(half, j), k.block(shifted, j)
-        e += (sum(h) + kj - 1,)
+        h, s = half[:, k.block_slice(j)], shifted[:, k.block_slice(j)]
+        e = np.column_stack([e, h.sum(axis=1) + kj - 1])
         if j in blocks:
             # the block's Gamma(k_j + sum h) cancels against the prefactor's
-            log_value -= sum(gammaln(y + 1) for y in s)
-            weights[j] = h[:-1], h[-1]
+            log_value = log_value - _gammaln_sum(s + 1)
+            weights[j] = h
         else:
             # the Dirichlet closed form of the block over its prefactor,
             # term by term, so that a zero block shift cancels exactly
-            log_value += sum(gammaln(x + 1) - gammaln(y + 1)
-                             for x, y in zip(h, s)) - gammaln(kj + sum(h))
-    return prefactor, log_value, e, a0, weights
-
-
-def _gamma(space, a_expr, blocks: dict, k: Partition, alpha, p,
-           spec: QuadratureSpec, memo: dict | None = None) -> float:
-    """gamma(alpha) = prefactor * radial x block integrals on either space."""
-    memo = {} if memo is None else memo
-    alpha = tuple(int(x) for x in alpha)
-    terms = _memoized(memo, ("terms", alpha),
-                      partial(_terms, space, blocks, k, alpha, p))
-    if terms is None:
-        return 0.0
-    prefactor, log_value, e, a0, weights = terms
+            log_value = log_value + (_gammaln_sum(h + 1, s + 1)
+                                     - gammaln(kj + h.sum(axis=1)))
+    scale = prefactor + log_value
     if spec.method == "monte-carlo":
-        return _scaled(prefactor + log_value, _mc_value(
-            space, a_expr, blocks, k, e, a0, weights, spec))
-    value, coupled = 1.0, []
-    for j, (exps, a0_j) in weights.items():
-        kj, b_expr, key = k.parts[j], blocks[j], ("block", j, exps, a0_j)
-        if _reads_radii(b_expr):
-            coupled.append((b_expr, *_memoized(memo, key, partial(
-                _block_rule, kj, exps, a0_j, spec))))
-        else:
-            value *= _memoized(memo, key, partial(
-                _integral, b_expr, partial(_cosines_env, kj=kj), kj - 1,
-                exps, a0_j, spec))
-    if a_expr is None and not coupled:
-        # the radial Dirichlet closed form cancels the prefactor up to
-        # prod Gamma(e_j + 1); kept in log space, neither under- nor
-        # overflows at large weights
-        return _scaled(log_value + sum(gammaln(x + 1) for x in e), value)
-    radial = partial(_radial_value, space, a_expr, coupled, e, a0, spec)
-    value *= radial() if coupled else _memoized(memo, ("radial", e), radial)
-    return _scaled(prefactor + log_value, value)
+        keys, key_of = _distinct(np.column_stack([e, a0, *weights.values()]))
+        value = np.array([_mc_value(space, a_expr, blocks, k, key, spec)
+                          for key in keys])[key_of]
+    else:
+        value, closed = _quadrature(space, a_expr, blocks, k, e, a0, weights,
+                                    spec)
+        if closed:
+            # the radial Dirichlet closed form cancels the prefactor up to
+            # prod Gamma(e_j + 1), in log space so as never to overflow
+            scale = log_value + _gammaln_sum(e + 1)
+    out[live] = [_scaled(s, v) for s, v in zip(scale.tolist(),
+                                               value.tolist())]
+    return out
 
 
-def _radial_value(space, a_expr, coupled: list, e, a0, spec) -> float:
-    """Radial integral of a(rho) prod B(rho), each coupled block integral B
-    (given as b, cosines and weights on the block's own axes) contracted
-    at every radial node."""
-    # the coupled grid: radial nodes times every coupled block's nodes
-    quadrature.check_tensor_size(
-        len(e) + sum(len(ws) for *_, ws in coupled), spec.order)
+def _quadrature(space, a_expr, blocks: dict, k: Partition, e, a0,
+                weights: dict, spec):
+    """The integrals of gamma by quadrature, one value per row of e, and
+    whether the radial integral was left to its closed form."""
+    ell, q = k.num_blocks, spec.order
+    # each term takes the radial grid; a coupled grid is q^(k_j-1) times it
+    terms = {j: _block_terms(blocks[j], q ** (k.parts[j] - 1))
+             for j in weights}
+    coupled = [j for j, t in terms.items() if t is None]
+    split = {j: t for j, t in terms.items() if t is not None}
+    closed = a_expr is None and not coupled and all(
+        R is None for t in split.values() for _, R, _ in t)
+    keys = {j: _distinct(h) for j, h in weights.items()}
+    pairs = [pair for j, (rows, _) in keys.items()
+             if j in coupled or any(S is not None for *_, S in split[j])
+             for w in rows for pair in simplex_pairs(w[:-1], w[-1], q)]
+    if not closed:
+        # radial times coupled nodes, once per product of split terms
+        quadrature.check_tensor_size(
+            ell + sum(k.parts[j] - 1 for j in coupled), q,
+            math.prod(map(len, split.values())))
+        radial_keys, radial_of = _distinct(np.column_stack(
+            [e, a0, *(keys[j][1] for j in coupled)]))
+        pairs += [pair for row in radial_keys
+                  for pair in simplex_pairs(row[:ell], row[ell], q)]
+    build_jacobi_rules(pairs, q)
+    # each block's terms c_t block(S_t) per distinct block key, gathered
+    integrals = {j: np.array([[
+        c * _integral(S, partial(_cosines_env, kj=k.parts[j]),
+                      k.parts[j] - 1, tuple(w[:-1]), w[-1], spec)
+        for c, _, S in t] for w in keys[j][0]]).reshape(-1, len(t))[keys[j][1]]
+        for j, t in split.items()}
+    radial = np.ones((len(e), 1))  # closed: the prefactor takes it
+    if not closed:
+        rules = {j: [_block_rule(k.parts[j], tuple(w[:-1]), w[-1], spec)
+                     for w in keys[j][0]] for j in coupled}
+        radial = np.array([_radial_value(
+            space, a_expr, [(blocks[j], *rules[j][int(u)])
+                            for j, u in zip(coupled, row[ell + 1:])],
+            [[R for _, R, _ in t] for t in split.values()],
+            tuple(row[:ell]), row[ell], spec)
+            for row in radial_keys])[radial_of]
+    choices = product(*(range(len(t)) for t in split.values()))
+    return sum(reduce(mul, (integrals[j][:, t] for j, t in zip(split, ts)),
+                      np.ones(len(e))) * radial[:, combo]
+               for combo, ts in enumerate(choices)), closed
+
+
+def _radial_value(space, a_expr, coupled: list, split: list, e, a0,
+                  spec) -> np.ndarray:
+    """Radial integrals of a(rho) prod B(rho) times each product of one
+    term R per split block (split lists each block's R, None for 1), in
+    itertools.product order; each coupled block integral B (b, cosines and
+    weights on the block's axes) is contracted at every radial node."""
 
     def g(radii):
-        env = _radii_env(radii)
+        env = {f"r{j + 1}": r for j, r in enumerate(radii)}
         vals = _evaluate(a_expr, env)
         for b_expr, cosines, ws in coupled:
-            # the block's axes follow the radial ones
-            pad = (...,) + (None,) * len(ws)
+            pad = (...,) + (None,) * len(ws)  # block axes after radial ones
             h = evaluate(b_expr, {**{v: r[pad] for v, r in env.items()},
                                   **cosines})
             vals = vals * quadrature.contract(h, ws)
-        return vals
+        # one integrand per product on a leading axis, each on all ell axes
+        combos = [reduce(mul, Rs, vals) for Rs in product(
+            *([_evaluate(R, env) for R in Rs] for Rs in split))]
+        return np.stack(np.broadcast_arrays(*combos, *radii)[:len(combos)])
 
     if isinstance(space, ProjectiveSpace):
         return radial_integrate_projective(g, len(e), e,
@@ -228,57 +281,85 @@ def _integral(expr, env, d: int, exps, a0, spec) -> float:
         return mc_integrate(
             lambda X: np.broadcast_to(evaluate(expr, env(X.T)), len(X)),
             ("dirichlet", [(exps, a0)]), spec.order, spec.seed)[0]
-    return simplex_integrate(lambda x: evaluate(expr, env(x)), d, exps, a0,
-                             spec)
+    return float(simplex_integrate(lambda x: evaluate(expr, env(x)), d,
+                                   exps, a0, spec))
 
 
 def _block_rule(kj: int, exps, a0, spec):
-    """Cosines of the block rule on the block's own axes, and its per-axis
-    weights."""
+    """The block rule's cosines on the block's own axes, and its weights."""
     us, ws = quadrature.simplex_axes(kj - 1, exps, float(a0), spec.order)
     return _cosines_env(quadrature.barycentric(us), kj), ws
 
 
-def _mc_value(space, a_expr, blocks: dict, k: Partition, e, a0, weights,
-              spec) -> float:
-    """Monte Carlo estimate; each point is drawn from its Dirichlet weight."""
-    ell = k.num_blocks
+def _mc_value(space, a_expr, blocks: dict, k: Partition, key, spec):
+    """Monte Carlo estimate at a key row (e, a0, then each block's exps and
+    a0_j); each point is drawn from its Dirichlet weight."""
+    ell, order = k.num_blocks, sorted(blocks)
+    e, a0, *ws, _ = np.split(key, np.cumsum([ell, 1, *(k.parts[j]
+                                                       for j in order)]))
 
     def f(u, *S):
         rest = u[:, ell:] if isinstance(space, ProjectiveSpace) else 1.0
-        env = _radii_env(np.sqrt(u[:, :ell] / rest).T)
+        env = {f"r{j + 1}": r
+               for j, r in enumerate(np.sqrt(u[:, :ell] / rest).T)}
         vals = _evaluate(a_expr, env)
-        for j, Sj in zip(weights, S):
+        for j, Sj in zip(order, S):
             cosines = _cosines_env(Sj.T, k.parts[j])
-            vals = vals * evaluate(blocks[j], {**env, **cosines})
+            vals = vals * _evaluate(blocks[j], {**env, **cosines})
         return np.broadcast_to(vals, len(u))
 
-    factors = [(e, a0), *weights.values()]
+    factors = [(e, a0[0]), *((w[:-1], w[-1]) for w in ws)]
     return mc_integrate(f, ("dirichlet", factors), spec.order, spec.seed)[0]
+
+
+def _sphere_values(b: Expr | None, k: Partition, j: int, p_j, n: int,
+                   alphas, spec: QuadratureSpec) -> np.ndarray:
+    """Single-sphere gamma at every alpha of alphas (0 at hard zeros): a log
+    prefactor times one k_j-simplex integral per distinct (exps, a0)."""
+    kj = k.parts[j]
+    if kj >= n:
+        raise UnsupportedCaseError(
+            "single-sphere factor with k_j = n is not covered; "
+            "use the one-block multi-sphere form instead")
+    A = np.array(alphas, dtype=int).reshape(-1, n)
+    live = np.flatnonzero(np.all(A[:, k.block_slice(j)] + p_j >= 0, axis=1))
+    d, a_j = A[live].sum(axis=1), A[live, k.block_slice(j)]
+    a0 = d - a_j.sum(axis=1) + n - kj - 1
+    logpref = gammaln(d + n) - gammaln(a0 + 1) - _gammaln_sum(a_j + p_j + 1)
+    weights, weight_of = _distinct(np.column_stack(
+        [a_j + np.asarray(p_j) / 2, a0]))
+    if b is not None and spec.method != "monte-carlo":
+        build_jacobi_rules([pair for w in weights for pair in simplex_pairs(
+            w[:-1], w[-1], spec.order)], spec.order)
+    integrals = [_integral(b, partial(_cosines_env, kj=kj, name="sig"), kj,
+                           tuple(w[:-1]), w[-1], spec) for w in weights]
+    out = np.zeros(len(A))
+    out[live] = [_scaled(s, integrals[u]) for s, u in zip(logpref.tolist(),
+                                                          weight_of)]
+    return out
+
+
+def _one(space, psi: SymbolSpec, k: Partition, alpha, spec,
+         allowed=_EXTENDED) -> float:
+    """gamma(alpha) of psi on space: a one-row call into the engine."""
+    a_expr, blocks, p = _split_product(psi, k, allowed)
+    return float(_values(space, a_expr, blocks, k, p, [alpha], spec)[0])
 
 
 def gamma_quasi_radial(a: Expr, k: Partition, m: int, alpha,
                        spec: QuadratureSpec) -> float:
     """Diagonal coefficient of a quasi-radial symbol at weight m."""
-    return _gamma(ProjectiveSpace(k.n, m), a, {}, k, alpha, (0,) * k.n, spec)
+    return _one(ProjectiveSpace(k.n, m), QuasiRadial(a), k, alpha, spec)
 
 
 def gamma_multisphere_factor(b: Expr | None, k: Partition, j: int, p_j,
                              alpha, spec: QuadratureSpec) -> float:
     """Weight-independent per-block coefficient for b_j(s_(j)) t_(j)^p_(j)
-    with a blockwise-zero shift."""
-    p_j = tuple(int(x) for x in p_j)
-    kj = k.parts[j]
-    if len(p_j) != kj or sum(p_j) != 0:
-        raise ValidationError(f"shift {p_j} is not blockwise-zero on block {j}")
-    a_j = k.block(alpha, j)
-    shifted = tuple(a + q for a, q in zip(a_j, p_j))
-    if any(x < 0 for x in shifted):
-        return 0.0
-    half = tuple(a + q / 2 for a, q in zip(a_j, p_j))
-    logpref = gammaln(kj + sum(a_j)) - sum(gammaln(x + 1) for x in shifted)
-    return _scaled(logpref, _integral(
-        b, partial(_cosines_env, kj=kj), kj - 1, half[:-1], half[-1], spec))
+    with a blockwise-zero shift: its gamma alone on the block's P^(k_j)."""
+    validate_product(MultiSphereFactor(j, b, p_j), k)
+    a_j, kj = k.block(alpha, j), k.parts[j]
+    return _one(ProjectiveSpace(kj, sum(a_j)), MultiSphereFactor(0, b, p_j),
+                Partition((kj,)), a_j, spec)
 
 
 def gamma_multisphere(psi: SymbolSpec, k: Partition, m: int, alpha,
@@ -286,79 +367,40 @@ def gamma_multisphere(psi: SymbolSpec, k: Partition, m: int, alpha,
     """Coefficient of a quasi-radial multi-sphere pseudo-homogeneous
     product with total shift summing to zero (the general theorem; the
     per-block shifts need not vanish individually)."""
-    a_expr, blocks, p = _split_product(psi, k, (MultiSphereFactor,))
-    return _gamma(ProjectiveSpace(k.n, m), a_expr, blocks, k, alpha, p, spec)
-
-
-def _sphere_terms(k: Partition, j: int, p_j, n: int, alpha):
-    """The exponent bookkeeping of a single-sphere gamma(alpha), None at a
-    hard zero: the log prefactor and the weight (exps, a0) of its integral
-    over the k_j-simplex."""
-    kj = k.parts[j]
-    if kj >= n:
-        raise UnsupportedCaseError(
-            "single-sphere factor with k_j = n is not covered; "
-            "use the one-block multi-sphere form instead")
-    p_j = tuple(int(x) for x in p_j)
-    if len(p_j) != kj or sum(p_j) != 0:
-        raise ValidationError(f"shift {p_j} is not blockwise-zero on block {j}")
-    a_j = k.block(alpha, j)
-    shifted = tuple(a + q for a, q in zip(a_j, p_j))
-    if any(x < 0 for x in shifted):
-        return None
-    d = sum(alpha)
-    a0 = d - sum(a_j) + n - kj - 1
-    exps = tuple(a_j[l] + p_j[l] / 2 for l in range(kj))
-    logpref = gammaln(d + n) - gammaln(a0 + 1)
-    logpref -= sum(gammaln(x + 1) for x in shifted)
-    return logpref, exps, a0
+    return _one(ProjectiveSpace(k.n, m), psi, k, alpha, spec,
+                (MultiSphereFactor,))
 
 
 def gamma_single_sphere(b: Expr | None, k: Partition, j: int, p_j, n: int,
-                        alpha, spec: QuadratureSpec,
-                        memo: dict | None = None) -> float:
+                        alpha, spec: QuadratureSpec) -> float:
     """Coefficient of a single-sphere factor b_j(sigma_(j)) t_(j)^p_j.
 
     Independent of the weight; depends on alpha only through alpha_(j) and
-    |alpha|.  The case k_j = n is outside the theorem (the leftover simplex
-    factor degenerates) and raises.  memo keeps integrals by (j, exps, a0).
-    """
-    memo = {} if memo is None else memo
-    alpha = tuple(int(x) for x in alpha)
-    terms = _memoized(memo, ("terms", alpha),
-                      partial(_sphere_terms, k, j, p_j, n, alpha))
-    if terms is None:
-        return 0.0
-    logpref, exps, a0 = terms
-    kj = k.parts[j]
-    integral = _memoized(memo, ("block", j, exps, a0),
-                         lambda: _integral(b, lambda x: {
-                             f"sig{l + 1}": np.sqrt(x[l]) for l in range(kj)
-                         }, kj, exps, a0, spec))
-    return _scaled(logpref, integral)
+    |alpha|.  k_j = n is outside the theorem (the leftover simplex factor
+    degenerates) and raises."""
+    validate_product(SingleSphereFactor(j, b, p_j), k)
+    return float(_sphere_values(b, k, j, p_j, n, [alpha], spec)[0])
 
 
 def gamma_extended_projective(psi: SymbolSpec, k: Partition, m: int, alpha,
                               spec: QuadratureSpec) -> float:
     """Coefficient of an extended symbol a(r) prod b_j(r, s_(j)) t^p on the
     weight-m projective space."""
-    a_expr, blocks, p = _split_product(psi, k, _EXTENDED)
-    return _gamma(ProjectiveSpace(k.n, m), a_expr, blocks, k, alpha, p, spec)
+    return _one(ProjectiveSpace(k.n, m), psi, k, alpha, spec)
 
 
 def gamma_extended_ball(psi: SymbolSpec, k: Partition, lam: float, alpha,
                         spec: QuadratureSpec) -> float:
     """Coefficient of an extended symbol on the weight-lambda ball space."""
-    a_expr, blocks, p = _split_product(psi, k, _EXTENDED)
-    return _gamma(BallSpace(k.n, lam, sum(alpha)), a_expr, blocks, k, alpha,
-                  p, spec)
+    return _one(BallSpace(k.n, lam, sum(alpha)), psi, k, alpha, spec)
 
 
 def build_gamma_table(psi: SymbolSpec, space, k: Partition,
                       spec: QuadratureSpec) -> GammaTable:
     """Evaluate gamma over the whole basis, recording hard zeros.  A lone
     single-sphere factor on P^n takes its own theorem; every other product
-    the extended one, which rejects single-sphere factors."""
+    the extended one, which rejects single-sphere factors.  A non-finite
+    entry raises DomainError naming the first such alpha."""
     factors = flatten(psi)
     single = (isinstance(space, ProjectiveSpace) and len(factors) == 1
               and isinstance(factors[0], SingleSphereFactor))
@@ -371,55 +413,13 @@ def build_gamma_table(psi: SymbolSpec, space, k: Partition,
                else "extended-projective" if extended
                else "quasi-radial-pseudo-homogeneous")
     basis = enumerate_basis(space.n, degree)
-    memo: dict = {}
     if single:
         (j, b), = blocks.items()
-        p_j = k.block(p, j)
-        gamma = partial(gamma_single_sphere, b, k, j, p_j, space.n,
-                        spec=spec, memo=memo)
-
-        def rule_weights(alpha):
-            terms = _memoized(memo, ("terms", alpha), partial(
-                _sphere_terms, k, j, p_j, space.n, alpha))
-            return [] if terms is None else [terms[1:]]
+        values = _sphere_values(b, k, j, k.block(p, j), space.n, basis, spec)
     else:
-        gamma = partial(_gamma, space, a_expr, blocks, k, p=p, spec=spec,
-                        memo=memo)
-        rule_weights = partial(_rule_weights, space, a_expr, blocks, k, p,
-                               spec.order, memo)
-    if spec.method != "monte-carlo":
-        _build_rules(rule_weights, basis, spec.order)
-    entries = {alpha: complex(gamma(alpha=alpha)) for alpha in basis}
+        values = _values(space, a_expr, blocks, k, p, basis, spec)
+    for alpha, value in zip(basis, values.tolist()):
+        if not math.isfinite(value):
+            raise DomainError(f"gamma{alpha} = {value} is not finite")
+    entries = dict(zip(basis, map(complex, values.tolist())))
     return GammaTable(space, k, p, entries, theorem)
-
-
-def _rule_weights(space, a_expr, blocks: dict, k: Partition, p, q: int,
-                  memo: dict, alpha) -> list:
-    """The simplex weights (a, a0) whose order-q rules the deterministic
-    _gamma builds for alpha, after the same coupled-grid budget check;
-    alpha's exponents are kept in memo for _gamma."""
-    terms = _memoized(memo, ("terms", alpha),
-                      partial(_terms, space, blocks, k, alpha, p))
-    if terms is None:
-        return []
-    *_, e, a0, weights = terms
-    coupled = [len(exps) for j, (exps, _) in weights.items()
-               if _reads_radii(blocks[j])]
-    if a_expr is None and not coupled:
-        return list(weights.values())
-    quadrature.check_tensor_size(len(e) + sum(coupled), q)
-    return [*weights.values(), (e, a0)]
-
-
-def _build_rules(rule_weights, basis, q: int) -> None:
-    """Build the Jacobi rules of every alpha in basis in one batch, up to
-    the first alpha whose checks refuse it: its gamma raises the same
-    error in turn, after the alpha before it are computed."""
-    pairs: dict = {}
-    for alpha in basis:
-        try:
-            for a, a0 in rule_weights(alpha):
-                pairs.update(dict.fromkeys(quadrature.simplex_pairs(a, a0, q)))
-        except (DomainError, ValidationError):
-            break
-    quadrature.build_jacobi_rules(pairs, q)

@@ -29,18 +29,17 @@ def _lgamma(x: float) -> float:
         return math.inf
 
 
-_lgamma_array = np.vectorize(_lgamma, otypes=[float])
-
-
 def gammaln(x):
     """log|Gamma(x)|, +inf at the poles 0, -1, -2, ...; elementwise on
     arrays, a float on scalars."""
-    if np.ndim(x) == 0:
+    # Python scalars skip NumPy's dispatch in np.ndim
+    if isinstance(x, (int, float)) or np.ndim(x) == 0:
         return _lgamma(float(x))
-    # once per distinct value: array arguments are multi-indices, with few
-    # distinct entries
-    values, inverse = np.unique(x, return_inverse=True)
-    return _lgamma_array(values)[inverse].reshape(np.shape(x))
+    # once per distinct value, looked up without sorting: array arguments
+    # are multi-indices, with few distinct entries
+    flat = np.ravel(x).tolist()
+    table = {v: _lgamma(float(v)) for v in set(flat)}
+    return np.array([table[v] for v in flat], dtype=float).reshape(np.shape(x))
 
 
 @dataclass(frozen=True)

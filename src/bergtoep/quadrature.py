@@ -160,17 +160,19 @@ def jacobi_rule_01(a: float, b: float, q: int):
     return rule
 
 
-def check_tensor_size(d: int, q: int) -> None:
+def check_tensor_size(d: int, q: int, copies: int = 1) -> None:
     """Refuse a d-dimensional order-q tensor rule before anything is
-    allocated: it holds q^d nodes, and each axis a q x q Jacobi matrix."""
+    allocated: it holds q^d nodes, an integrand on it copies times that
+    many values, and each axis a q x q Jacobi matrix."""
     if d > MAX_TENSOR_DIM:
         raise DomainError(
             f"tensor rule unsupported for dimension {d} > {MAX_TENSOR_DIM}; use Monte Carlo"
         )
-    if q ** max(d, 2) > MAX_NODES:
+    if copies * q ** d > MAX_NODES or q ** 2 > MAX_NODES:
+        times = f" times {copies} integrands" if copies > 1 else ""
         raise DomainError(
-            f"a {d}-dimensional rule of order {q} exceeds the budget of "
-            f"{MAX_NODES} nodes; lower the order or use Monte Carlo")
+            f"a {d}-dimensional rule of order {q}{times} exceeds the budget "
+            f"of {MAX_NODES} nodes; lower the order or use Monte Carlo")
 
 
 def simplex_pairs(a, a0: float, q: int) -> list[tuple[float, float]]:
@@ -258,10 +260,10 @@ def dirichlet_closed_form(a, a0: float) -> float:
 
 
 def _tensor_integral(integrand, d: int, a: tuple, a0: float,
-                     spec: QuadratureSpec) -> float:
+                     spec: QuadratureSpec):
     """Sum of integrand(us) over the Duffy rule of the weight x^a
     (1-sum x)^a0 on the d-simplex, us the rule's broadcast cube
-    coordinates."""
+    coordinates; axes of the values before the rule's d are kept."""
     if any(x <= -1 for x in a) or a0 <= -1:
         raise DomainError(f"exponents must exceed -1, got a={a}, a0={a0}")
     if spec.method == "monte-carlo":
@@ -269,16 +271,18 @@ def _tensor_integral(integrand, d: int, a: tuple, a0: float,
         raise DomainError("the tensor kernels are deterministic; draw from "
                           "the weight with mc_integrate(('dirichlet', ...))")
     us, ws = simplex_axes(d, a, float(a0), spec.order)
-    return float(contract(1.0 if integrand is None else integrand(us), ws))
+    return contract(1.0 if integrand is None else integrand(us), ws)
 
 
-def simplex_integrate(f, d: int, a, a0: float, spec: QuadratureSpec) -> float:
+def simplex_integrate(f, d: int, a, a0: float, spec: QuadratureSpec):
     """int_{Delta_d} f(x) prod x_l^{a_l} (1-sum x)^{a0} dx.
 
     f takes the d+1 coordinates x_1, ..., x_d, 1 - sum x, each an array
     broadcast on the rule's d axes, and returns values that broadcast
-    against them; pass None for f == 1.  Exponents may be half-integers
-    but must exceed -1.
+    against them; pass None for f == 1.  Values with d + 1 axes or more
+    hold several integrands, one per index of the leading axes, and give
+    an array of their integrals.  Exponents may be half-integers but must
+    exceed -1.
     """
     return _tensor_integral(
         None if f is None else lambda us: f(barycentric(us)), d,
@@ -286,12 +290,13 @@ def simplex_integrate(f, d: int, a, a0: float, spec: QuadratureSpec) -> float:
 
 
 def radial_integrate_projective(g, ell: int, e, N: float,
-                                spec: QuadratureSpec) -> float:
+                                spec: QuadratureSpec):
     """int_{R_+^ell} g(sqrt(r)) prod r_j^{e_j} (1+sum r)^{-N} dr.
 
     g takes the componentwise square roots of r (the block radii), each an
-    array broadcast on the rule's ell axes.  The unbounded domain is
-    mapped to the simplex by r = u/(1-sum u).
+    array broadcast on the rule's ell axes, and may give leading axes as f
+    does in simplex_integrate.  The unbounded domain is mapped to the
+    simplex by r = u/(1-sum u).
     """
     e = tuple(float(x) for x in e)
     if any(x <= -1 for x in e):

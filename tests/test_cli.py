@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from bergtoep import gamma as gamma_module
 from bergtoep.cli import main
 
 BASE_CONFIG = {
@@ -100,12 +101,14 @@ def test_unrepresentable_jacobi_rule_is_numerical_error(tmp_path):
 @pytest.mark.parametrize("n, partition, symbols", [
     (4, [1] * 4, [{"kind": "quasi-radial", "a": "r1^2/(1+r1^2+r2^2)"}]),
     (4, [2, 2], [{"kind": "extended", "block": j,
-                  "b": f"s1^2*r{j}^2/(1+r{j}^2)", "p": [0, 0]}
+                  "b": f"s1^2*r{j}^2/(1+r{j}^2*s1^2)", "p": [0, 0]}
                  for j in (1, 2)]),
 ])
 def test_grid_over_node_budget_is_numerical_error(tmp_path, n, partition,
                                                   symbols):
-    # a 46^4-node radial or coupled grid is refused before it is allocated
+    # a 46^4-node radial or coupled grid is refused before it is allocated;
+    # the divisor reads a radius and a cosine, so the blocks cannot split
+    # into radial x angular terms and keep the coupled grid
     cfg = {"space": {"type": "projective", "n": n, "m": 1},
            "partition": partition, "symbols": symbols,
            "quadrature": {"method": "gauss-jacobi-tensor", "order": 46}}
@@ -113,6 +116,43 @@ def test_grid_over_node_budget_is_numerical_error(tmp_path, n, partition,
     path.write_text(json.dumps(cfg))
     assert run(["gamma", "--config", str(path), "--out",
                 str(tmp_path / "g.csv")]) == 3
+
+
+def _extended_config(tmp_path, n, partition, b, order):
+    cfg = {"space": {"type": "projective", "n": n, "m": 1},
+           "partition": partition,
+           "symbols": [{"kind": "extended", "block": j + 1,
+                        "b": b.format(j=j + 1), "p": [0] * kj}
+                       for j, kj in enumerate(partition)],
+           "quadrature": {"method": "gauss-jacobi-tensor", "order": order}}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def _refuse(*args):
+    raise AssertionError("not to be called")
+
+
+def test_split_blocks_take_the_radial_grid(tmp_path, monkeypatch):
+    # s1^2 * r_j^2/(1+r_j^2) is one radial x angular term per block: the
+    # table runs on the 46^2 radial grid, not the refused 46^4 coupled grid
+    monkeypatch.setattr(gamma_module, "_block_rule", _refuse)
+    path = _extended_config(tmp_path, 4, [2, 2], "s1^2*r{j}^2/(1+r{j}^2)", 46)
+    assert run(["gamma", "--config", path, "--out",
+                str(tmp_path / "g.csv")]) == 0
+
+
+def test_split_products_over_node_budget_are_numerical_error(
+        tmp_path, monkeypatch, capsys):
+    # (r1+s1)^6 is 7 terms per block, fewer than the 40 nodes a coupled
+    # block adds, but 7^3 term products on the 40^3 radial grid exceed the
+    # budget too: refused before any Jacobi rule is built
+    monkeypatch.setattr(gamma_module, "build_jacobi_rules", _refuse)
+    path = _extended_config(tmp_path, 6, [2, 2, 2], "(r1+s1)^6", 40)
+    assert run(["gamma", "--config", path, "--out",
+                str(tmp_path / "g.csv")]) == 3
+    assert "times 343 integrands exceeds the budget" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("m", [1020, 1050])
@@ -345,3 +385,23 @@ def test_gamma_command_loads_no_numpy_random(config_path, tmp_path):
                           text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0 False"
+
+
+@pytest.mark.parametrize("a", ["exp(r1^2)", "exp(r1^2)-exp(r1^2)"],
+                         ids=["inf", "nan"])
+def test_nonfinite_table_is_numerical_error(tmp_path, a):
+    # the radial integral of exp(r^2) overflows, to inf and, as a
+    # difference, to nan, first at alpha = (3,), where a0 = 0 puts a node
+    # nearest r = oo; the table used to be written with those rows.  A
+    # subprocess keeps NumPy's overflow warnings out of this process.
+    cfg = {"space": {"type": "projective", "n": 1, "m": 3},
+           "partition": [1], "symbols": [{"kind": "quasi-radial", "a": a}]}
+    path, out = tmp_path / "c.json", tmp_path / "g.csv"
+    path.write_text(json.dumps(cfg))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bergtoep.cli", "gamma", "--config",
+         str(path), "--out", str(out)], capture_output=True, text=True)
+    assert proc.returncode == 3, proc.stderr
+    value = "inf" if a == "exp(r1^2)" else "nan"
+    assert f"error: gamma(3,) = {value} is not finite" in proc.stderr
+    assert not out.exists()

@@ -13,11 +13,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bergtoep import gamma as gamma_module
 from bergtoep import quadrature
 from bergtoep.cli import main
-from bergtoep.expr import evaluate
+from bergtoep.expr import (BinOp, Call, EvalError, Num, Var, evaluate,
+                           split_terms)
 from bergtoep.gamma import (
     BallSpace,
     ProjectiveSpace,
@@ -32,6 +34,7 @@ from bergtoep.gamma import (
 )
 from bergtoep.expr import parse
 from bergtoep.indexing import DomainError, Partition, enumerate_basis
+from bergtoep.operators import product_table
 from bergtoep.quadrature import QuadratureSpec, simplex_rule
 from bergtoep.symbols import (
     ExtendedFactor,
@@ -312,7 +315,7 @@ def test_coupled_grid_matches_materialised_rules(space):
     inner = evaluate(b, {**radii, **cosines}) @ Wb
     want = np.sum(W * evaluate(a, {"r1": rho[:, 0], "r2": rho[:, 1]}) * inner)
     coupled = [(b, *gamma_module._block_rule(2, exps, b0, spec))]
-    got = gamma_module._radial_value(space, a, coupled, e, a0, spec)
+    got, = gamma_module._radial_value(space, a, coupled, [], e, a0, spec)
     assert got == pytest.approx(want, rel=1e-14)
 
 
@@ -349,7 +352,7 @@ def test_table_builds_the_rules_of_the_per_alpha_path(name, tmp_path,
         return [key for batch in built for key in batch], len(built)
 
     with monkeypatch.context() as mp:
-        mp.setattr(gamma_module, "_build_rules", lambda *args: None)
+        mp.setattr(gamma_module, "build_jacobi_rules", lambda *args: None)
         alone, _ = run(tmp_path / "alone.csv")
     batched, calls = run(tmp_path / "batched.csv")
     assert len(set(alone)) == len(alone) == len(batched) == len(set(batched))
@@ -375,3 +378,149 @@ def test_l3_table_memory_is_bounded(monkeypatch):
         tracemalloc.stop()
     assert len(table.entries) == 286
     assert peak < 4 * 2**20
+
+
+# ------------------------------------- radial x angular split of the blocks
+
+def _split_grid(q=5):
+    """Radii r1, r2 on the first two axes of a coupled grid and block
+    cosines s1, s2 on the third, as the engine places them."""
+    us, _ = quadrature.simplex_axes(2, (0.5, 1.5), 2.0, q)
+    radii = dict(zip(("r1", "r2"), quadrature.projective_radii(us)))
+    x, rest = quadrature.barycentric(quadrature.simplex_axes(
+        1, (0.5,), 1.0, q)[0])
+    return radii, {"s1": np.sqrt(x), "s2": np.sqrt(rest)}
+
+
+SPLIT_LEAVES = st.one_of(
+    st.sampled_from([Var(v) for v in ("r1", "r2", "s1", "s2")]),
+    st.integers(1, 4).map(lambda v: Num(float(v))))
+SPLIT_EXPRESSIONS = st.recursive(SPLIT_LEAVES, lambda inner: st.one_of(
+    st.builds(BinOp, st.sampled_from("+-*/"), inner, inner),
+    st.builds(lambda base, k: BinOp("^", base, Num(float(k))), inner,
+              st.integers(1, 3)),
+    st.builds(lambda arg: Call("sqrt", arg), inner)), max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SPLIT_EXPRESSIONS)
+def test_split_terms_match_the_coupled_grid(b):
+    """sum_t c_t R_t(r) S_t(s) equals b on the coupled grid to 1e-13 of
+    sum_t |c_t R_t S_t|, and fails where b fails."""
+    terms = gamma_module._block_terms(b, math.inf)
+    assume(terms is not None)
+    radii, cosines = _split_grid()
+    padded = {v: r[..., None] for v, r in radii.items()}
+
+    def parts():
+        return [c * np.asarray(gamma_module._evaluate(R, padded))
+                * gamma_module._evaluate(S, cosines) for c, R, S in terms]
+
+    try:
+        want = evaluate(b, {**padded, **cosines})
+    except EvalError:
+        # a zero divisor or a negative square root stays an error
+        with pytest.raises(EvalError):
+            parts()
+        return
+    got = parts()
+    assert np.all(np.abs(sum(got) - want) <= 1e-13 * sum(map(np.abs, got)))
+
+
+@pytest.mark.parametrize("space", [ProjectiveSpace(3, 6),
+                                   BallSpace(3, 1.0, 6)])
+def test_split_tables_match_the_coupled_grid(space, monkeypatch):
+    """Split blocks give the table of the coupled grid, which every block
+    takes when none splits."""
+    k, spec = Partition((2, 1)), QuadratureSpec(order=20)
+    psi = Product((QuasiRadial("r1^2/(1+r1^2)"),
+                   ExtendedFactor(0, "(s1 - r2)^2/(1+r1^2) + s2*r1", (1, -1)),
+                   ExtendedFactor(1, "s1^2 + r1^2/(1+r1^2)", (0,))))
+    split = build_gamma_table(psi, space, k, spec).entries
+    monkeypatch.setattr(gamma_module, "_block_terms", lambda *args: None)
+    coupled = build_gamma_table(psi, space, k, spec).entries
+    scale = max(map(abs, coupled.values()))
+    assert scale > 0
+    for alpha, want in coupled.items():
+        assert abs(split[alpha] - want) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("b", ["s1^2 + r1/(r2 - r2)",
+                               "r1^2 + s1/(s2 - s2)"])
+def test_zero_divisor_in_split_term_raises(b):
+    factor = ExtendedFactor(0, b, (0, 0))
+    assert gamma_module._block_terms(factor.b, SPEC.order) is not None
+    with pytest.raises(EvalError, match="division by zero"):
+        build_gamma_table(factor, ProjectiveSpace(3, 2), Partition((2, 1)),
+                          SPEC)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(gamma_module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(gamma_module, name, counted)
+    return calls
+
+
+def test_table_integrates_once_per_distinct_key(monkeypatch):
+    """The c_gamma benchmark table: 1771 alpha, of which 1540 are no hard
+    zero (alpha_2 >= 1), with 210 radial keys (e, a0) and 210 block keys
+    (exps, a0_j).  The 21 radial keys that only hard zeros have (e_1 = 1,
+    where alpha_1 = alpha_2 = 0) are never integrated."""
+    radial = _count_calls(monkeypatch, "_radial_value")
+    block = _count_calls(monkeypatch, "_integral")
+    psi = Product((QuasiRadial("r1^2/(r1^2+r2^2+1)"),
+                   MultiSphereFactor(0, "s1^2 + s2", (1, -1))))
+    table = build_gamma_table(psi, ProjectiveSpace(3, 20),
+                              Partition((2, 1)), SPEC)
+    assert len(table.entries) == 1771
+    assert sum(v != 0 for v in table.entries.values()) == 1540
+    assert (len(radial), len(block)) == (210, 210)
+
+
+def test_witness_product_table_runs_no_coupled_grid(monkeypatch):
+    """The fusion witness's product, a single-sphere factor rewritten over
+    r and s, splits into radial x angular terms."""
+    def refuse(*args):
+        raise AssertionError("coupled grid")
+
+    monkeypatch.setattr(gamma_module, "_block_rule", refuse)
+    radial = _count_calls(monkeypatch, "_radial_value")
+    k = Partition((2, 1))
+    table = product_table([QuasiRadial("r1^2/(r1^2 + r2^2)"),
+                           SingleSphereFactor(0, "sig1^2", (1, -1))],
+                          ProjectiveSpace(3, 16), k, SPEC)
+    assert len(table.entries) == 969
+    assert 0 < len(radial) < 969
+
+
+def test_split_terms_merge_like_terms():
+    r, s = Var("r1"), Var("s1")
+    terms = split_terms(parse("(r1 + s1)^6 - r1^6"))
+    want = {frozenset((v, k) for v, k in ((r, 6 - i), (s, i)) if k): c
+            for i, c in enumerate([0.0, 6.0, 15.0, 20.0, 15.0, 6.0, 1.0])}
+    assert len(terms) == 7
+    assert {frozenset(f): c for c, f in terms} == want
+
+
+def test_block_splits_only_below_its_coupled_grid(monkeypatch):
+    """A block splits when its terms are at most the q^(k_j - 1) nodes its
+    coupled grid adds per radial node; on k_j = 1 that is one term."""
+    b = parse("(r1 + s1)^2")
+    assert gamma_module._block_terms(b, 2) is None
+    assert len(gamma_module._block_terms(b, 3)) == 3
+    radial = parse("(1 + r1)^2")
+    assert gamma_module._block_terms(radial, 1) == [(1.0, radial, None)]
+    rules = _count_calls(monkeypatch, "_block_rule")
+    build_gamma_table(ExtendedFactor(0, "(r1 + s1)^2", (0,)),
+                      ProjectiveSpace(3, 3), Partition((1, 1, 1)), SPEC)
+    assert rules
+    rules.clear()
+    build_gamma_table(ExtendedFactor(0, "(r1 + s1)^2", (0, 0)),
+                      ProjectiveSpace(3, 3), Partition((2, 1)), SPEC)
+    assert not rules

@@ -93,3 +93,14 @@ def test_gammaln_scalars_arrays_and_poles():
             [math.lgamma(-2.5), math.lgamma(10.0), math.lgamma(171.5),
              math.lgamma(0.5)]]
     assert got.tolist() == want
+
+
+@pytest.mark.parametrize("x", [0, -1, -2.0, -3, 0.5, -0.5, 1, 2, 2.5, 171.5,
+                               1e-320, 5e-324, 1e300, 1e306, 1.7e308,
+                               float("inf"), float("-inf"), float("nan"),
+                               10**6, True, np.float64(3.5)])
+def test_gammaln_scalar_path_is_bitwise_the_array_path(x):
+    # poles give +inf, and so does a value past the float range
+    scalar, array = gammaln(x), gammaln(np.array([x]))
+    assert isinstance(scalar, float)
+    assert np.float64(scalar).tobytes() == array[0].tobytes()
