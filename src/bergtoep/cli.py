@@ -114,7 +114,10 @@ def domain_precheck(symbols, k: Partition) -> None:
     Z = _probe_points(k.n)
     for s in symbols:
         try:
-            vals = evaluate_symbol_batch(s, Z, k)
+            # a non-finite probe value is reported below in one line, not
+            # as NumPy's warnings
+            with np.errstate(all="ignore"):
+                vals = evaluate_symbol_batch(s, Z, k)
             if not np.all(np.isfinite(vals)):
                 print("warning: symbol evaluates non-finite on probe points",
                       file=sys.stderr)

@@ -413,11 +413,14 @@ def build_gamma_table(psi: SymbolSpec, space, k: Partition,
                else "extended-projective" if extended
                else "quasi-radial-pseudo-homogeneous")
     basis = enumerate_basis(space.n, degree)
-    if single:
-        (j, b), = blocks.items()
-        values = _sphere_values(b, k, j, k.block(p, j), space.n, basis, spec)
-    else:
-        values = _values(space, a_expr, blocks, k, p, basis, spec)
+    # a non-finite entry raises below, in place of NumPy's warnings
+    with np.errstate(all="ignore"):
+        if single:
+            (j, b), = blocks.items()
+            values = _sphere_values(b, k, j, k.block(p, j), space.n, basis,
+                                    spec)
+        else:
+            values = _values(space, a_expr, blocks, k, p, basis, spec)
     for alpha, value in zip(basis, values.tolist()):
         if not math.isfinite(value):
             raise DomainError(f"gamma{alpha} = {value} is not finite")

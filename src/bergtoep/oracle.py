@@ -39,11 +39,15 @@ evaluated in chunks of at most _CHUNK_POINTS points.
 
 Monte Carlo.  Both spaces draw from their own measures, through
 mc_integrate: the ball from its weight-lambda probability measure, P^n from
-the weight-M one, with the importance weight of weight m against M.  Every
-alpha with the same measure, samples and seed reads the same draw (on the
-ball, the whole table; on P^n, each M), so the memo takes it once and
-evaluates psi on it once; each alpha then costs its monomial, and its
-estimate is bitwise that of a separate call.
+the weight-M one, with the importance weight w of weight m against M.
+Every alpha with the same measure, samples and seed reads the same draw (on
+the ball, the whole table; on P^n, each M), so the memo takes it once and
+evaluates psi on it once.  The estimator is in the factored form
+z^alpha conj(z^beta) = |z|^(alpha+beta) e^{-i (beta-alpha).theta}: a draw
+holds the points Z, their moduli R, psi w, and per shift beta - alpha the
+product c = psi w e^{-i (beta-alpha).theta}, so each alpha costs one real
+monomial prod R_i^(alpha_i+beta_i) and one mean, and its estimate is
+bitwise that of a separate call.
 """
 
 from __future__ import annotations
@@ -165,40 +169,71 @@ def _polar_inner(psi, k, alpha, beta, a0_rule, a0_int, to_rho, q_r, q_theta,
     return complex(np.sum(W * profile)), len(W) * q_theta**n
 
 
+def _mc_draw(psi, k, domain, m, samples, seed):
+    """One seeded draw from domain, in the factored form: the points Z,
+    their moduli R (one row per coordinate), psi w at every point, and an
+    empty map from shift to c.  w is the importance weight of the weight-m
+    measure against the drawn weight M on P^n, taken from R, and 1 on the
+    ball."""
+    kept = []
+
+    def psi_at(Z):
+        kept.append((Z, evaluate_symbol_batch(psi, Z, k)))
+        return kept[0][1]
+
+    # mc_integrate is the one place that draws; its estimate of E[psi] is
+    # not needed
+    mc_integrate(psi_at, domain, samples, seed)
+    Z, psi_w = kept.pop()
+    R = np.abs(Z.T, order="C")
+    if domain[0] == "nu_m":
+        n, M = domain[1:]
+        log_c = lambda x: gammaln(n + x + 1) - gammaln(x + 1)
+        psi_w *= np.exp(log_c(m) - log_c(M) + (M - m) * np.log1p(
+            np.sum(R ** 2, axis=0)))
+    return Z, R, psi_w, {}
+
+
+def _mc_shifted(psi_w, Z, R, diff):
+    """c = psi w e^{-i diff.theta} at every point of the draw, with
+    e^{i theta_j} = Z_j / R_j (1 where R_j = 0)."""
+    c = psi_w
+    for j, d in enumerate(diff):
+        if d:
+            u = np.divide(Z[:, j], R[j], out=np.ones(len(Z), dtype=complex),
+                          where=R[j] > 0)
+            c = c * (np.conj(u) ** d if d > 0 else u ** -d)
+    return c
+
+
 def _mc_inner(psi, k, alpha, beta, domain, m, samples, seed, memo):
     """Estimate of E[psi z^alpha conj(z^beta) w] on the seeded draw from
     domain (a measure of mc_integrate), with the importance weight w of the
     weight-m measure against the drawn weight M on P^n, and w = 1 on the
     ball.
 
-    The memo keeps the latest draw only: a table meets its alpha grade by
-    grade, so M changes monotonically and an earlier draw is not asked for
-    again, and one draw of the default 10^6 samples already holds tens of MB.
+    z^alpha conj(z^beta) = |z|^(alpha+beta) e^{-i (beta-alpha).theta}: the
+    draw keeps c = psi w e^{-i (beta-alpha).theta} once per shift, and each
+    alpha costs the real monomial prod R_i^(alpha_i+beta_i).  The memo keeps
+    the latest draw only: a table meets its alpha grade by grade, so M
+    changes monotonically and an earlier draw is not asked for again, and
+    one draw of the default 10^6 samples already holds tens of MB.
     """
-    key = (domain, samples, seed)
+    key = (domain, m, samples, seed)
     if memo.get("monte-carlo", (None,))[0] != key:
         memo.pop("monte-carlo", None)  # free the earlier draw first
-        kept = []
-
-        def psi_at(Z):
-            kept.append((Z, evaluate_symbol_batch(psi, Z, k)))
-            return kept[0][1]
-
-        # mc_integrate is the one place that draws; its estimate of E[psi]
-        # is not needed
-        mc_integrate(psi_at, domain, samples, seed)
-        Z, psi_z = kept[0]
-        w = 1.0
-        if domain[0] == "nu_m":
-            n, M = domain[1:]
-            log_c = lambda x: gammaln(n + x + 1) - gammaln(x + 1)
-            w = np.exp(log_c(m) - log_c(M) + (M - m) * np.log1p(
-                np.sum(np.abs(Z) ** 2, axis=-1)))
-        memo["monte-carlo"] = (key, (Z, psi_z, w))
-    Z, psi_z, w = memo["monte-carlo"][1]
-    mono = np.prod(Z ** np.asarray(alpha), axis=-1)
-    mono = mono * np.prod(np.conj(Z) ** np.asarray(beta), axis=-1)
-    est, stderr = mc_mean(psi_z * mono * w)
+        memo["monte-carlo"] = (key, _mc_draw(psi, k, domain, m, samples,
+                                             seed))
+    Z, R, psi_w, shifts = memo["monte-carlo"][1]
+    diff = tuple(b - a for a, b in zip(alpha, beta))
+    if diff not in shifts:
+        shifts[diff] = _mc_shifted(psi_w, Z, R, diff)
+    mono = None
+    for r, e in zip(R, (a + b for a, b in zip(alpha, beta))):
+        if e:
+            mono = r ** e if mono is None else mono * r ** e
+    c = shifts[diff]
+    est, stderr = mc_mean(c if mono is None else c * mono)
     return OracleResult(complex(est), stderr, "monte-carlo", samples)
 
 

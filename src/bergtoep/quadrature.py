@@ -346,14 +346,26 @@ def mc_integrate(f, domain, N: int, seed: int):
         scale = np.prod([dirichlet_closed_form(a, a0) for a, a0 in factors])
         vals = np.asarray(f(*draws)) * scale
     elif kind in ("nu_m", "ball"):
-        n, w = domain[1], domain[2]
-        y = rng.dirichlet(np.concatenate([np.ones(n), [w + 1.0]]), size=N)
-        rho = np.sqrt(y[:, :n] / y[:, n:] if kind == "nu_m" else y[:, :n])
-        theta = rng.random((N, n)) * 2 * np.pi
-        vals = np.asarray(f(rho * np.exp(1j * theta)))
+        vals = np.asarray(f(_space_points(rng, kind, domain[1], domain[2],
+                                          N)))
     else:
         raise DomainError(f"unknown MC domain {kind!r}")
     return mc_mean(vals)
+
+
+def _space_points(rng, kind: str, n: int, w: float, N: int):
+    """N points z = rho e^{i theta} of the ("nu_m" or "ball") measure of
+    weight w, drawn from rng as mc_integrate documents.  The draw's
+    Dirichlet, rho and theta arrays die on return, before the integrand
+    runs; every step is the floating-point operation of the one-line
+    rho * np.exp(1j * theta), so the points are bitwise those."""
+    y = rng.dirichlet(np.concatenate([np.ones(n), [w + 1.0]]), size=N)
+    rho = np.sqrt(y[:, :n] / y[:, n:] if kind == "nu_m" else y[:, :n])
+    del y
+    Z = 1j * (rng.random((N, n)) * 2 * np.pi)
+    np.exp(Z, out=Z)
+    Z *= rho
+    return Z
 
 
 def mc_mean(vals):

@@ -233,11 +233,22 @@ def test_mc_memo_is_bitwise_per_alpha_draws():
                  - (gammaln(n + M + 1) - gammaln(M + 1)))
 
         def f(Z):
-            mono = np.prod(Z ** np.asarray(alpha), axis=-1)
-            mono = mono * np.prod(np.conj(Z) ** np.asarray(beta), axis=-1)
-            w = np.exp(logw0 + (M - m) * np.log1p(
-                np.sum(np.abs(Z) ** 2, axis=-1)))
-            return evaluate_symbol_batch(psi, Z, k) * mono * w
+            # the factored form: psi w e^{-i (beta-alpha).theta} times the
+            # real monomial prod R_i^(alpha_i+beta_i), operation by operation
+            R = np.abs(Z.T, order="C")
+            c = evaluate_symbol_batch(psi, Z, k)
+            c *= np.exp(logw0 + (M - m) * np.log1p(np.sum(R ** 2, axis=0)))
+            for j, (a, b) in enumerate(zip(alpha, beta)):
+                if b - a:
+                    u = np.divide(Z[:, j], R[j],
+                                  out=np.ones(len(Z), dtype=complex),
+                                  where=R[j] > 0)
+                    c = c * (np.conj(u) ** (b - a) if b > a else u ** (a - b))
+            mono = None
+            for r, e in zip(R, (a + b for a, b in zip(alpha, beta))):
+                if e:
+                    mono = r ** e if mono is None else mono * r ** e
+            return c if mono is None else c * mono
 
         want = mc_integrate(f, ("nu_m", n, M), samples, seed)
         assert (shared.value, shared.stderr) == (alone.value, alone.stderr)
@@ -253,7 +264,8 @@ def test_ball_mc_memo_draws_once_per_table(monkeypatch):
     draw = oracle.mc_integrate
     monkeypatch.setattr(oracle, "mc_integrate",
                         lambda *a: calls.append(a[1]) or draw(*a))
-    memo, rows = {}, _table_pairs(2, 3, p)
+    # the last two rows bring the shifts (1, 0) and (2, -2)
+    memo, rows = {}, _table_pairs(2, 3, p) + [((0, 2), (2, 0))]
     shared = [inner_product_ball(psi, alpha, beta, lam, 2, k,
                                  method="monte-carlo", samples=2000, seed=4,
                                  memo=memo) for alpha, beta in rows]
@@ -263,6 +275,52 @@ def test_ball_mc_memo_draws_once_per_table(monkeypatch):
                                    method="monte-carlo", samples=2000, seed=4)
         assert (got.value, got.stderr) == (alone.value, alone.stderr)
     assert len(calls) == 1 + len(rows)
+
+
+@pytest.mark.parametrize("space", ["projective", 1.0])
+@pytest.mark.parametrize("p", [(1, -1), (2, -2), (-2, 1, 1)])
+def test_mc_factored_estimator_matches_complex_powers(space, p):
+    """On the same draw, the factored estimate of every row agrees with the
+    integrand psi z^alpha conj(z^beta) w taken through complex powers: the
+    value to 1e-12 of the mean |term|, the standard error to 1e-12
+    relative.  On P^n (m = 4) the rows span several importance weights M,
+    and alpha with zero entries are among them."""
+    n, m, samples, seed = len(p), 4, 4000, 6
+    k = Partition((n,))
+    psi = Product((QuasiRadial("r1^2/(1+r1^2)"),
+                   MultiSphereFactor(0, "s1^2 + s2", p)))
+    memo, weights = {}, set()
+    for alpha, beta in _table_pairs(n, m, p):
+        if space == "projective":
+            D = sum(alpha) + sum(beta)
+            M = m if D <= m else 2 * m - D
+            domain, weights = ("nu_m", n, M), weights | {M}
+            logw0 = ((gammaln(n + m + 1) - gammaln(m + 1))
+                     - (gammaln(n + M + 1) - gammaln(M + 1)))
+            got = inner_product_projective(psi, alpha, beta, m, n, k,
+                                           method="monte-carlo",
+                                           samples=samples, seed=seed,
+                                           memo=memo)
+        else:
+            domain, M, logw0 = ("ball", n, space), m, 0.0
+            got = inner_product_ball(psi, alpha, beta, space, n, k,
+                                     method="monte-carlo", samples=samples,
+                                     seed=seed, memo=memo)
+        scale = []
+
+        def f(Z):
+            mono = np.prod(Z ** np.asarray(alpha), axis=-1)
+            mono = mono * np.prod(np.conj(Z) ** np.asarray(beta), axis=-1)
+            w = np.exp(logw0 + (M - m) * np.log1p(
+                np.sum(np.abs(Z) ** 2, axis=-1)))
+            terms = evaluate_symbol_batch(psi, Z, k) * mono * w
+            scale.append(np.mean(np.abs(terms)))
+            return terms
+
+        value, stderr = mc_integrate(f, domain, samples, seed)
+        assert abs(got.value - value) <= 1e-12 * scale[0]
+        assert got.stderr == pytest.approx(stderr, rel=1e-12)
+    assert space != "projective" or len(weights) > 1
 
 
 def test_unit_symbol_norms_at_boundary_degree():
