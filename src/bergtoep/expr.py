@@ -323,6 +323,59 @@ def _collect(terms: list) -> list:
     return list(out.values())
 
 
+def dirichlet_monomial(factors, roots: dict, degree: int):
+    """prod atom^k over the pairs (atom, k) of a `split_terms` term as
+    (c, exps), the term being c prod_i x_i^exps_i over the coordinates x of
+    a simplex (sum x = 1) when each variable v of roots is prod_i
+    x_i^roots[v][i] (roots[v] an array); None unless every exps_i is a
+    nonnegative integer and sum exps <= degree.  An atom is a variable of
+    roots, or a sum c sum_i x^(m + unit_i) over every coordinate i, which
+    is c x^m: with r_j^2 = x_j / x_0, c + c sum_j r_j^2 is c / x_0."""
+    size = len(next(iter(roots.values())))
+    c, exps = 1.0, np.zeros(size)
+    for atom, k in factors:
+        if isinstance(atom, Var) and atom.name in roots:
+            got = 1.0, roots[atom.name]
+        elif (got := _dirichlet_sum(atom, roots, size)) is None:
+            return None
+        c, exps = c * got[0] ** k, exps + k * got[1]
+    if np.all(exps >= 0) and np.all(exps % 1 == 0) and exps.sum() <= degree:
+        return c, tuple(int(x) for x in exps)
+    return None
+
+
+def _dirichlet_sum(atom: Expr, roots: dict, size: int):
+    """(c, m) with atom = c sum_i x^(m + unit_i) = c x^m, or None."""
+    terms = split_terms(atom)
+    if len(terms) != size or not all(isinstance(a, Var) and a.name in roots
+                                     for _, f in terms for a, _ in f):
+        return None
+    xs = np.array([sum((k * roots[a.name] for a, k in f), np.zeros(size))
+                   for _, f in terms])
+    low, coefficients = xs.min(axis=0), {c for c, _ in terms}
+    if (len(coefficients) == 1 and 0.0 not in coefficients
+            and sorted(map(tuple, xs - low)) == sorted(map(tuple,
+                                                           np.eye(size)))):
+        return coefficients.pop(), low
+    return None
+
+
+def dirichlet_form(e: Expr, roots: dict, degree: int):
+    """(closed, rest): the `split_terms` terms of e that `dirichlet_monomial`
+    writes as c prod x^exps, as pairs (c, exps), and the others as one
+    expression; rest is e itself when no term closes, None when all do."""
+    closed, rest = [], None
+    for c, factors in split_terms(e):
+        if (got := dirichlet_monomial(factors, roots, degree)) is not None:
+            closed.append((c * got[0], got[1]))
+            continue
+        term = monomial(factors)
+        term = Num(c) if term is None else term if c == 1 else \
+            BinOp("*", Num(c), term)
+        rest = term if rest is None else BinOp("+", rest, term)
+    return closed, (e if not closed else rest)
+
+
 def monomial(factors) -> Expr | None:
     """prod atom^k over the pairs (atom, k) of a `split_terms` term, the
     k < 0 ones as one divisor; None for the empty product."""

@@ -13,6 +13,12 @@ radial(a R_t) block(S_t), unless a term reads radii and cosines in one factor
 or the terms outnumber the q^(k_j - 1) nodes per radial node of the coupled
 grid, the block's rule contracted at every radial node.  A lone single-sphere
 factor on P^n has its own theorem; Monte Carlo draws once per distinct key.
+
+Terms of degree <= 2q - 1 in the barycentric coordinates of their integral
+(`expr.dirichlet_form`), where the order-q rule is exact, take their
+Dirichlet moments and build no rule: block and single-sphere terms, and the
+radial integral when every a R_t is one.  Everything else integrates on its
+rule; Monte Carlo samples every non-constant integrand.
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ from operator import mul
 import numpy as np
 
 from . import quadrature
-from .expr import Expr, evaluate, monomial, split_terms, variables
+from .expr import (BinOp, Expr, Num, dirichlet_form, evaluate, monomial,
+                   split_terms, variables)
 from .indexing import DomainError, Partition, enumerate_basis, gammaln
 from .quadrature import (QuadratureSpec, build_jacobi_rules,
                          dirichlet_closed_form, mc_integrate,
@@ -205,11 +212,19 @@ def _quadrature(space, a_expr, blocks: dict, k: Partition, e, a0,
              for j in weights}
     coupled = [j for j, t in terms.items() if t is None]
     split = {j: t for j, t in terms.items() if t is not None}
-    closed = a_expr is None and not coupled and all(
-        R is None for t in split.values() for _, R, _ in t)
+    forms = {j: [_form(S, _roots("s", k.parts[j], k.parts[j]), spec)
+                 for *_, S in t] for j, t in split.items()}
+    # a times each product of one term R per split block, by its moments
+    # when every such product is a polynomial in the radial coordinates
+    radial_roots = _roots("r", ell, ell + 1, ell if isinstance(
+        space, ProjectiveSpace) else None)
+    products = [] if coupled else [
+        _form(_times(a_expr, *Rs), radial_roots, spec)
+        for Rs in product(*([R for _, R, _ in t] for t in split.values()))]
+    closed = not coupled and all(rest is None for _, rest in products)
     keys = {j: _distinct(h) for j, h in weights.items()}
     pairs = [pair for j, (rows, _) in keys.items()
-             if j in coupled or any(S is not None for *_, S in split[j])
+             if j in coupled or any(rest is not None for _, rest in forms[j])
              for w in rows for pair in simplex_pairs(w[:-1], w[-1], q)]
     if not closed:
         # radial times coupled nodes, once per product of split terms
@@ -223,12 +238,17 @@ def _quadrature(space, a_expr, blocks: dict, k: Partition, e, a0,
     build_jacobi_rules(pairs, q)
     # each block's terms c_t block(S_t) per distinct block key, gathered
     integrals = {j: np.array([[
-        c * _integral(S, partial(_cosines_env, kj=k.parts[j]),
+        c * _integral(form, partial(_cosines_env, kj=k.parts[j]),
                       k.parts[j] - 1, tuple(w[:-1]), w[-1], spec)
-        for c, _, S in t] for w in keys[j][0]]).reshape(-1, len(t))[keys[j][1]]
-        for j, t in split.items()}
-    radial = np.ones((len(e), 1))  # closed: the prefactor takes it
-    if not closed:
+        for (c, *_), form in zip(t, forms[j])] for w in keys[j][0]]
+    ).reshape(-1, len(t))[keys[j][1]] for j, t in split.items()}
+    if closed:
+        # the moment ratios; the prefactor takes the Dirichlet closed form
+        weight = np.column_stack([e, a0])
+        radial = np.column_stack([
+            sum(c * _moment_ratio(weight, x) for c, x in terms)
+            for terms, _ in products])
+    else:
         rules = {j: [_block_rule(k.parts[j], tuple(w[:-1]), w[-1], spec)
                      for w in keys[j][0]] for j in coupled}
         radial = np.array([_radial_value(
@@ -258,10 +278,9 @@ def _radial_value(space, a_expr, coupled: list, split: list, e, a0,
             h = evaluate(b_expr, {**{v: r[pad] for v, r in env.items()},
                                   **cosines})
             vals = vals * quadrature.contract(h, ws)
-        # one integrand per product on a leading axis, each on all ell axes
-        combos = [reduce(mul, Rs, vals) for Rs in product(
+        # one integrand per product, each contracted on its own axes
+        return [reduce(mul, Rs, vals) for Rs in product(
             *([_evaluate(R, env) for R in Rs] for Rs in split))]
-        return np.stack(np.broadcast_arrays(*combos, *radii)[:len(combos)])
 
     if isinstance(space, ProjectiveSpace):
         return radial_integrate_projective(g, len(e), e,
@@ -270,19 +289,60 @@ def _radial_value(space, a_expr, coupled: list, split: list, e, a0,
                              len(e), e, a0, spec)
 
 
-def _integral(expr, env, d: int, exps, a0, spec) -> float:
-    """Integral of expr, at the variables env(x), against x^exps (1-sum x)^a0
-    over the d-simplex; the Dirichlet closed form when expr is None.  x
-    holds all d+1 coordinates, the last 1 - sum x."""
-    if expr is None:
-        return dirichlet_closed_form(exps, a0)
+def _times(*factors) -> Expr | None:
+    """The product of the factors that are not None; None for none."""
+    present = [f for f in factors if f is not None]
+    return reduce(partial(BinOp, "*"), present) if present else None
+
+
+def _roots(name: str, count: int, size: int, over: int | None = None):
+    """Variables name1..name<count> as exponent vectors over size
+    barycentric coordinates x: name_l^2 = x_l, or x_l / x_over."""
+    half = np.eye(size) / 2
+    return {f"{name}{l + 1}": half[l] - (0 if over is None else half[over])
+            for l in range(count)}
+
+
+def _form(expr: Expr | None, roots: dict, spec):
+    """(closed, rest) of expr as `dirichlet_form` splits it, up to the
+    degree the order-q rule integrates exactly; under Monte Carlo every
+    non-constant expr is all rest, so that it is sampled."""
+    if spec.method == "monte-carlo" and expr is not None:
+        return [], expr
+    return dirichlet_form(Num(1.0) if expr is None else expr, roots,
+                          2 * spec.order - 1)
+
+
+def _moment_ratio(x, exps) -> np.ndarray:
+    """Moment of prod_i x_i^exps_i, for integers exps_i >= 0, over the mass
+    of the Dirichlet weight prod_i x_i^x_i, one per row of x: a running
+    product of ratios (x_i + 1 + k)/(N + t), N = sum_i (x_i + 1), each at
+    most 1, so that it never overflows."""
+    out, N, t = np.ones(len(x)), x.shape[1] + x.sum(axis=1), 0
+    for i, c in enumerate(exps):
+        for k in range(c):
+            out = out * ((x[:, i] + 1 + k) / (N + t))
+            t += 1
+    return out
+
+
+def _integral(form, env, d: int, exps, a0, spec) -> float:
+    """Integral of a `_form` (closed, rest), rest at the variables env(x),
+    against x^exps (1-sum x)^a0 over the d-simplex: each closed term by its
+    Dirichlet moment, rest on the rule (or sampled).  x holds all d+1
+    coordinates, the last 1 - sum x."""
+    closed, rest = form
+    value = dirichlet_closed_form(exps, a0) * sum(
+        c * _moment_ratio(np.array([[*exps, a0]]), x)[0] for c, x in closed)
+    if rest is None:
+        return value
     if spec.method == "monte-carlo":
         # a Dirichlet draw holds one point per row
-        return mc_integrate(
-            lambda X: np.broadcast_to(evaluate(expr, env(X.T)), len(X)),
+        return value + mc_integrate(
+            lambda X: np.broadcast_to(evaluate(rest, env(X.T)), len(X)),
             ("dirichlet", [(exps, a0)]), spec.order, spec.seed)[0]
-    return float(simplex_integrate(lambda x: evaluate(expr, env(x)), d,
-                                   exps, a0, spec))
+    return value + float(simplex_integrate(lambda x: evaluate(rest, env(x)),
+                                           d, exps, a0, spec))
 
 
 def _block_rule(kj: int, exps, a0, spec):
@@ -328,11 +388,12 @@ def _sphere_values(b: Expr | None, k: Partition, j: int, p_j, n: int,
     logpref = gammaln(d + n) - gammaln(a0 + 1) - _gammaln_sum(a_j + p_j + 1)
     weights, weight_of = _distinct(np.column_stack(
         [a_j + np.asarray(p_j) / 2, a0]))
-    if b is not None and spec.method != "monte-carlo":
+    form = _form(b, _roots("sig", kj, kj + 1), spec)
+    if form[1] is not None and spec.method != "monte-carlo":
         build_jacobi_rules([pair for w in weights for pair in simplex_pairs(
             w[:-1], w[-1], spec.order)], spec.order)
-    integrals = [_integral(b, partial(_cosines_env, kj=kj, name="sig"), kj,
-                           tuple(w[:-1]), w[-1], spec) for w in weights]
+    integrals = [_integral(form, partial(_cosines_env, kj=kj, name="sig"),
+                           kj, tuple(w[:-1]), w[-1], spec) for w in weights]
     out = np.zeros(len(A))
     out[live] = [_scaled(s, integrals[u]) for s, u in zip(logpref.tolist(),
                                                           weight_of)]

@@ -271,7 +271,12 @@ def _tensor_integral(integrand, d: int, a: tuple, a0: float,
         raise DomainError("the tensor kernels are deterministic; draw from "
                           "the weight with mc_integrate(('dirichlet', ...))")
     us, ws = simplex_axes(d, a, float(a0), spec.order)
-    return contract(1.0 if integrand is None else integrand(us), ws)
+    values = 1.0 if integrand is None else integrand(us)
+    if isinstance(values, list):
+        # with a leading axis, np.dot sums a full-grid one as in a stack
+        return np.array([contract(np.asarray(v)[None], ws).reshape(())
+                         for v in values])
+    return contract(values, ws)
 
 
 def simplex_integrate(f, d: int, a, a0: float, spec: QuadratureSpec):
@@ -279,9 +284,9 @@ def simplex_integrate(f, d: int, a, a0: float, spec: QuadratureSpec):
 
     f takes the d+1 coordinates x_1, ..., x_d, 1 - sum x, each an array
     broadcast on the rule's d axes, and returns values that broadcast
-    against them; pass None for f == 1.  Values with d + 1 axes or more
-    hold several integrands, one per index of the leading axes, and give
-    an array of their integrals.  Exponents may be half-integers but must
+    against them; pass None for f == 1.  A list of such values holds
+    several integrands, each contracted on its own axes, and gives an
+    array of their integrals.  Exponents may be half-integers but must
     exceed -1.
     """
     return _tensor_integral(
@@ -294,8 +299,8 @@ def radial_integrate_projective(g, ell: int, e, N: float,
     """int_{R_+^ell} g(sqrt(r)) prod r_j^{e_j} (1+sum r)^{-N} dr.
 
     g takes the componentwise square roots of r (the block radii), each an
-    array broadcast on the rule's ell axes, and may give leading axes as f
-    does in simplex_integrate.  The unbounded domain is mapped to the
+    array broadcast on the rule's ell axes, and may give a list as f does
+    in simplex_integrate.  The unbounded domain is mapped to the
     simplex by r = u/(1-sum u).
     """
     e = tuple(float(x) for x in e)

@@ -88,10 +88,11 @@ def test_operator_json_entries_match_text_export(config_path, tmp_path):
 
 def test_unrepresentable_jacobi_rule_is_numerical_error(tmp_path):
     # the Jacobi rule of the radial integral overflows at m = 1100; it
-    # used to write NaN and 0.0 rows against gamma = (1+alpha)/(m+2)
+    # used to write NaN and 0.0 rows.  r1^2/(2+r1^2) is no polynomial in
+    # the barycentric coordinates, so it still takes the rule
     cfg = {"space": {"type": "projective", "n": 1, "m": 1100},
            "partition": [1],
-           "symbols": [{"kind": "quasi-radial", "a": "r1^2/(1+r1^2)"}]}
+           "symbols": [{"kind": "quasi-radial", "a": "r1^2/(2+r1^2)"}]}
     path = tmp_path / "c.json"
     path.write_text(json.dumps(cfg))
     assert run(["gamma", "--config", str(path), "--out",
@@ -155,24 +156,23 @@ def test_split_products_over_node_budget_are_numerical_error(
     assert "times 343 integrands exceeds the budget" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("m", [1020, 1050])
+@pytest.mark.parametrize("m", [1020, 1050, 1100, 5000])
 def test_large_weight_never_writes_nonfinite_rows(tmp_path, m):
-    # gamma = (1+alpha)/(m+2) on P^1; past the double range of the radial
-    # rule the command either fails as a numerical error or stays exact
+    # gamma = (1+alpha)/(m+2) on P^1: a = r1^2/(1+r1^2) is the coordinate
+    # U_1, whose Dirichlet moment needs no Jacobi rule at any weight
     cfg = {"space": {"type": "projective", "n": 1, "m": m},
            "partition": [1],
            "symbols": [{"kind": "quasi-radial", "a": "r1^2/(1+r1^2)"}]}
     path, out = tmp_path / "c.json", tmp_path / "g.csv"
     path.write_text(json.dumps(cfg))
-    code = run(["gamma", "--config", str(path), "--out", str(out)])
-    assert code in (0, 3)
-    if code == 0:
-        rows = [ln.split(",") for ln in out.read_text().splitlines()
-                if not ln.startswith("#")][1:]
-        assert len(rows) == m + 1
-        for alpha, re_, im_ in rows:
-            assert math.isfinite(float(re_)) and float(im_) == 0.0
-            assert abs(float(re_) - (1 + int(alpha)) / (m + 2)) < 1e-11
+    assert run(["gamma", "--config", str(path), "--out", str(out)]) == 0
+    rows = [ln.split(",") for ln in out.read_text().splitlines()
+            if not ln.startswith("#")][1:]
+    assert len(rows) == m + 1
+    for alpha, re_, im_ in rows:
+        assert math.isfinite(float(re_)) and float(im_) == 0.0
+        want = (1 + int(alpha)) / (m + 2)
+        assert abs(float(re_) - want) <= 1e-14 * want
 
 
 def test_fusion_verdict_equal(config_path, tmp_path):

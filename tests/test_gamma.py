@@ -18,8 +18,9 @@ from hypothesis import assume, given, settings, strategies as st
 from bergtoep import gamma as gamma_module
 from bergtoep import quadrature
 from bergtoep.cli import main
-from bergtoep.expr import (BinOp, Call, EvalError, Num, Var, evaluate,
-                           split_terms)
+from bergtoep.expr import (BinOp, Call, EvalError, Num, Var,
+                           dirichlet_form, dirichlet_monomial, evaluate,
+                           monomial, split_terms)
 from bergtoep.gamma import (
     BallSpace,
     ProjectiveSpace,
@@ -35,7 +36,8 @@ from bergtoep.gamma import (
 from bergtoep.expr import parse
 from bergtoep.indexing import DomainError, Partition, enumerate_basis
 from bergtoep.operators import product_table
-from bergtoep.quadrature import QuadratureSpec, simplex_rule
+from bergtoep.quadrature import (QuadratureSpec, simplex_integrate,
+                                 simplex_rule)
 from bergtoep.symbols import (
     ExtendedFactor,
     MultiSphereFactor,
@@ -469,9 +471,9 @@ def _count_calls(monkeypatch, name):
 
 def test_table_integrates_once_per_distinct_key(monkeypatch):
     """The c_gamma benchmark table: 1771 alpha, of which 1540 are no hard
-    zero (alpha_2 >= 1), with 210 radial keys (e, a0) and 210 block keys
-    (exps, a0_j).  The 21 radial keys that only hard zeros have (e_1 = 1,
-    where alpha_1 = alpha_2 = 0) are never integrated."""
+    zero (alpha_2 >= 1), with 210 block keys (exps, a0_j).  Its radial
+    integrand r1^2/(r1^2+r2^2+1) is the coordinate U_1, so no radial key
+    is integrated: the moment ratios take all of them."""
     radial = _count_calls(monkeypatch, "_radial_value")
     block = _count_calls(monkeypatch, "_integral")
     psi = Product((QuasiRadial("r1^2/(r1^2+r2^2+1)"),
@@ -480,7 +482,22 @@ def test_table_integrates_once_per_distinct_key(monkeypatch):
                               Partition((2, 1)), SPEC)
     assert len(table.entries) == 1771
     assert sum(v != 0 for v in table.entries.values()) == 1540
-    assert (len(radial), len(block)) == (210, 210)
+    assert (len(radial), len(block)) == (0, 210)
+
+
+def test_radial_quadrature_integrates_once_per_distinct_key(monkeypatch):
+    """The t_extended benchmark table keeps radial quadrature, since
+    r1^2/(1+r1^2) on k=(2,1) is U_1/(U_0+U_1): one radial integral per
+    distinct key (e, a0) of the 220 alpha that are no hard zero, i.e. per
+    (|alpha_(1)|, alpha_3) with alpha_2 >= 1; the hard zeros' keys never."""
+    radial = _count_calls(monkeypatch, "_radial_value")
+    psi = Product((QuasiRadial("r1^2/(1+r1^2)"),
+                   ExtendedFactor(0, "s1^2 + r1^2/(1+r1^2)", (1, -1))))
+    table = build_gamma_table(psi, ProjectiveSpace(3, 10),
+                              Partition((2, 1)), SPEC)
+    live = [a for a in enumerate_basis(3, 10) if a[1] >= 1]
+    assert sum(v != 0 for v in table.entries.values()) == len(live) == 220
+    assert len(radial) == len({(a[0] + a[1], a[2]) for a in live}) == 55
 
 
 def test_witness_product_table_runs_no_coupled_grid(monkeypatch):
@@ -524,3 +541,117 @@ def test_block_splits_only_below_its_coupled_grid(monkeypatch):
     build_gamma_table(ExtendedFactor(0, "(r1 + s1)^2", (0, 0)),
                       ProjectiveSpace(3, 3), Partition((2, 1)), SPEC)
     assert not rules
+
+
+# ------------------------------- Dirichlet moments of polynomial terms
+
+def _sqrt_env(name, x, over=None):
+    """name1, name2 at the coordinates x: name_l^2 = x_l (or x_l/x_over)."""
+    return {f"{name}{l + 1}": np.sqrt(x[l] / (1.0 if over is None
+                                              else x[over]))
+            for l in range(2)}
+
+
+# the coordinates of each integral, as (size, variables' exponents, env)
+DIRICHLET_CONTEXTS = {
+    "projective radii": (3, gamma_module._roots("r", 2, 3, 2),
+                         lambda x: _sqrt_env("r", x, 2)),
+    "ball radii": (3, gamma_module._roots("r", 2, 3),
+                   lambda x: _sqrt_env("r", x)),
+    "block cosines": (2, gamma_module._roots("s", 2, 2),
+                      lambda x: _sqrt_env("s", x)),
+    "sphere cosines": (3, gamma_module._roots("sig", 2, 3),
+                       lambda x: _sqrt_env("sig", x)),
+}
+DIRICHLET_LEAVES = st.one_of(
+    st.sampled_from([Var(v) for v in ("r1", "r2", "s1", "s2", "sig1",
+                                      "sig2")]),
+    # sums over every coordinate, some of them, and zero divisors
+    st.sampled_from([parse(v) for v in (
+        "1/(1 + r1^2 + r2^2)", "r1^2/(2*r1^2 + 2*r2^2 + 2)", "1/(1 + r1^2)",
+        "1/(s1^2 + s2^2)", "s1 - s1", "1/(s1 - s1)")]),
+    st.integers(1, 4).map(lambda v: Num(float(v))))
+DIRICHLET_EXPRESSIONS = st.recursive(DIRICHLET_LEAVES, lambda inner: st.one_of(
+    st.builds(BinOp, st.sampled_from("+-*/"), inner, inner),
+    st.builds(lambda base, k: BinOp("^", base, Num(float(k))), inner,
+              st.integers(1, 3)),
+    st.builds(lambda arg: Call("sqrt", arg), inner)), max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DIRICHLET_EXPRESSIONS, st.sampled_from(sorted(DIRICHLET_CONTEXTS)))
+def test_closed_terms_equal_their_monomials(e, context):
+    """Every term that closes is c prod x^exps at interior points of the
+    simplex to 1e-13; a term whose evaluation fails never closes."""
+    size, roots, env = DIRICHLET_CONTEXTS[context]
+    x = np.random.default_rng(0).dirichlet(np.ones(size), 16).T
+    for c, factors in split_terms(e):
+        got = dirichlet_monomial(factors, roots, 10**6)
+        term = monomial(factors)
+        try:
+            want = c * np.asarray(
+                1.0 if term is None else evaluate(term, env(x)))
+        except EvalError:
+            assert got is None
+            continue
+        if got is not None:
+            scale, exps = got
+            value = c * scale * np.prod([xi ** k for xi, k in zip(x, exps)],
+                                        axis=0)
+            assert np.all(np.abs(value - want) <= 1e-13 * np.abs(want))
+
+
+def test_dirichlet_form_of_the_benchmark_symbols():
+    """The P^n quasi-radial of the benchmarks is U_1 and the block factor
+    s1^2 + s2 closes in s1^2 only; on the ball, or with a radius missing
+    from the sum, r1^2/(1+r1^2) is no polynomial; past the degree an
+    order-40 rule integrates exactly, nothing closes."""
+    projective, ball = (gamma_module._roots("r", 2, 3, over) for over in
+                        (2, None))
+    cosines = gamma_module._roots("s", 2, 2)
+    assert dirichlet_form(parse("r1^2/(r1^2+r2^2+1)"), projective, 79) == (
+        [(1.0, (1, 0, 0))], None)
+    assert dirichlet_form(parse("2*r2^2/(3+3*r1^2+3*r2^2)"), projective,
+                          79) == ([(2 / 3, (0, 1, 0))], None)
+    assert dirichlet_form(parse("s1^2 + s2"), cosines, 79) == (
+        [(1.0, (1, 0))], Var("s2"))
+    for roots in (projective, ball):
+        a = parse("r1^2/(1+r1^2)")
+        assert dirichlet_form(a, roots, 79) == ([], a)
+    wide = gamma_module._roots("s", 3, 3)
+    assert dirichlet_form(parse("s1^64*s2^64"), wide, 79) == (
+        [(1.0, (32, 32, 0))], None)
+    high = parse("s1^64*s2^64*s3^64")
+    assert dirichlet_form(high, wide, 79) == ([], high)
+
+
+@pytest.mark.parametrize("name", ["t_multisphere_n2", "t_multisphere_n5",
+                                  "t_single_sphere", "t_beta"])
+def test_polynomial_tables_build_no_jacobi_rule(name, tmp_path, monkeypatch):
+    """Every integrand of these benchmark tables is a polynomial in the
+    barycentric coordinates of its integral: Dirichlet moments take all."""
+    def refuse(*args):
+        raise AssertionError("a Jacobi rule was built")
+
+    monkeypatch.setattr(quadrature, "_rules", {})
+    monkeypatch.setattr(quadrature, "_golub_welsch", refuse)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(JOBS["config_for"](BENCH_GAMMA_JOBS[name], 0)))
+    assert main(["gamma", "--config", str(cfg), "--out",
+                 str(tmp_path / "g.csv")]) == 0
+
+
+def test_closed_block_term_matches_order_80_quadrature():
+    """The s1^2 term of c_gamma's block factor s1^2 + s2 by its moment, at
+    every block key (exps, a0_j) of the table, against order 80."""
+    closed, rest = gamma_module._form(parse("s1^2 + s2"),
+                                      gamma_module._roots("s", 2, 2), SPEC)
+    assert rest == Var("s2")
+    keys = {(a[0] + 0.5, a[1] - 0.5) for a in enumerate_basis(3, 20)
+            if a[1] >= 1}
+    assert len(keys) == 210
+    fine = QuadratureSpec(order=80)
+    for x, x0 in sorted(keys):
+        got = gamma_module._integral((closed, None), None, 1, (x,), x0, SPEC)
+        want = simplex_integrate(lambda u: u[0], 1, (x,), x0, fine)
+        assert got == pytest.approx(want, rel=1e-14)
