@@ -31,7 +31,7 @@ from .geometry import (
 from .indexing import (
     DomainError,
     Partition,
-    basis_index,
+    basis_rank,
     enumerate_basis,
     monomial_norm_sq_ball,
     monomial_norm_sq_projective,

@@ -187,11 +187,10 @@ def cmd_gamma(args, cfg) -> None:
     psi = _combined_symbol(cfg)
     table = operators.product_table([psi], cfg["space"], cfg["partition"],
                                     cfg["quadrature"])
-    rows = []
-    for alpha in operators.space_basis(cfg["space"]):
-        g = table.entries[alpha]
-        rows.append([" ".join(str(a) for a in alpha), repr(g.real),
-                     repr(g.imag)])
+    basis = operators.space_basis(cfg["space"])
+    # Python scalars, so that repr prints plain floats
+    rows = [[" ".join(map(str, alpha)), repr(g.real), repr(g.imag)]
+            for alpha, g in zip(basis.tolist(), table.values.tolist())]
     write_rows(args, cfg, rows, ["alpha", "re", "im"],
                {"theorem": table.annotation,
                 "shift": list(table.shift)})
@@ -267,14 +266,12 @@ def cmd_oracle_compare(args, cfg) -> None:
         kwargs["q_r"] = kwargs["q_theta"] = int(
             ocfg.get("grid", oracle.DEFAULT_GRID))
     rows = []
-    for alpha in operators.space_basis(space):
-        g = table.entries[alpha]
-        beta = tuple(a + q for a, q in zip(alpha, table.shift))
-        if any(b < 0 for b in beta):
-            continue
-        res = oracle.gamma_from_oracle(psi, alpha, table.shift, space.m,
-                                       space.n, k, method, **kwargs)
-        rows.append([" ".join(str(a) for a in alpha), repr(g.real),
+    live = operators.shift_targets(space, table.shift) >= 0
+    basis = operators.space_basis(space)
+    for alpha, g in zip(basis[live].tolist(), table.values[live].tolist()):
+        res = oracle.gamma_from_oracle(psi, tuple(alpha), table.shift,
+                                       space.m, space.n, k, method, **kwargs)
+        rows.append([" ".join(map(str, alpha)), repr(g.real),
                      repr(res.value.real), repr(abs(g - res.value)),
                      repr(res.stderr)])
     write_rows(args, cfg, rows,

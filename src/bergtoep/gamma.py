@@ -24,6 +24,7 @@ rule; Monte Carlo samples every non-constant integrand.
 from __future__ import annotations
 
 import math
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import product
@@ -34,7 +35,8 @@ import numpy as np
 from . import quadrature
 from .expr import (BinOp, Expr, Num, dirichlet_form, evaluate, monomial,
                    split_terms, variables)
-from .indexing import DomainError, Partition, enumerate_basis, gammaln
+from .indexing import (DomainError, Partition, basis_rank, enumerate_basis,
+                       gammaln)
 from .quadrature import (QuadratureSpec, build_jacobi_rules,
                          dirichlet_closed_form, mc_integrate,
                          radial_integrate_projective, simplex_integrate,
@@ -56,6 +58,10 @@ class ProjectiveSpace:
     n: int
     m: int
 
+    @property
+    def degree(self) -> int:
+        return self.m
+
 
 @dataclass(frozen=True)
 class BallSpace:
@@ -63,17 +69,73 @@ class BallSpace:
     lam: float
     cap: int  # basis degree cap |alpha| <= cap
 
+    @property
+    def degree(self) -> int:
+        return self.cap
+
+
+def space_basis(space) -> np.ndarray:
+    """The space's basis, |alpha| <= m on P^n and <= cap on the ball."""
+    return enumerate_basis(space.n, space.degree)
+
+
+class _Entries(Mapping):
+    """Read-only view of a table as alpha -> gamma(alpha): any int sequence
+    of length n is a key, looked up by its rank; iteration yields the basis
+    as tuples, in order."""
+
+    def __init__(self, table):
+        self._table = table
+
+    def __getitem__(self, alpha):
+        alpha = np.asarray(alpha)
+        if alpha.shape != (self._table.space.n,) or alpha.dtype.kind not in "iu":
+            raise KeyError(alpha)
+        rank = int(basis_rank(alpha, self._table.space.degree))
+        if rank < 0:
+            raise KeyError(tuple(alpha.tolist()))
+        return complex(self._table.values[rank])
+
+    def __iter__(self):
+        return map(tuple, space_basis(self._table.space).tolist())
+
+    def __len__(self):
+        return len(self._table.values)
+
+    def values(self):
+        return _Values(self)
+
+    def items(self):
+        return _Items(self)
+
+
+class _Values(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping._table.values.tolist())
+
+
+class _Items(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._table.values.tolist())
+
 
 @dataclass(frozen=True)
 class GammaTable:
+    """gamma(alpha) at every alpha of the space's basis: `values[i]` at
+    row i of `space_basis(space)`, 0 at the hard zeros."""
+
     space: ProjectiveSpace | BallSpace
     partition: Partition
     shift: tuple[int, ...]
-    entries: dict
+    values: np.ndarray  # complex, read-only
     annotation: str
 
+    @property
+    def entries(self) -> Mapping:
+        return _Entries(self)
+
     def __getitem__(self, alpha):
-        return self.entries[tuple(alpha)]
+        return self.entries[alpha]
 
 
 def _evaluate(e: Expr | None, env: dict):
@@ -467,13 +529,12 @@ def build_gamma_table(psi: SymbolSpec, space, k: Partition,
               and isinstance(factors[0], SingleSphereFactor))
     a_expr, blocks, p = _split_product(
         psi, k, SingleSphereFactor if single else _EXTENDED)
-    degree = space.m if isinstance(space, ProjectiveSpace) else space.cap
     extended = any(isinstance(f, ExtendedFactor) for f in factors)
     theorem = ("extended-ball" if isinstance(space, BallSpace)
                else "single-sphere" if single
                else "extended-projective" if extended
                else "quasi-radial-pseudo-homogeneous")
-    basis = enumerate_basis(space.n, degree)
+    basis = space_basis(space)
     # a non-finite entry raises below, in place of NumPy's warnings
     with np.errstate(all="ignore"):
         if single:
@@ -482,8 +543,10 @@ def build_gamma_table(psi: SymbolSpec, space, k: Partition,
                                     spec)
         else:
             values = _values(space, a_expr, blocks, k, p, basis, spec)
-    for alpha, value in zip(basis, values.tolist()):
-        if not math.isfinite(value):
-            raise DomainError(f"gamma{alpha} = {value} is not finite")
-    entries = dict(zip(basis, map(complex, values.tolist())))
-    return GammaTable(space, k, p, entries, theorem)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        raise DomainError(f"gamma{tuple(basis[bad[0]].tolist())} = "
+                          f"{values[bad[0]].item()} is not finite")
+    values = values.astype(complex)
+    values.flags.writeable = False
+    return GammaTable(space, k, p, values, theorem)

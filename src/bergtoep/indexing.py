@@ -9,11 +9,9 @@ row/column index in the package refers to this order.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -82,33 +80,64 @@ class Partition:
 
 
 @lru_cache(maxsize=8)
-def enumerate_basis(n: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """All alpha in N^n with |alpha| <= m, graded lexicographic.
+def enumerate_basis(n: int, m: int) -> np.ndarray:
+    """All alpha in N^n with |alpha| <= m, graded lexicographic: a
+    read-only (binomial(n+m, n), n) int array, row i the alpha of rank i.
 
-    Length is binomial(n+m, n).  The order is the package-wide contract:
-    grade ascending, lexicographic within each grade.  The tuple is
-    memoized, so the tables and operators of one command share one basis.
+    The array is memoized, so the tables and operators of one command share
+    one basis.  It is built coordinate by coordinate: each row of the first
+    i coordinates, in lexicographic order, is followed by every value the
+    next coordinate can take, 0 up to m minus the row's sum; a stable sort
+    by grade then gives the graded order.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     if m < 0:
         raise DomainError(f"need m >= 0, got {m}")
-    out: list[tuple[int, ...]] = []
-    for d in range(m + 1):
-        grade = []
-        # compositions of d into n parts
-        for comb in combinations_with_replacement(range(n), d):
-            alpha = [0] * n
-            for c in comb:
-                alpha[c] += 1
-            grade.append(tuple(alpha))
-        grade.sort()
-        out.extend(grade)
-    return tuple(out)
+    rows, grade = np.zeros((1, 0), dtype=int), np.zeros(1, dtype=int)
+    for _ in range(n):
+        counts = m - grade + 1
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        value = np.arange(len(starts)) - starts
+        rows = np.column_stack([np.repeat(rows, counts, axis=0), value])
+        grade = np.repeat(grade, counts) + value
+    basis = rows[np.argsort(grade, kind="stable")]
+    basis.flags.writeable = False
+    return basis
 
 
-def basis_index(basis: Sequence[tuple[int, ...]]) -> dict[tuple[int, ...], int]:
-    return {alpha: i for i, alpha in enumerate(basis)}
+@lru_cache(maxsize=8)
+def _multisets(m: int, n: int) -> np.ndarray:
+    """C(x + y, y) at [x, y] for x <= m, y <= n: the number of alpha in N^y
+    with |alpha| = x, or in N^(y+1) with |alpha| <= x."""
+    table = np.ones((m + 1, n + 1), dtype=np.int64)
+    for y in range(1, n + 1):
+        table[:, y] = np.cumsum(table[:, y - 1])
+    return table
+
+
+def basis_rank(alphas, m: int) -> np.ndarray:
+    """The graded-lex rank of each alpha (the last axis of alphas) in
+    `enumerate_basis(n, m)`, -1 for a negative entry or |alpha| > m.
+
+    With d = |alpha| and R_i = d - alpha_1 - ... - alpha_i, the rank is the
+    C(n+d-1, n) alphas of lower grade plus, for each coordinate i < n, the
+    alphas of grade d that agree with alpha before i and are smaller at i,
+    sum_(b < alpha_i) C(R_(i-1) - b + n-i-1, n-i-1)
+    = C(R_(i-1) + n-i, n-i) - C(R_i + n-i, n-i) by the hockey stick.
+    """
+    alphas = np.asarray(alphas, dtype=np.int64)
+    n = alphas.shape[-1]
+    d = alphas.sum(axis=-1)
+    inside = np.all(alphas >= 0, axis=-1) & (d <= m)
+    table = _multisets(m, n)
+    # R_0 .. R_(n-1), clipped into the table outside the basis
+    rest = np.clip(d[..., None] - np.cumsum(alphas, axis=-1), 0, m)
+    rest = np.concatenate([np.clip(d, 0, m)[..., None], rest], axis=-1)
+    y = np.arange(n - 1, 0, -1)
+    rank = (np.where(d > 0, table[np.clip(d - 1, 0, m), n], 0)
+            + (table[rest[..., :-2], y] - table[rest[..., 1:-1], y]).sum(-1))
+    return np.where(inside, rank, -1)
 
 
 def monomial_norm_sq_projective(alpha, m: int) -> Fraction:

@@ -2,9 +2,12 @@
 
 Every covered operator is a weighted shift T z^alpha = w(alpha) z^(alpha+p)
 with a zero-sum shift p: it keeps each grade |alpha| and has at most one
-nonzero per column and per row.  A ToeplitzMatrix stores per column alpha
-its weight and its row(alpha+p), or -1 (weight 0) where alpha+p leaves the
-basis or gamma(alpha) = 0.  The algebra runs as O(dim) gathers over these
+nonzero per column and per row.  Rows and columns are the ranks of the
+space's basis, `space_basis(space)`, the (dim, n) int array of
+`indexing.enumerate_basis` in graded-lex order; the space fixes it.  A
+ToeplitzMatrix stores per column alpha its weight and its row(alpha+p),
+`basis_rank(alpha+p)`, or -1 (weight 0) where alpha+p leaves the basis or
+gamma(alpha) = 0.  The algebra runs as O(dim) gathers over these
 two arrays; `data` builds the dense matrix on request.  Weights are in the
 orthonormal basis, where the conjugate symbol gives the conjugate
 transpose.
@@ -17,9 +20,9 @@ from functools import reduce
 import numpy as np
 
 from . import expr as exprmod
-from .gamma import BallSpace, GammaTable, ProjectiveSpace, build_gamma_table
-from .indexing import (DomainError, Partition, basis_index, enumerate_basis,
-                       gammaln)
+from .gamma import (BallSpace, GammaTable, ProjectiveSpace, build_gamma_table,
+                    space_basis)
+from .indexing import DomainError, Partition, basis_rank, gammaln
 from .quadrature import QuadratureSpec
 from .symbols import (
     ExtendedFactor,
@@ -31,17 +34,10 @@ from .symbols import (
 )
 
 
-def space_basis(space) -> tuple[tuple[int, ...], ...]:
-    if isinstance(space, ProjectiveSpace):
-        return enumerate_basis(space.n, space.m)
-    return enumerate_basis(space.n, space.cap)
-
-
-def shift_targets(basis, shift) -> np.ndarray:
+def shift_targets(space, shift) -> np.ndarray:
     """Row of alpha+shift for every column alpha, -1 outside the basis."""
-    index = basis_index(basis)
-    return np.array([index.get(tuple(a + q for a, q in zip(alpha, shift)), -1)
-                     for alpha in basis], dtype=np.intp)
+    return basis_rank(space_basis(space) + np.asarray(shift, dtype=int),
+                      space.degree)
 
 
 @dataclass(frozen=True)
@@ -49,7 +45,6 @@ class ToeplitzMatrix:
     weights: np.ndarray  # complex, weight of column alpha; 0 without target
     target: np.ndarray  # intp, row of column alpha, -1 for no entry
     shift: tuple[int, ...]
-    basis: tuple[tuple[int, ...], ...]
     space: ProjectiveSpace | BallSpace
 
     @property
@@ -72,39 +67,34 @@ class ToeplitzMatrix:
         return self.target[cols], cols, self.weights[cols]
 
 
-def assemble(table: GammaTable, space=None, basis=None) -> ToeplitzMatrix:
+def assemble(table: GammaTable) -> ToeplitzMatrix:
     """Materialize a gamma table as a weighted shift in the orthonormal
     basis, in the frozen basis order.
 
     Since |alpha+p| = |alpha|, the squared-norm ratio of z^(alpha+p) to
     z^alpha is prod (alpha+p)_i! / alpha_i! on P^n and on the ball alike.
     """
-    space = table.space if space is None else space
-    if space != table.space:
-        raise DomainError("table and target space disagree")
-    basis = space_basis(space) if basis is None else tuple(basis)
     # gamma(alpha) and the target row of every column alpha
-    target = shift_targets(basis, table.shift)
-    g = np.array([table.entries.get(alpha, 0j) for alpha in basis],
-                 dtype=complex)
+    target = shift_targets(table.space, table.shift)
+    g = table.values.copy()
     target[g == 0] = -1
     g[target < 0] = 0
     kept = target >= 0
-    alpha = np.array(basis, dtype=float)[kept]
+    alpha = space_basis(table.space)[kept].astype(float)
     beta = alpha + np.asarray(table.shift, dtype=float)
     g[kept] *= np.exp(0.5 * (gammaln(beta + 1) - gammaln(alpha + 1)).sum(1))
-    return ToeplitzMatrix(g, target, table.shift, basis, space)
+    return ToeplitzMatrix(g, target, table.shift, table.space)
 
 
 def compose(m1: ToeplitzMatrix, m2: ToeplitzMatrix) -> ToeplitzMatrix:
     """m1 m2: column alpha goes to m1's target of m2's target."""
-    if m1.basis is not m2.basis and m1.basis != m2.basis:
-        raise DomainError("operands assembled over different bases")
+    if m1.space != m2.space:
+        raise DomainError("operands assembled over different spaces")
     shift = tuple(a + b for a, b in zip(m1.shift, m2.shift))
     mid = m2.target
     target = np.where(mid >= 0, m1.target[mid], -1)
     weights = np.where(mid >= 0, m1.weights[mid] * m2.weights, 0)
-    return ToeplitzMatrix(weights, target, shift, m1.basis, m1.space)
+    return ToeplitzMatrix(weights, target, shift, m1.space)
 
 
 def commutator(m1: ToeplitzMatrix, m2: ToeplitzMatrix) -> ToeplitzMatrix:
@@ -113,7 +103,7 @@ def commutator(m1: ToeplitzMatrix, m2: ToeplitzMatrix) -> ToeplitzMatrix:
     a, b = compose(m1, m2), compose(m2, m1)
     return ToeplitzMatrix(a.weights - b.weights,
                           np.where(a.target >= 0, a.target, b.target),
-                          a.shift, a.basis, a.space)
+                          a.shift, a.space)
 
 
 def frobenius_norm(m) -> float:
@@ -122,18 +112,12 @@ def frobenius_norm(m) -> float:
 
 
 def audit_shift_structure(m: ToeplitzMatrix) -> bool:
-    """Every column has at most one nonzero, in row(alpha + p)."""
-    index = basis_index(m.basis)
-    data = m.data
-    for col, alpha in enumerate(m.basis):
-        nz = np.flatnonzero(data[:, col])
-        if len(nz) > 1:
-            return False
-        if len(nz) == 1:
-            beta = tuple(a + q for a, q in zip(alpha, m.shift))
-            if index.get(beta) != int(nz[0]):
-                return False
-    return True
+    """Every column has at most one nonzero, in the row of alpha + p.  This
+    reads the dense matrix and the basis rows only, not `basis_rank`."""
+    rows, cols = np.nonzero(m.data)
+    basis = space_basis(m.space)
+    return (len(np.unique(cols)) == len(cols)
+            and np.array_equal(basis[rows], basis[cols] + m.shift))
 
 
 def single_sphere_to_extended(f: SingleSphereFactor,

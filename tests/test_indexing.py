@@ -9,7 +9,7 @@ import pytest
 from bergtoep.indexing import (
     DomainError,
     Partition,
-    basis_index,
+    basis_rank,
     enumerate_basis,
     gammaln,
     monomial_norm_sq_ball,
@@ -20,15 +20,19 @@ from bergtoep.indexing import (
 def test_basis_size_is_binomial():
     for n, m in [(1, 0), (1, 5), (2, 3), (3, 4), (4, 2)]:
         basis = enumerate_basis(n, m)
-        assert len(basis) == math.comb(n + m, n)
-        assert len(set(basis)) == len(basis)
+        assert basis.shape == (math.comb(n + m, n), n)
+        assert len(np.unique(basis, axis=0)) == len(basis)
+        assert not basis.flags.writeable
 
 
 def test_basis_graded_lex_order():
     basis = enumerate_basis(2, 2)
-    assert basis == ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0))
-    degrees = [sum(a) for a in basis]
-    assert degrees == sorted(degrees)
+    assert basis.tolist() == [[0, 0], [0, 1], [1, 0], [0, 2], [1, 1], [2, 0]]
+    degrees = basis.sum(axis=1)
+    assert (np.diff(degrees) >= 0).all()
+    # lexicographic within each grade, for a wider basis too
+    rows = [tuple(a) for a in enumerate_basis(4, 5).tolist()]
+    assert rows == sorted(rows, key=lambda a: (sum(a), a))
 
 
 def test_basis_membership():
@@ -37,11 +41,25 @@ def test_basis_membership():
         assert all(a >= 0 for a in alpha)
 
 
-def test_basis_index_round_trip():
-    basis = enumerate_basis(3, 3)
-    index = basis_index(basis)
-    for i, alpha in enumerate(basis):
-        assert index[alpha] == i
+@pytest.mark.parametrize("n,m", [(1, 0), (1, 7), (2, 5), (3, 4), (4, 6),
+                                 (6, 3), (25, 5)])
+def test_basis_rank_round_trip(n, m):
+    basis = enumerate_basis(n, m)
+    assert np.array_equal(basis_rank(basis, m), np.arange(len(basis)))
+    # the rank does not depend on the cap, only membership does
+    if m:
+        low = enumerate_basis(n, m - 1)
+        assert np.array_equal(basis_rank(low, m), np.arange(len(low)))
+        assert np.array_equal(basis_rank(basis, m - 1),
+                              np.where(basis.sum(axis=1) < m,
+                                       np.arange(len(basis)), -1))
+
+
+def test_basis_rank_is_minus_one_outside():
+    assert basis_rank([[0, -1, 1], [2, 2, 1], [-3, 0, 0], [1, 1, 2]],
+                      4).tolist() == [-1, -1, -1, 26]
+    assert basis_rank((1, 0, 3), 4) == 25  # one alpha, a 0-d result
+    assert basis_rank(np.zeros((2, 0, 3), dtype=int), 3).shape == (2, 0)
 
 
 def test_projective_norm_exact_values():

@@ -11,7 +11,7 @@ import pytest
 
 from bergtoep.gamma import (BallSpace, GammaTable, ProjectiveSpace,
                             build_gamma_table)
-from bergtoep.indexing import Partition
+from bergtoep.indexing import Partition, enumerate_basis
 from bergtoep.operators import (
     ToeplitzMatrix,
     assemble,
@@ -194,11 +194,11 @@ def test_identity_at_large_weight():
 def synthetic(space, shift, seed, k=None):
     """Weighted shift with seeded random complex gamma, a few of them 0."""
     rng = np.random.default_rng(seed)
-    basis = space_basis(space)
-    g = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-    g[rng.random(len(basis)) < 0.1] = 0
+    dim = len(space_basis(space))
+    g = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    g[rng.random(dim) < 0.1] = 0
     k = Partition((space.n,)) if k is None else k
-    table = GammaTable(space, k, shift, dict(zip(basis, g)), "synthetic")
+    table = GammaTable(space, k, shift, g, "synthetic")
     return assemble(table)
 
 
@@ -224,7 +224,7 @@ def test_shift_algebra_matches_dense(space, p1, p2):
         assert frobenius_norm(got) == pytest.approx(
             np.sqrt(np.sum(np.abs(want) ** 2)), rel=1e-14)
     # columns where the basis edge cuts exactly one of the two products
-    t1, t2, t12 = (shift_targets(A.basis, p) >= 0 for p in
+    t1, t2, t12 = (shift_targets(space, p) >= 0 for p in
                    (p1, p2, tuple(a + b for a, b in zip(p1, p2))))
     edge = (t2 & t12) != (t1 & t12)
     assert edge.any() == (any(p1) and any(p2))
@@ -259,13 +259,17 @@ def test_fusion_defect_matches_dense(space, k, a, factors):
 def test_shift_algebra_at_dim_1e5():
     """n=3, m=83 (dim 102 340): a dense pair would need 167 GB each."""
     space = ProjectiveSpace(3, 83)
-    basis = tuple(space_basis(space))
     rng = np.random.default_rng(0)
+    enumerate_basis.cache_clear()
+    start = time.perf_counter()
+    basis = space_basis(space)
+    targets = {p: shift_targets(space, p) for p in ((1, -1, 0), (0, 2, -2))}
+    setup = time.perf_counter() - start
 
     def shift_operator(p):
-        target = shift_targets(basis, p)
+        target = targets[p]
         weights = np.where(target >= 0, rng.standard_normal(len(basis)), 0)
-        return ToeplitzMatrix(weights + 0j, target, p, basis, space)
+        return ToeplitzMatrix(weights + 0j, target, p, space)
 
     A, B = shift_operator((1, -1, 0)), shift_operator((0, 2, -2))
     tracemalloc.start()
@@ -279,5 +283,6 @@ def test_shift_algebra_at_dim_1e5():
     assert AB.dim == C.dim == len(basis) == 102340
     assert AB.shift == C.shift == (1, 1, -2)
     assert norm > 0
+    assert setup < 0.3
     assert elapsed < 1.0
     assert peak < 64 * 2 ** 20
