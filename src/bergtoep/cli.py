@@ -38,20 +38,18 @@ class ConfigError(ValueError):
     pass
 
 
+_ANGULAR = {"multi-sphere": MultiSphereFactor,
+            "single-sphere": SingleSphereFactor, "extended": ExtendedFactor}
+
+
 def parse_symbol(desc: dict):
     kind = desc.get("kind")
     try:
         if kind == "quasi-radial":
             return QuasiRadial(desc["a"])
-        if kind == "multi-sphere":
-            return MultiSphereFactor(int(desc["block"]) - 1,
-                                     desc.get("b", "1"), tuple(desc["p"]))
-        if kind == "single-sphere":
-            return SingleSphereFactor(int(desc["block"]) - 1,
-                                      desc.get("b", "1"), tuple(desc["p"]))
-        if kind == "extended":
-            return ExtendedFactor(int(desc["block"]) - 1,
-                                  desc.get("b", "1"), tuple(desc["p"]))
+        if kind in _ANGULAR:
+            return _ANGULAR[kind](int(desc["block"]) - 1, desc.get("b", "1"),
+                                  tuple(desc["p"]))
         if kind == "phase":
             return PhaseMonomial(tuple(desc["p"]))
         if kind == "product":
@@ -84,11 +82,8 @@ def load_config(path: str, args) -> dict:
         qcfg["order"] = args.quad_order
     if args.seed is not None:
         qcfg["seed"] = args.seed
-    spec = QuadratureSpec(
-        method=qcfg.get("method", "gauss-jacobi-tensor"),
-        order=int(qcfg.get("order", 40)),
-        seed=int(qcfg.get("seed", 0)),
-    )
+    spec = QuadratureSpec(qcfg.get("method", "gauss-jacobi-tensor"),
+                          int(qcfg.get("order", 40)), int(qcfg.get("seed", 0)))
     ocfg = dict(cfg.get("oracle", {}))
     if args.mc_samples is not None:
         ocfg["samples"] = args.mc_samples
@@ -135,8 +130,7 @@ def meta_block(cfg, extra=None) -> dict:
         "quadrature": {"method": spec.method, "order": spec.order,
                        "seed": spec.seed},
     }
-    if extra:
-        meta.update(extra)
+    meta.update(extra or {})
     return meta
 
 
@@ -165,9 +159,8 @@ def write_rows(args, cfg, rows, columns, extra_meta=None) -> None:
             fh.write(f"# basis-order {meta['basis_order']}\n")
             fh.write("# config " + json.dumps(meta["config"], sort_keys=True)
                      + "\n")
-            if extra_meta:
-                for key in sorted(extra_meta):
-                    fh.write(f"# {key} {json.dumps(extra_meta[key])}\n")
+            for key in sorted(extra_meta or {}):
+                fh.write(f"# {key} {json.dumps(extra_meta[key])}\n")
             fh.write(",".join(columns) + "\n")
             for row in rows:
                 fh.write(",".join(str(x) for x in row) + "\n")
@@ -201,22 +194,19 @@ def cmd_operator(args, cfg) -> None:
     table = operators.product_table([psi], cfg["space"], cfg["partition"],
                                     cfg["quadrature"])
     mat = operators.assemble(table)
+    fh, close = _open_out(args)
     if args.format == "json":
         entries = [[int(r), int(c), float(v.real), float(v.imag)]
                    for r, c, v in zip(*mat.entries())]
         doc = {"meta": meta_block(cfg, {"dim": mat.dim,
                                         "shift": list(mat.shift)}),
                "entries": entries}
-        fh, close = _open_out(args)
         json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
-        if close:
-            fh.close()
     else:
-        fh, close = _open_out(args)
         operators.export_matrix(mat, fh)
-        if close:
-            fh.close()
+    if close:
+        fh.close()
 
 
 def cmd_commutator(args, cfg) -> None:
@@ -231,19 +221,13 @@ def cmd_fusion(args, cfg) -> None:
     symbols = cfg["symbols"]
     if not symbols:
         raise ConfigError("fusion needs symbols")
-    a = None
     factors = list(symbols)
-    if isinstance(factors[0], QuasiRadial):
-        a = factors.pop(0)
+    a = factors.pop(0) if isinstance(factors[0], QuasiRadial) else None
     defect, scale = operators.fusion_defect(a, factors, cfg["space"],
                                             cfg["partition"],
                                             cfg["quadrature"])
-    if scale == 0:
-        verdict = "DEGENERATE"
-    elif defect / scale <= 1e-10:
-        verdict = "EQUAL"
-    else:
-        verdict = "UNEQUAL"
+    verdict = ("DEGENERATE" if scale == 0
+               else "EQUAL" if defect / scale <= 1e-10 else "UNEQUAL")
     write_rows(args, cfg, [[repr(defect), repr(scale), verdict]],
                ["defect", "scale", "verdict"])
 

@@ -15,6 +15,7 @@ arrays as well as on scalars.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -28,6 +29,9 @@ FUNCTIONS = {
     "sqrt": np.sqrt,
     "abs": np.abs,
 }
+
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 class ParseError(ValueError):
@@ -129,24 +133,18 @@ class _Parser:
         return e
 
     def expr(self) -> Expr:
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                node = BinOp(val, node, self.term())
-            else:
-                return node
+        return self.chain("+-", self.term)
 
     def term(self) -> Expr:
-        node = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                node = BinOp(val, node, self.factor())
-            else:
-                return node
+        return self.chain("*/", self.factor)
+
+    def chain(self, ops: str, operand) -> Expr:
+        """operand (op operand)*, left-associative, op one of ops."""
+        node = operand()
+        while (tok := self.peek())[0] == "op" and tok[1] in ops:
+            self.advance()
+            node = BinOp(tok[1], node, operand())
+        return node
 
     def factor(self) -> Expr:
         kind, val, _ = self.peek()
@@ -205,12 +203,8 @@ def evaluate(e: Expr, env: dict):
     if isinstance(e, BinOp):
         lhs = evaluate(e.left, env)
         rhs = evaluate(e.right, env)
-        if e.op == "+":
-            return lhs + rhs
-        if e.op == "-":
-            return lhs - rhs
-        if e.op == "*":
-            return lhs * rhs
+        if e.op in _ARITHMETIC:
+            return _ARITHMETIC[e.op](lhs, rhs)
         if e.op == "/":
             if np.any(rhs == 0):
                 raise EvalError("division by zero", e)

@@ -24,7 +24,8 @@ rule; Monte Carlo samples every non-constant integrand.
 from __future__ import annotations
 
 import math
-from collections.abc import ItemsView, Mapping, ValuesView
+import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import product
@@ -57,10 +58,7 @@ class UnsupportedCaseError(DomainError):
 class ProjectiveSpace:
     n: int
     m: int
-
-    @property
-    def degree(self) -> int:
-        return self.m
+    degree = property(lambda self: self.m)  # the basis is |alpha| <= degree
 
 
 @dataclass(frozen=True)
@@ -68,10 +66,7 @@ class BallSpace:
     n: int
     lam: float
     cap: int  # basis degree cap |alpha| <= cap
-
-    @property
-    def degree(self) -> int:
-        return self.cap
+    degree = property(lambda self: self.cap)
 
 
 def space_basis(space) -> np.ndarray:
@@ -80,20 +75,18 @@ def space_basis(space) -> np.ndarray:
 
 
 class _Entries(Mapping):
-    """Read-only view of a table as alpha -> gamma(alpha): any int sequence
-    of length n is a key, looked up by its rank; iteration yields the basis
-    as tuples, in order."""
+    """gamma by alpha, read-only: any int sequence of length n is a key,
+    looked up by its rank; iteration is in basis order."""
 
     def __init__(self, table):
         self._table = table
 
     def __getitem__(self, alpha):
-        alpha = np.asarray(alpha)
-        if alpha.shape != (self._table.space.n,) or alpha.dtype.kind not in "iu":
-            raise KeyError(alpha)
-        rank = int(basis_rank(alpha, self._table.space.degree))
+        key, space = np.asarray(alpha), self._table.space
+        rank = (int(basis_rank(key, space.degree)) if key.shape == (space.n,)
+                and key.dtype.kind in "iu" else -1)
         if rank < 0:
-            raise KeyError(tuple(alpha.tolist()))
+            raise KeyError(alpha)
         return complex(self._table.values[rank])
 
     def __iter__(self):
@@ -102,21 +95,8 @@ class _Entries(Mapping):
     def __len__(self):
         return len(self._table.values)
 
-    def values(self):
-        return _Values(self)
-
-    def items(self):
-        return _Items(self)
-
-
-class _Values(ValuesView):
-    def __iter__(self):
-        return iter(self._mapping._table.values.tolist())
-
-
-class _Items(ItemsView):
-    def __iter__(self):
-        return zip(self._mapping, self._mapping._table.values.tolist())
+    def values(self):  # in basis order, with no lookup per key
+        return self._table.values.tolist()
 
 
 @dataclass(frozen=True)
@@ -184,10 +164,16 @@ def _block_terms(b: Expr | None, limit: int):
 
 
 def _scaled(log_scale: float, value: float) -> float:
-    """exp(log_scale) * value, combined in log space: a prefactor past the
-    float range times a tiny integral is still a finite coefficient."""
+    """exp(log_scale) * value: the product of the two floats when both and
+    the product are normal, so that gamma is rounded at its own scale, else
+    in log space, so that a prefactor past the float range times a tiny
+    integral is still a finite coefficient."""
     if value == 0:
         return 0.0
+    scale = math.exp(log_scale) if log_scale < 709 else math.inf
+    if all(sys.float_info.min <= abs(x) < math.inf
+           for x in (scale, value, scale * value)):
+        return scale * value
     try:
         return math.copysign(math.exp(log_scale + math.log(abs(value))),
                              value)

@@ -27,18 +27,11 @@ def moment_map_full(w) -> np.ndarray:
 
 def moment_map_partition(w, k: Partition) -> np.ndarray:
     """Block version: (1/2|w|^2)(|w_0|^2, |w_(1)|^2, ..., |w_(l)|^2)."""
-    w = np.asarray(w, dtype=complex)
-    if w.shape != (k.n + 1,):
+    if np.shape(w) != (k.n + 1,):
         raise DomainError(f"expected {k.n + 1} homogeneous coordinates")
-    nsq = float(np.sum(np.abs(w) ** 2))
-    if nsq == 0:
-        raise DomainError("moment map undefined at w = 0")
-    out = np.empty(k.num_blocks + 1)
-    out[0] = np.abs(w[0]) ** 2
-    for j in range(k.num_blocks):
-        sl = k.block_slice(j)
-        out[j + 1] = np.sum(np.abs(w[1 + sl.start:1 + sl.stop]) ** 2)
-    return out / (2 * nsq)
+    mu = moment_map_full(w)
+    return np.array([mu[0], *(mu[1:][k.block_slice(j)].sum()
+                              for j in range(k.num_blocks))])
 
 
 def to_delzant(mu: np.ndarray) -> np.ndarray:
@@ -64,6 +57,21 @@ def _sample_points(rng, n: int, count: int) -> np.ndarray:
     return z
 
 
+def _max_deviation(psi: SymbolSpec, k: Partition, trials: int, seed: int,
+                   move) -> float:
+    """Max |psi(move(rng, z)) - psi(z)| over trials, each drawing z and then
+    move's randomness from its own default_rng(seed + trial); psi is
+    evaluated once on all 2 trials points."""
+    Z = np.empty((2, trials, k.n), dtype=complex)
+    for trial in range(trials):
+        rng = np.random.default_rng(seed + trial)
+        Z[0, trial] = _sample_points(rng, k.n, 1)[0]
+        Z[1, trial] = move(rng, Z[0, trial])
+    vals = evaluate_symbol_batch(psi, Z, k)
+    # Python's abs, as for one pair: NumPy's vector loop may round |z| apart
+    return max(0.0, *map(abs, (vals[1] - vals[0]).tolist()))
+
+
 def invariance_check(psi: SymbolSpec, k: Partition, action: str,
                      trials: int = 1000, seed: int = 0) -> float:
     """Max |psi(t.z) - psi(z)| over random points and torus elements.
@@ -76,21 +84,17 @@ def invariance_check(psi: SymbolSpec, k: Partition, action: str,
         raise DomainError("need at least one trial")
     if action not in ("full-torus", "partition-torus"):
         raise DomainError(f"unknown action {action!r}")
-    worst = 0.0
-    for trial in range(trials):
-        rng = np.random.default_rng(seed + trial)
-        z = _sample_points(rng, k.n, 1)[0]
+
+    def move(rng, z):
         if action == "full-torus":
-            phases = np.exp(2j * np.pi * rng.random(k.n))
-            zt = z * phases
-        else:
-            block_phases = np.exp(2j * np.pi * rng.random(k.num_blocks + 1))
-            zt = z.copy()
-            for j in range(k.num_blocks):
-                zt[k.block_slice(j)] *= block_phases[j + 1] / block_phases[0]
-        vals = evaluate_symbol_batch(psi, np.stack([z, zt]), k)
-        worst = max(worst, float(abs(vals[1] - vals[0])))
-    return worst
+            return z * np.exp(2j * np.pi * rng.random(k.n))
+        block_phases = np.exp(2j * np.pi * rng.random(k.num_blocks + 1))
+        zt = z.copy()
+        for j in range(k.num_blocks):
+            zt[k.block_slice(j)] *= block_phases[j + 1] / block_phases[0]
+        return zt
+
+    return _max_deviation(psi, k, trials, seed, move)
 
 
 def _random_block_unitary(rng, dim: int) -> np.ndarray:
@@ -109,15 +113,12 @@ def factorization_check(a: SymbolSpec, k: Partition, pairs: int = 1000,
     """
     if pairs < 1:
         raise DomainError("need at least one pair")
-    worst = 0.0
-    for trial in range(pairs):
-        rng = np.random.default_rng(seed + trial)
-        z = _sample_points(rng, k.n, 1)[0]
+
+    def move(rng, z):
         zt = z.copy()
         for j in range(k.num_blocks):
-            U = _random_block_unitary(rng, k.parts[j])
             sl = k.block_slice(j)
-            zt[sl] = U @ z[sl]
-        vals = evaluate_symbol_batch(a, np.stack([z, zt]), k)
-        worst = max(worst, float(abs(vals[1] - vals[0])))
-    return worst
+            zt[sl] = _random_block_unitary(rng, k.parts[j]) @ z[sl]
+        return zt
+
+    return _max_deviation(a, k, pairs, seed, move)

@@ -1,9 +1,9 @@
 """Multi-index and partition combinatorics for the monomial bases.
 
-The basis of the weighted space over n variables at weight m is the set of
-monomials z^alpha with |alpha| <= m, frozen in graded lexicographic order
-(grade = |alpha|, then plain lexicographic within a grade).  Every matrix
-row/column index in the package refers to this order.
+The basis at weight m over n variables, the z^alpha with |alpha| <= m in
+graded lexicographic order (grade |alpha|, then lexicographic), is one
+read-only (dim, n) int array; `basis_rank` inverts it in closed form and
+gives -1 outside it.  Every matrix row/column index is such a rank.
 """
 
 from __future__ import annotations
@@ -60,18 +60,9 @@ class Partition:
     def num_blocks(self) -> int:
         return len(self.parts)
 
-    @property
-    def block_offsets(self) -> tuple[int, ...]:
-        offs = []
-        acc = 0
-        for p in self.parts:
-            offs.append(acc)
-            acc += p
-        return tuple(offs)
-
     def block_slice(self, j: int) -> slice:
         """0-based block index j -> slice of coordinates in that block."""
-        off = self.block_offsets[j]
+        off = sum(self.parts[:j])
         return slice(off, off + self.parts[j])
 
     def block(self, vec, j: int):
@@ -82,13 +73,12 @@ class Partition:
 @lru_cache(maxsize=8)
 def enumerate_basis(n: int, m: int) -> np.ndarray:
     """All alpha in N^n with |alpha| <= m, graded lexicographic: a
-    read-only (binomial(n+m, n), n) int array, row i the alpha of rank i.
+    read-only (binomial(n+m, n), n) int array, row i the alpha of rank i,
+    memoized so that the tables and operators of one command share it.
 
-    The array is memoized, so the tables and operators of one command share
-    one basis.  It is built coordinate by coordinate: each row of the first
-    i coordinates, in lexicographic order, is followed by every value the
-    next coordinate can take, 0 up to m minus the row's sum; a stable sort
-    by grade then gives the graded order.
+    Each row of the first i coordinates, in lexicographic order, is
+    followed by every value coordinate i+1 can take, 0 to m minus the
+    row's sum; a stable sort by grade then gives the graded order.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
@@ -106,16 +96,6 @@ def enumerate_basis(n: int, m: int) -> np.ndarray:
     return basis
 
 
-@lru_cache(maxsize=8)
-def _multisets(m: int, n: int) -> np.ndarray:
-    """C(x + y, y) at [x, y] for x <= m, y <= n: the number of alpha in N^y
-    with |alpha| = x, or in N^(y+1) with |alpha| <= x."""
-    table = np.ones((m + 1, n + 1), dtype=np.int64)
-    for y in range(1, n + 1):
-        table[:, y] = np.cumsum(table[:, y - 1])
-    return table
-
-
 def basis_rank(alphas, m: int) -> np.ndarray:
     """The graded-lex rank of each alpha (the last axis of alphas) in
     `enumerate_basis(n, m)`, -1 for a negative entry or |alpha| > m.
@@ -127,16 +107,17 @@ def basis_rank(alphas, m: int) -> np.ndarray:
     = C(R_(i-1) + n-i, n-i) - C(R_i + n-i, n-i) by the hockey stick.
     """
     alphas = np.asarray(alphas, dtype=np.int64)
-    n = alphas.shape[-1]
-    d = alphas.sum(axis=-1)
+    n, d = alphas.shape[-1], alphas.sum(axis=-1)
     inside = np.all(alphas >= 0, axis=-1) & (d <= m)
-    table = _multisets(m, n)
+    # C(x + y, y) at [x, y], the number of alpha in N^y with |alpha| = x
+    table = np.ones((m + 1, n + 1), dtype=np.int64)
+    for y in range(1, n + 1):
+        table[:, y] = np.cumsum(table[:, y - 1])
     # R_0 .. R_(n-1), clipped into the table outside the basis
-    rest = np.clip(d[..., None] - np.cumsum(alphas, axis=-1), 0, m)
-    rest = np.concatenate([np.clip(d, 0, m)[..., None], rest], axis=-1)
+    rest = np.clip(d[..., None] - np.cumsum(alphas, axis=-1) + alphas, 0, m)
     y = np.arange(n - 1, 0, -1)
     rank = (np.where(d > 0, table[np.clip(d - 1, 0, m), n], 0)
-            + (table[rest[..., :-2], y] - table[rest[..., 1:-1], y]).sum(-1))
+            + (table[rest[..., :-1], y] - table[rest[..., 1:], y]).sum(-1))
     return np.where(inside, rank, -1)
 
 
@@ -146,9 +127,7 @@ def monomial_norm_sq_projective(alpha, m: int) -> Fraction:
     d = sum(alpha)
     if d > m:
         raise DomainError(f"|alpha|={d} exceeds weight m={m}")
-    num = math.factorial(m - d)
-    for a in alpha:
-        num *= math.factorial(a)
+    num = math.prod(map(math.factorial, (m - d, *alpha)))
     return Fraction(num, math.factorial(m))
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import combinations
 
 import numpy as np
 
@@ -140,9 +141,7 @@ def product_table(factors: list[SymbolSpec], space, k: Partition,
     combined with anything else, so the coupled-integral theorem covers
     the product.
     """
-    flat = []
-    for f in factors:
-        flat.extend(flatten(f))
+    flat = flatten(Product(tuple(factors)))
     if len(flat) > 1 and any(isinstance(f, SingleSphereFactor) for f in flat):
         flat = [single_sphere_to_extended(f, k)
                 if isinstance(f, SingleSphereFactor) else f for f in flat]
@@ -168,13 +167,10 @@ def commutation_suite(symbols: list[SymbolSpec], space, k: Partition,
     """Max pairwise relative commutator Frobenius norm over the suite."""
     mats = [assemble(build_gamma_table(s, space, k, spec)) for s in symbols]
     worst = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            ni, nj = frobenius_norm(mats[i]), frobenius_norm(mats[j])
-            if ni == 0 or nj == 0:
-                continue
-            worst = max(worst, frobenius_norm(commutator(mats[i], mats[j]))
-                        / (ni * nj))
+    for a, b in combinations(mats, 2):
+        na, nb = frobenius_norm(a), frobenius_norm(b)
+        if na and nb:
+            worst = max(worst, frobenius_norm(commutator(a, b)) / (na * nb))
     return worst
 
 

@@ -140,10 +140,10 @@ def _radial_profile(psi, k, frac_e, a0_rule, diff, to_rho, q_r, q_theta):
 
 
 def _polar_inner(psi, k, alpha, beta, a0_rule, a0_int, to_rho, q_r, q_theta,
-                 memo):
-    """Polar-grid sum of psi z^alpha conj(z^beta) against the weight
-    x^e (1 - sum x)^(a0_rule + a0_int), e = (alpha + beta)/2, with the radii
-    rho = to_rho(x); returns (value, points)."""
+                 memo, logpref):
+    """exp(logpref) times the polar-grid sum of psi z^alpha conj(z^beta)
+    against the weight x^e (1 - sum x)^(a0_rule + a0_int),
+    e = (alpha + beta)/2, with the radii rho = to_rho(x)."""
     n = len(alpha)
     if n > 2:
         raise DomainError("deterministic oracle supports n <= 2 only")
@@ -166,7 +166,9 @@ def _polar_inner(psi, k, alpha, beta, a0_rule, a0_int, to_rho, q_r, q_theta,
     X, W, profile = memo[key]
     W = W * np.prod(X ** np.asarray(e_int), axis=-1) \
         * (1.0 - X.sum(axis=-1)) ** a0_int
-    return complex(np.sum(W * profile)), len(W) * q_theta**n
+    value = complex(np.sum(W * profile))
+    return OracleResult(complex(np.exp(logpref) * value), 0.0, "polar-grid",
+                        len(W) * q_theta**n)
 
 
 def _mc_draw(psi, k, domain, m, samples, seed):
@@ -255,12 +257,9 @@ def inner_product_projective(psi: SymbolSpec, alpha, beta, m: int, n: int,
     if method == "polar-grid":
         a0 = m - (sum(alpha) + sum(beta)) / 2
         a0_int = math.floor(a0)
-        value, npoints = _polar_inner(psi, k, alpha, beta, a0 - a0_int,
-                                      a0_int, _projective_rho, q_r, q_theta,
-                                      memo)
-        logpref = gammaln(n + m + 1) - gammaln(m + 1)
-        return OracleResult(complex(np.exp(logpref) * value), 0.0,
-                            "polar-grid", npoints)
+        return _polar_inner(psi, k, alpha, beta, a0 - a0_int, a0_int,
+                            _projective_rho, q_r, q_theta, memo,
+                            gammaln(n + m + 1) - gammaln(m + 1))
     if method != "monte-carlo":
         raise DomainError(f"unknown oracle method {method!r}")
 
@@ -289,11 +288,9 @@ def inner_product_ball(psi: SymbolSpec, alpha, beta, lam: float, n: int,
     beta = tuple(int(x) for x in beta)
     memo = {} if memo is None else memo
     if method == "polar-grid":
-        value, npoints = _polar_inner(psi, k, alpha, beta, float(lam), 0,
-                                      np.sqrt, q_r, q_theta, memo)
-        logpref = gammaln(n + lam + 1) - gammaln(lam + 1)
-        return OracleResult(complex(np.exp(logpref) * value), 0.0,
-                            "polar-grid", npoints)
+        return _polar_inner(psi, k, alpha, beta, float(lam), 0, np.sqrt, q_r,
+                            q_theta, memo,
+                            gammaln(n + lam + 1) - gammaln(lam + 1))
     if method != "monte-carlo":
         raise DomainError(f"unknown oracle method {method!r}")
     return _mc_inner(psi, k, alpha, beta, ("ball", n, float(lam)), None,

@@ -97,18 +97,14 @@ SymbolSpec = Union[
 
 def flatten(psi: SymbolSpec) -> list[SymbolSpec]:
     if isinstance(psi, Product):
-        out = []
-        for f in psi.factors:
-            out.extend(flatten(f))
-        return out
+        return [g for f in psi.factors for g in flatten(f)]
     return [psi]
 
 
 def validate_product(psi: SymbolSpec, k: Partition) -> None:
     """Check the at-most-one-radial / one-angular-per-block constraints."""
     factors = flatten(psi)
-    radials = [f for f in factors if isinstance(f, QuasiRadial)]
-    if len(radials) > 1:
+    if sum(isinstance(f, QuasiRadial) for f in factors) > 1:
         raise ValidationError("more than one quasi-radial factor")
     seen_blocks: set[int] = set()
     for f in factors:
@@ -149,17 +145,11 @@ def conjugate(psi: SymbolSpec) -> SymbolSpec:
     raise TypeError(f"not a symbol: {psi!r}")
 
 
-def radial_env(r: np.ndarray) -> dict:
-    """Expression variables r1..rl bound to the block radii r[..., j]."""
-    return {f"r{j + 1}": r[..., j] for j in range(r.shape[-1])}
-
-
-def _block_phase(t_block: np.ndarray, p: tuple[int, ...]):
-    out = 1.0 + 0j
-    for l, pl in enumerate(p):
-        if pl:
-            out = out * t_block[..., l] ** pl
-    return out
+def _cosines(x):
+    """x / |x| over the last axis, the uniform point where |x| = 0."""
+    norm = np.sqrt(np.sum(x**2, axis=-1, keepdims=True))
+    return np.where(norm > 0, x / np.where(norm > 0, norm, 1.0),
+                    1.0 / np.sqrt(x.shape[-1]))
 
 
 def evaluate_symbol_batch(psi: SymbolSpec, Z: np.ndarray, k: Partition):
@@ -167,59 +157,56 @@ def evaluate_symbol_batch(psi: SymbolSpec, Z: np.ndarray, k: Partition):
 
     Returns a complex array of shape Z.shape[:-1].  Phases of vanishing
     coordinates are taken as 1 and zero-radius block directions as the
-    uniform point (1/sqrt(k_j), ..., 1/sqrt(k_j)).
+    uniform point (1/sqrt(k_j), ..., 1/sqrt(k_j)).  The factors' real
+    values are multiplied as reals, then the phase t^p of the total shift
+    is applied once, so that every point's value is the same whatever the
+    batch it is evaluated in.
     """
     Z = np.asarray(Z, dtype=complex)
     if Z.shape[-1] != k.n:
         raise DomainError(f"points have {Z.shape[-1]} coords, expected {k.n}")
     factors = flatten(psi)
     mod = np.abs(Z)
-    t = np.where(mod > 0, Z / np.where(mod > 0, mod, 1.0), 1.0 + 0j)
-    # the global cosines and each block's cosines only where a factor
-    # reads them
-    if any(isinstance(f, SingleSphereFactor) for f in factors):
-        total = np.sqrt(np.sum(mod**2, axis=-1, keepdims=True))
-        sigma = np.where(total > 0, mod / np.where(total > 0, total, 1.0),
-                         1.0 / np.sqrt(k.n))
-    cosine_blocks = {f.j for f in factors
-                     if isinstance(f, (MultiSphereFactor, ExtendedFactor))}
-    r = np.empty(Z.shape[:-1] + (k.num_blocks,))
-    s_blocks = {}
-    for j in range(k.num_blocks):
-        blk = mod[..., k.block_slice(j)]
-        rj = np.sqrt(np.sum(blk**2, axis=-1))
-        r[..., j] = rj
-        if j in cosine_blocks:
-            safe = np.where(rj > 0, rj, 1.0)[..., None]
-            s_blocks[j] = np.where(rj[..., None] > 0, blk / safe,
-                                   1.0 / np.sqrt(k.parts[j]))
-
-    value = np.ones(Z.shape[:-1], dtype=complex)
+    # the block radii r1..rl
+    radii = {f"r{j + 1}": np.sqrt(np.sum(mod[..., k.block_slice(j)]**2, -1))
+             for j in range(k.num_blocks)}
+    value = np.ones(Z.shape[:-1])
     for f in factors:
         if isinstance(f, QuasiRadial):
-            value = value * evaluate(f.a, radial_env(r))
-        elif isinstance(f, MultiSphereFactor):
-            env = {f"s{l + 1}": s_blocks[f.j][..., l]
+            value = value * evaluate(f.a, radii)
+        elif isinstance(f, AngularFactor):
+            # the global cosines' block slice, or the block's own cosines
+            single = isinstance(f, SingleSphereFactor)
+            cosines = (_cosines(mod)[..., k.block_slice(f.j)] if single
+                       else _cosines(mod[..., k.block_slice(f.j)]))
+            env = {f"{'sig' if single else 's'}{l + 1}": cosines[..., l]
                    for l in range(k.parts[f.j])}
-            tb = t[..., k.block_slice(f.j)]
-            value = value * evaluate(f.b, env) * _block_phase(tb, f.p)
-        elif isinstance(f, SingleSphereFactor):
-            sl = k.block_slice(f.j)
-            env = {f"sig{l + 1}": sigma[..., sl.start + l]
-                   for l in range(k.parts[f.j])}
-            tb = t[..., sl]
-            value = value * evaluate(f.b, env) * _block_phase(tb, f.p)
-        elif isinstance(f, ExtendedFactor):
-            env = radial_env(r)
-            env.update({f"s{l + 1}": s_blocks[f.j][..., l]
-                        for l in range(k.parts[f.j])})
-            tb = t[..., k.block_slice(f.j)]
-            value = value * evaluate(f.b, env) * _block_phase(tb, f.p)
-        elif isinstance(f, PhaseMonomial):
-            value = value * _block_phase(t, f.p)
-        else:
+            if isinstance(f, ExtendedFactor):
+                env.update(radii)
+            value = value * evaluate(f.b, env)
+        elif not isinstance(f, PhaseMonomial):
             raise TypeError(f"not a symbol: {f!r}")
-    return value
+    out = value.astype(complex)
+    if (phase := _phase(Z, mod, total_shift(psi, k))) is not None:
+        out.real, out.imag = value * phase[0], value * phase[1]
+    return out
+
+
+def _phase(Z, mod, p):
+    """t^p, t = Z/|Z| (1 where Z = 0), as its real and imaginary parts, or
+    None for p = 0: integer powers in coordinate order, t^-1 as the
+    conjugate of t, products in real arithmetic (NumPy's complex multiply
+    rounds by the operands' layout: its vector and scalar loops differ)."""
+    safe = np.where(mod > 0, mod, 1.0)
+    cos = np.where(mod > 0, Z.real / safe, 1.0)
+    sin = np.where(mod > 0, Z.imag / safe, 0.0)
+    phase = None
+    for i, pi in enumerate(p):
+        u = cos[..., i], (sin[..., i] if pi >= 0 else -sin[..., i])
+        for _ in range(abs(pi)):
+            phase = u if phase is None else (phase[0] * u[0] - phase[1] * u[1],
+                                             phase[0] * u[1] + phase[1] * u[0])
+    return phase
 
 
 def evaluate_symbol(psi: SymbolSpec, z, k: Partition) -> complex:

@@ -1,0 +1,47 @@
+"""The benchmark's traced run of one job, in a fresh interpreter as the
+benchmark runs it (benchmarks/child.py with tracing on), so that an API
+change the tracer relies on fails here and not only in the benchmark."""
+
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import bergtoep
+
+BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
+SRC = Path(bergtoep.__file__).resolve().parent.parent
+CONFIG = {
+    "space": {"type": "projective", "n": 2, "m": 3},
+    "partition": [2],
+    "symbols": [{"kind": "quasi-radial", "a": "r1^2/(1+r1^2)"},
+                {"kind": "multi-sphere", "block": 1, "b": "s1^2",
+                 "p": [1, -1]}],
+    "quadrature": {"method": "gauss-jacobi-tensor", "order": 40, "seed": 0},
+}
+
+
+@pytest.mark.parametrize("command", ["gamma", "operator", "fusion"])
+def test_traced_job_records_its_layers(command, tmp_path):
+    cfg, record = tmp_path / "config.json", tmp_path / "record.json"
+    cfg.write_text(json.dumps(CONFIG))
+    env = {**os.environ, "PYTHONPATH": str(SRC),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "child.py"), str(record), "smoke", "1",
+         "--", command, "--config", str(cfg), "--out",
+         str(tmp_path / "out")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rec = json.loads(record.read_text())
+    dim = math.comb(2 + 3, 2)
+    # the fusion job builds the product's table and each factor's
+    tables = {"gamma": 1, "operator": 1, "fusion": 3}[command]
+    assert rec["counts"]["gamma.build_gamma_table.entries"] == tables * dim
+    if command != "gamma":
+        assert rec["counts"]["operators.assemble.bytes"] > 0
+    assert "indexing.enumerate_basis" in {span[2] for span in rec["spans"]}

@@ -63,6 +63,35 @@ def test_quasi_radial_beta_identity():
                                             abs=1e-12)
 
 
+@pytest.mark.parametrize("n,m", [(2, 200), (1, 1000)])
+def test_beta_closed_form_within_one_ulp(n, m):
+    """The prefactor and the integral are multiplied as floats, so gamma is
+    rounded at its own scale, not at that of its logarithm (about 3 ulps
+    at these weights)."""
+    table = build_gamma_table(QuasiRadial("r1^2/(1+r1^2)"),
+                              ProjectiveSpace(n, m), Partition((n,)), SPEC)
+    grade = enumerate_basis(n, m).sum(axis=1)
+    exact = (n + grade) / (n + m + 1)
+    assert np.all(np.abs(table.values - exact) <= np.spacing(exact))
+
+
+def test_table_entries_are_a_view_by_rank():
+    table = build_gamma_table(MultiSphereFactor(0, "s1^2", (1, -1)),
+                              ProjectiveSpace(2, 3), Partition((2,)), SPEC)
+    basis = enumerate_basis(2, 3)
+    assert list(table.entries) == [tuple(a) for a in basis.tolist()]
+    assert len(table.entries) == len(basis)
+    assert list(table.entries.values()) == table.values.tolist()
+    assert dict(table.entries.items()) == dict(zip(table.entries,
+                                                   table.values.tolist()))
+    for i, alpha in enumerate(basis):
+        assert (table.entries[alpha] == table.entries[list(alpha)]
+                == table[tuple(alpha)] == table.values[i])
+    for key in [(4, 0), (-1, 1), (1,), (1, 0, 0), (1.0, 0.0), "ab"]:
+        assert key not in table.entries
+    assert not table.values.flags.writeable
+
+
 def test_quasi_radial_specific_value():
     # n=2, m=2, alpha=(1,0): (2+1)/5
     got = gamma_quasi_radial(parse("r1^2/(1+r1^2)"), Partition((2,)), 2,

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from bergtoep.geometry import (
+    _random_block_unitary,
+    _sample_points,
     factorization_check,
     invariance_check,
     moment_map_full,
@@ -16,6 +18,7 @@ from bergtoep.symbols import (
     PhaseMonomial,
     Product,
     QuasiRadial,
+    evaluate_symbol_batch,
 )
 
 K21 = Partition((2, 1))
@@ -116,3 +119,48 @@ def test_checks_are_seed_deterministic():
     a = invariance_check(psi, K21, "full-torus", trials=50, seed=3)
     b = invariance_check(psi, K21, "full-torus", trials=50, seed=3)
     assert a == b
+
+
+def per_trial_deviation(psi, k, check, trials, seed):
+    """The checks' deviation, one trial and one evaluation at a time."""
+    worst = 0.0
+    for trial in range(trials):
+        rng = np.random.default_rng(seed + trial)
+        z = _sample_points(rng, k.n, 1)[0]
+        if check == "full-torus":
+            zt = z * np.exp(2j * np.pi * rng.random(k.n))
+        elif check == "partition-torus":
+            phases = np.exp(2j * np.pi * rng.random(k.num_blocks + 1))
+            zt = z.copy()
+            for j in range(k.num_blocks):
+                zt[k.block_slice(j)] *= phases[j + 1] / phases[0]
+        else:
+            zt = z.copy()
+            for j in range(k.num_blocks):
+                sl = k.block_slice(j)
+                zt[sl] = _random_block_unitary(rng, k.parts[j]) @ z[sl]
+        vals = evaluate_symbol_batch(psi, np.stack([z, zt]), k)
+        worst = max(worst, float(abs(vals[1] - vals[0])))
+    return worst
+
+
+# criterion 09's checks and counterexamples, and a symbol with a phase
+# on every coordinate
+DEVIATION_CASES = [
+    (MultiSphereFactor(0, "s1^2", (0, 0)), "full-torus", 1000),
+    (PhaseMonomial((1, -1, 0)), "partition-torus", 1000),
+    (QuasiRadial("r1^2/(r1^2 + r2^2)"), "factorization", 1000),
+    (PhaseMonomial((1, -1, 0)), "full-torus", 100),
+    (MultiSphereFactor(0, "s1^2", (0, 0)), "factorization", 100),
+    (Product((QuasiRadial("r1"), MultiSphereFactor(0, "s1", (2, -2)),
+              PhaseMonomial((-1, 2, -1)))), "partition-torus", 300),
+]
+
+
+@pytest.mark.parametrize("psi,check,trials", DEVIATION_CASES)
+def test_batched_trials_equal_the_per_trial_loop(psi, check, trials):
+    if check == "factorization":
+        got = factorization_check(psi, K21, pairs=trials, seed=5)
+    else:
+        got = invariance_check(psi, K21, check, trials=trials, seed=5)
+    assert got == per_trial_deviation(psi, K21, check, trials, 5)

@@ -41,7 +41,7 @@ def test_basis_membership():
         assert all(a >= 0 for a in alpha)
 
 
-@pytest.mark.parametrize("n,m", [(1, 0), (1, 7), (2, 5), (3, 4), (4, 6),
+@pytest.mark.parametrize("n,m", [(1, 0), (1, 7), (2, 5), (3, 3), (4, 6),
                                  (6, 3), (25, 5)])
 def test_basis_rank_round_trip(n, m):
     basis = enumerate_basis(n, m)

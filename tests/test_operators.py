@@ -11,7 +11,7 @@ import pytest
 
 from bergtoep.gamma import (BallSpace, GammaTable, ProjectiveSpace,
                             build_gamma_table)
-from bergtoep.indexing import Partition, enumerate_basis
+from bergtoep.indexing import DomainError, Partition, enumerate_basis
 from bergtoep.operators import (
     ToeplitzMatrix,
     assemble,
@@ -86,6 +86,18 @@ def test_compose_adds_shifts():
     M = compose(M1, M2)
     assert M.shift == (0, 0)
     assert audit_shift_structure(M)
+
+
+def test_compose_rejects_operators_over_other_spaces():
+    with pytest.raises(DomainError):
+        compose(build(PhaseMonomial((1, -1))),
+                build(PhaseMonomial((1, -1)), ProjectiveSpace(2, 3)))
+
+
+def test_audit_rejects_a_weight_in_the_wrong_row():
+    M = build(PhaseMonomial((1, -1)))
+    assert audit_shift_structure(M)
+    assert not audit_shift_structure(replace(M, target=np.roll(M.target, 1)))
 
 
 def test_commutator_with_identity_is_zero():

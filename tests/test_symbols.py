@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bergtoep.indexing import Partition
+from bergtoep.quadrature import _space_points
 from bergtoep.symbols import (
     ExtendedFactor,
     MultiSphereFactor,
@@ -116,3 +117,19 @@ def test_blockwise_zero_phase_invariance(seed, theta):
     zt[:2] *= np.exp(1j * theta)  # common phase on block 0
     v, w = evaluate_symbol_batch(psi, np.stack([z, zt]), K21)
     assert abs(v - w) < 1e-12
+
+
+@pytest.mark.parametrize("psi", [
+    SingleSphereFactor(0, "sig1^2", (1, -1)),
+    Product((QuasiRadial("r1^2/(1+r1^2)"),
+             MultiSphereFactor(0, "s1^2 + s2", (1, -1)),
+             PhaseMonomial((-1, 0, 1)))),
+], ids=["single-sphere", "radial-multi-sphere-phase"])
+def test_batch_evaluation_is_bitwise_in_chunks(psi):
+    """Each point's value does not depend on the batch it is evaluated in,
+    so a Monte Carlo draw may be evaluated in chunks."""
+    Z = _space_points(np.random.default_rng(1), "nu_m", 3, 3, 100_000)
+    whole = evaluate_symbol_batch(psi, Z, K21)
+    chunks = np.concatenate([evaluate_symbol_batch(psi, Z[i:i + 2**15], K21)
+                             for i in range(0, len(Z), 2**15)])
+    assert whole.tobytes() == chunks.tobytes()
