@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial, reduce
 from itertools import product
 from operator import mul
@@ -74,6 +74,14 @@ def space_basis(space) -> np.ndarray:
     return enumerate_basis(space.n, space.degree)
 
 
+def value_eq(a, b):
+    """Dataclass equality with np.array_equal on the array fields."""
+    pairs = ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    return type(a) is type(b) and all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+        for x, y in pairs)
+
+
 class _Entries(Mapping):
     """gamma by alpha, read-only: any int sequence of length n is a key,
     looked up by its rank; iteration is in basis order."""
@@ -95,6 +103,9 @@ class _Entries(Mapping):
     def __len__(self):
         return len(self._table.values)
 
+    def items(self):  # in basis order, with no lookup per key
+        return list(zip(self, self.values()))
+
     def values(self):  # in basis order, with no lookup per key
         return self._table.values.tolist()
 
@@ -109,6 +120,7 @@ class GammaTable:
     shift: tuple[int, ...]
     values: np.ndarray  # complex, read-only
     annotation: str
+    __eq__ = value_eq
 
     @property
     def entries(self) -> Mapping:

@@ -96,6 +96,15 @@ def enumerate_basis(n: int, m: int) -> np.ndarray:
     return basis
 
 
+@lru_cache(maxsize=16)
+def _pascal(n: int, m: int) -> np.ndarray:
+    """C(x + y, y) at [x, y], the number of alpha in N^y with |alpha| = x."""
+    table = np.array([[math.comb(x + y, y) for y in range(n + 1)]
+                      for x in range(m + 1)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
 def basis_rank(alphas, m: int) -> np.ndarray:
     """The graded-lex rank of each alpha (the last axis of alphas) in
     `enumerate_basis(n, m)`, -1 for a negative entry or |alpha| > m.
@@ -109,10 +118,7 @@ def basis_rank(alphas, m: int) -> np.ndarray:
     alphas = np.asarray(alphas, dtype=np.int64)
     n, d = alphas.shape[-1], alphas.sum(axis=-1)
     inside = np.all(alphas >= 0, axis=-1) & (d <= m)
-    # C(x + y, y) at [x, y], the number of alpha in N^y with |alpha| = x
-    table = np.ones((m + 1, n + 1), dtype=np.int64)
-    for y in range(1, n + 1):
-        table[:, y] = np.cumsum(table[:, y - 1])
+    table = _pascal(n, m)
     # R_0 .. R_(n-1), clipped into the table outside the basis
     rest = np.clip(d[..., None] - np.cumsum(alphas, axis=-1) + alphas, 0, m)
     y = np.arange(n - 1, 0, -1)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import expr as exprmod
 from .gamma import (BallSpace, GammaTable, ProjectiveSpace, build_gamma_table,
-                    space_basis)
+                    space_basis, value_eq)
 from .indexing import DomainError, Partition, basis_rank, gammaln
 from .quadrature import QuadratureSpec
 from .symbols import (
@@ -47,6 +47,7 @@ class ToeplitzMatrix:
     target: np.ndarray  # intp, row of column alpha, -1 for no entry
     shift: tuple[int, ...]
     space: ProjectiveSpace | BallSpace
+    __eq__ = value_eq
 
     @property
     def dim(self) -> int:

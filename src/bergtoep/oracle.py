@@ -42,12 +42,14 @@ mc_integrate: the ball from its weight-lambda probability measure, P^n from
 the weight-M one, with the importance weight w of weight m against M.
 Every alpha with the same measure, samples and seed reads the same draw (on
 the ball, the whole table; on P^n, each M), so the memo takes it once and
-evaluates psi on it once.  The estimator is in the factored form
+evaluates psi w on it once, in chunks (bitwise: psi does not depend on the
+batch, and w is elementwise).  The estimator is in the factored form
 z^alpha conj(z^beta) = |z|^(alpha+beta) e^{-i (beta-alpha).theta}: a draw
 holds the points Z, their moduli R, psi w, and per shift beta - alpha the
-product c = psi w e^{-i (beta-alpha).theta}, so each alpha costs one real
-monomial prod R_i^(alpha_i+beta_i) and one mean, and its estimate is
-bitwise that of a separate call.
+product c = psi w e^{-i (beta-alpha).theta}, (24 n + 32) bytes a sample
+with one shift, so each alpha costs one real monomial
+prod R_i^(alpha_i+beta_i) and one mean in one more real and complex array,
+and its estimate is bitwise that of a separate call.
 """
 
 from __future__ import annotations
@@ -64,12 +66,13 @@ from .indexing import (
     monomial_norm_sq_ball,
     monomial_norm_sq_projective,
 )
-from .quadrature import mc_integrate, mc_mean, simplex_rule
+from .quadrature import mc_integrate, simplex_rule
 from .symbols import SymbolSpec, evaluate_symbol_batch
 
 DEFAULT_GRID = 64
 DEFAULT_SAMPLES = 10**6
 _CHUNK_POINTS = 2**18
+_MC_CHUNK_POINTS = 2**14
 _FIRST_THETA_GRID = 4
 _AGREEMENT = 1e-13  # relative to max |psi| over the points evaluated
 
@@ -176,24 +179,26 @@ def _mc_draw(psi, k, domain, m, samples, seed):
     their moduli R (one row per coordinate), psi w at every point, and an
     empty map from shift to c.  w is the importance weight of the weight-m
     measure against the drawn weight M on P^n, taken from R, and 1 on the
-    ball."""
+    ball.  psi w is filled _MC_CHUNK_POINTS points at a time."""
     kept = []
-
-    def psi_at(Z):
-        kept.append((Z, evaluate_symbol_batch(psi, Z, k)))
-        return kept[0][1]
-
-    # mc_integrate is the one place that draws; its estimate of E[psi] is
-    # not needed
-    mc_integrate(psi_at, domain, samples, seed)
-    Z, psi_w = kept.pop()
-    R = np.abs(Z.T, order="C")
     if domain[0] == "nu_m":
         n, M = domain[1:]
         log_c = lambda x: gammaln(n + x + 1) - gammaln(x + 1)
-        psi_w *= np.exp(log_c(m) - log_c(M) + (M - m) * np.log1p(
-            np.sum(R ** 2, axis=0)))
-    return Z, R, psi_w, {}
+
+    def psi_w_at(Z):
+        R, psi_w = np.abs(Z.T, order="C"), np.empty(len(Z), dtype=complex)
+        for lo in range(0, len(Z), _MC_CHUNK_POINTS):
+            s = slice(lo, lo + _MC_CHUNK_POINTS)
+            psi_w[s] = evaluate_symbol_batch(psi, Z[s], k)
+            if domain[0] == "nu_m":
+                psi_w[s] *= np.exp(log_c(m) - log_c(M) + (M - m) * np.log1p(
+                    np.sum(R[:, s] ** 2, axis=0)))
+        kept.append((Z, R, psi_w))
+        return psi_w
+
+    # the one place that draws; its estimate of E[psi w] is not needed
+    mc_integrate(psi_w_at, domain, samples, seed)
+    return (*kept.pop(), {})
 
 
 def _mc_shifted(psi_w, Z, R, diff):
@@ -233,9 +238,15 @@ def _mc_inner(psi, k, alpha, beta, domain, m, samples, seed, memo):
     mono = None
     for r, e in zip(R, (a + b for a, b in zip(alpha, beta))):
         if e:
-            mono = r ** e if mono is None else mono * r ** e
+            mono = r**e if mono is None else np.multiply(mono, r**e, out=mono)
+    # mc_mean(c * mono), residual over c mono, |residual|^2 over mono
     c = shifts[diff]
-    est, stderr = mc_mean(c if mono is None else c * mono)
+    vals = c.copy() if mono is None else c * mono
+    est = np.sum(vals) / samples
+    vals -= est
+    sq = np.abs(vals, out=mono)
+    sq **= 2
+    stderr = float(np.sqrt(np.sum(sq) / (samples - 1) / samples))
     return OracleResult(complex(est), stderr, "monte-carlo", samples)
 
 

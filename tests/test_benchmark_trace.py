@@ -45,3 +45,38 @@ def test_traced_job_records_its_layers(command, tmp_path):
     if command != "gamma":
         assert rec["counts"]["operators.assemble.bytes"] > 0
     assert "indexing.enumerate_basis" in {span[2] for span in rec["spans"]}
+
+
+def test_traced_monte_carlo_oracle_counts_its_draws(tmp_path):
+    """A Monte Carlo oracle-compare run: the tracer counts every sample
+    drawn, and psi is evaluated on each once (in chunks, so over more
+    calls than draws), plus the domain pre-check's 1000 probe points."""
+    samples, m = 20_000, 3
+    cfg, record = tmp_path / "config.json", tmp_path / "record.json"
+    cfg.write_text(json.dumps({
+        "space": {"type": "projective", "n": 3, "m": m},
+        "partition": [2, 1],
+        "symbols": [{"kind": "single-sphere", "block": 1, "b": "sig1^2",
+                     "p": [1, -1]}],
+        "oracle": {"method": "monte-carlo", "samples": samples, "seed": 0}}))
+    out = tmp_path / "out.csv"
+    env = {**os.environ, "PYTHONPATH": str(SRC),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "child.py"), str(record), "smoke", "1",
+         "--", "oracle-compare", "--config", str(cfg), "--out", str(out)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rec = json.loads(record.read_text())
+    # one draw per importance weight M, which changes grade by grade
+    grades = [sum(map(int, line.split(",")[0].split()))
+              for line in out.read_text().splitlines()
+              if not line.startswith(("#", "alpha"))]
+    weights = [m if 2 * g <= m else 2 * m - 2 * g for g in grades]
+    draws = 1 + sum(a != b for a, b in zip(weights, weights[1:]))
+    assert draws == 3
+    counts = rec["counts"]
+    assert counts["quadrature.mc_integrate.samples"] == draws * samples
+    assert counts["symbols.evaluate_symbol_batch.points"] == (
+        draws * samples + 1000)
+    assert "oracle.gamma_from_oracle" in {span[2] for span in rec["spans"]}

@@ -5,6 +5,7 @@ computed with math.gamma (never through the package's own quadrature) or a
 reduction-consistency statement between two independently coded paths.
 """
 
+import dataclasses
 import json
 import math
 import runpy
@@ -90,6 +91,35 @@ def test_table_entries_are_a_view_by_rank():
     for key in [(4, 0), (-1, 1), (1,), (1, 0, 0), (1.0, 0.0), "ab"]:
         assert key not in table.entries
     assert not table.values.flags.writeable
+
+
+def test_entries_items_and_lookup_are_in_row_order(monkeypatch):
+    """items() pairs the basis with values and ranks no key; a lookup of
+    every alpha of a whole basis reads values in row order."""
+    table = build_gamma_table(MultiSphereFactor(0, "s1^2", (1, -1)),
+                              ProjectiveSpace(3, 8), Partition((2, 1)), SPEC)
+    basis = enumerate_basis(3, 8)
+    got = [table.entries[alpha] for alpha in basis.tolist()]
+    assert got == table.values.tolist()
+
+    def no_rank(*args):
+        raise AssertionError("items() ranked a key")
+
+    monkeypatch.setattr(gamma_module, "basis_rank", no_rank)
+    items = table.entries.items()
+    assert items == list(zip(map(tuple, basis.tolist()),
+                             table.values.tolist()))
+
+
+def test_tables_compare_by_value():
+    args = (MultiSphereFactor(0, "s1^2", (1, -1)), ProjectiveSpace(2, 3),
+            Partition((2,)), SPEC)
+    table = build_gamma_table(*args)
+    assert table == build_gamma_table(*args)
+    values = table.values.copy()
+    values[4] += 1e-9
+    assert table != dataclasses.replace(table, values=values)
+    assert table != dataclasses.replace(table, shift=(0, 0))
 
 
 def test_quasi_radial_specific_value():

@@ -100,6 +100,18 @@ def test_audit_rejects_a_weight_in_the_wrong_row():
     assert not audit_shift_structure(replace(M, target=np.roll(M.target, 1)))
 
 
+def test_operators_compare_by_value():
+    psi = Product((QuasiRadial("r1^2/(1+r1^2)"),
+                   MultiSphereFactor(0, "s1^2", (1, -1))))
+    M = build(psi)
+    assert M == build(psi)
+    weights = M.weights.copy()
+    weights[1] += 1e-9
+    assert M != replace(M, weights=weights)
+    assert M != replace(M, target=np.roll(M.target, 1))
+    assert M != build(psi, ProjectiveSpace(2, 3))
+
+
 def test_commutator_with_identity_is_zero():
     ident = build(QuasiRadial("1"))
     M = build(Product((QuasiRadial("r1^2/(1+r1^2)"),

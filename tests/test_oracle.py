@@ -26,6 +26,7 @@ from bergtoep.symbols import (
     PhaseMonomial,
     Product,
     QuasiRadial,
+    SingleSphereFactor,
     evaluate_symbol_batch,
 )
 
@@ -275,6 +276,25 @@ def test_ball_mc_memo_draws_once_per_table(monkeypatch):
                                    method="monte-carlo", samples=2000, seed=4)
         assert (got.value, got.stderr) == (alone.value, alone.stderr)
     assert len(calls) == 1 + len(rows)
+
+
+def test_ball_mc_table_is_chunk_independent(monkeypatch):
+    """On the ball, every row's estimate and standard error are bitwise the
+    same whatever the chunk psi is evaluated in: 1000 points (which does
+    not divide the sample count), 2^14, or the whole draw at once."""
+    k, lam, p = Partition((2, 1)), 1.0, (1, -1, 0)
+    psi = SingleSphereFactor(0, "sig1^2", (1, -1))
+    rows = []
+    for chunk in (1000, 2**14, 2**15):
+        monkeypatch.setattr(oracle, "_MC_CHUNK_POINTS", chunk)
+        memo = {}
+        rows.append([(res.value, res.stderr) for res in (
+            inner_product_ball(psi, alpha, beta, lam, 3, k,
+                               method="monte-carlo", samples=20_500, seed=3,
+                               memo=memo)
+            for alpha, beta in _table_pairs(3, 3, p))])
+    assert rows[0] == rows[1] == rows[2]
+    assert len(rows[0]) > 5
 
 
 @pytest.mark.parametrize("space", ["projective", 1.0])
