@@ -1,23 +1,29 @@
 """Coefficient functions gamma(alpha) for every covered symbol family.
 
 T(z^alpha) = gamma(alpha) z^(alpha+p).  One engine (`_values`) serves P^n and
-the ball: a log Gamma-prefactor times the integral of a(rho) prod_j B_j(rho)
-against a Dirichlet weight of exponents e_j = |alpha_(j)| + |p_(j)|/2 + k_j - 1
-and a0 (m-|alpha| on P^n, lambda on the ball), B_j integrating b_j against the
-monomial weight (exps, a0_j) of (alpha_(j), p_(j)).  It takes a whole basis:
-the bookkeeping is arrays with a row per alpha, and each distinct radial key
-(e, a0) and block key (j, exps, a0_j) is integrated once, in order of first
+the ball, for every family:
+
+    gamma(alpha) = prod_i Gamma(h_i + 1) / Gamma(alpha_i + p_i + 1)
+                   * E[a(rho) prod_j B_j(rho)],    h = alpha + p/2,
+
+E the mean under the probability Dirichlet weight (e, a0), e_j = |h_(j)| +
+k_j - 1 and a0 = m-|alpha| on P^n, lambda on the ball, and B_j the mean of b_j
+under the block's weight h_(j).  The Gamma ratio is one log scale and every
+integral a probability mean, so no Dirichlet mass is formed.  It takes a whole
+basis: the bookkeeping is arrays with a row per alpha, and each distinct radial
+key (e, a0) and block key (j, exps, a0_j) is integrated once, in order of first
 appearance, after one batched build of all their Jacobi rules.  A b_j that
-reads radii is split into terms c_t R_t(r) S_t(s), and gamma = sum_t c_t
+reads radii is split into terms c_t R_t(r) S_t(s), and the mean is sum_t c_t
 radial(a R_t) block(S_t), unless a term reads radii and cosines in one factor
 or the terms outnumber the q^(k_j - 1) nodes per radial node of the coupled
 grid, the block's rule contracted at every radial node.  A lone single-sphere
-factor on P^n has its own theorem; Monte Carlo draws once per distinct key.
+factor on P^n takes the ratio over its block times the mean of b(sigma);
+Monte Carlo draws once per distinct key.
 
 Terms of degree <= 2q - 1 in the barycentric coordinates of their integral
 (`expr.dirichlet_form`), where the order-q rule is exact, take their
-Dirichlet moments and build no rule: block and single-sphere terms, and the
-radial integral when every a R_t is one.  Everything else integrates on its
+Dirichlet moment ratios and build no rule: block and single-sphere terms, and
+the radial integral when every a R_t is one.  Everything else integrates on its
 rule; Monte Carlo samples every non-constant integrand.
 """
 
@@ -38,8 +44,7 @@ from .expr import (BinOp, Expr, Num, dirichlet_form, evaluate, monomial,
                    split_terms, variables)
 from .indexing import (DomainError, Partition, basis_rank, enumerate_basis,
                        gammaln)
-from .quadrature import (QuadratureSpec, build_jacobi_rules,
-                         dirichlet_closed_form, mc_integrate,
+from .quadrature import (QuadratureSpec, build_jacobi_rules, mc_integrate,
                          radial_integrate_projective, simplex_integrate,
                          simplex_pairs)
 from .symbols import (ExtendedFactor, MultiSphereFactor, PhaseMonomial,
@@ -178,7 +183,7 @@ def _block_terms(b: Expr | None, limit: int):
 def _scaled(log_scale: float, value: float) -> float:
     """exp(log_scale) * value: the product of the two floats when both and
     the product are normal, so that gamma is rounded at its own scale, else
-    in log space, so that a prefactor past the float range times a tiny
+    in log space, so that a scale past the float range times a tiny
     integral is still a finite coefficient."""
     if value == 0:
         return 0.0
@@ -194,10 +199,9 @@ def _scaled(log_scale: float, value: float) -> float:
                           "precision") from None
 
 
-def _gammaln_sum(x, y=None):
-    """The sum over the columns of x of gammaln(x) (minus gammaln(y)),
-    added left to right as Python's sum adds them."""
-    return sum(gammaln(x[:, i]) - (0.0 if y is None else gammaln(y[:, i]))
+def _gammaln_sum(x, y):
+    """Sum over the columns of gammaln(x) - gammaln(y), left to right."""
+    return sum(gammaln(x[:, i]) - gammaln(y[:, i])
                for i in range(x.shape[1]))
 
 
@@ -211,52 +215,34 @@ def _distinct(keys):
 
 def _values(space, a_expr, blocks: dict, k: Partition, p, alphas,
             spec: QuadratureSpec) -> np.ndarray:
-    """gamma at every alpha of alphas, 0 at the hard zeros.  Its exponent
-    bookkeeping has a row per alpha that is no hard zero: the log Gamma-
-    prefactor, the log of the blocks' Gamma ratios, e, a0 and the weight
-    (exps, a0_j) of every block with a factor."""
+    """gamma at every alpha of alphas, 0 at the hard zeros, from a row per
+    alpha that is no hard zero: log Gamma ratio, e, a0 and factors' h_(j)."""
     A = np.array(alphas, dtype=int).reshape(-1, k.n)
     d = A.sum(axis=1)
     if isinstance(space, ProjectiveSpace):
         if np.any(d > space.m):
             raise DomainError(f"|alpha|={d.max()} exceeds m={space.m}")
-        prefactor = gammaln(k.n + space.m + 1) - gammaln(space.m - d + 1)
         a0 = (space.m - d).astype(float)
     elif space.lam <= -1:
         raise DomainError(f"need lambda > -1, got {space.lam}")
     else:
-        prefactor = gammaln(k.n + d + space.lam + 1) - gammaln(space.lam + 1)
         a0 = np.full(len(d), float(space.lam))
     out, live = np.zeros(len(A)), np.flatnonzero(np.all(A + p >= 0, axis=1))
     if not len(live):
         return out
-    A, prefactor, a0 = A[live], prefactor[live], a0[live]
-    shifted, half = A + p, A + np.asarray(p) / 2
-    log_value, e, weights = np.zeros(len(A)), np.empty((len(A), 0)), {}
-    for j, kj in enumerate(k.parts):
-        h, s = half[:, k.block_slice(j)], shifted[:, k.block_slice(j)]
-        e = np.column_stack([e, h.sum(axis=1) + kj - 1])
-        if j in blocks:
-            # the block's Gamma(k_j + sum h) cancels against the prefactor's
-            log_value = log_value - _gammaln_sum(s + 1)
-            weights[j] = h
-        else:
-            # the Dirichlet closed form of the block over its prefactor,
-            # term by term, so that a zero block shift cancels exactly
-            log_value = log_value + (_gammaln_sum(h + 1, s + 1)
-                                     - gammaln(kj + h.sum(axis=1)))
-    scale = prefactor + log_value
+    A, a0 = A[live], a0[live]
+    h = A + np.asarray(p) / 2
+    # a zero shift cancels exactly: gammaln(h_i + 1) is gammaln(alpha_i + 1)
+    scale = _gammaln_sum(h + 1, A + p + 1)
+    e = np.column_stack([h[:, k.block_slice(j)].sum(axis=1) + kj - 1
+                         for j, kj in enumerate(k.parts)])
+    weights = {j: h[:, k.block_slice(j)] for j in sorted(blocks)}
     if spec.method == "monte-carlo":
         keys, key_of = _distinct(np.column_stack([e, a0, *weights.values()]))
         value = np.array([_mc_value(space, a_expr, blocks, k, key, spec)
                           for key in keys])[key_of]
     else:
-        value, closed = _quadrature(space, a_expr, blocks, k, e, a0, weights,
-                                    spec)
-        if closed:
-            # the radial Dirichlet closed form cancels the prefactor up to
-            # prod Gamma(e_j + 1), in log space so as never to overflow
-            scale = log_value + _gammaln_sum(e + 1)
+        value = _quadrature(space, a_expr, blocks, k, e, a0, weights, spec)
     out[live] = [_scaled(s, v) for s, v in zip(scale.tolist(),
                                                value.tolist())]
     return out
@@ -264,8 +250,7 @@ def _values(space, a_expr, blocks: dict, k: Partition, p, alphas,
 
 def _quadrature(space, a_expr, blocks: dict, k: Partition, e, a0,
                 weights: dict, spec):
-    """The integrals of gamma by quadrature, one value per row of e, and
-    whether the radial integral was left to its closed form."""
+    """The means of gamma by quadrature, one value per row of e."""
     ell, q = k.num_blocks, spec.order
     # each term takes the radial grid; a coupled grid is q^(k_j-1) times it
     terms = {j: _block_terms(blocks[j], q ** (k.parts[j] - 1))
@@ -303,7 +288,6 @@ def _quadrature(space, a_expr, blocks: dict, k: Partition, e, a0,
         for (c, *_), form in zip(t, forms[j])] for w in keys[j][0]]
     ).reshape(-1, len(t))[keys[j][1]] for j, t in split.items()}
     if closed:
-        # the moment ratios; the prefactor takes the Dirichlet closed form
         weight = np.column_stack([e, a0])
         radial = np.column_stack([
             sum(c * _moment_ratio(weight, x) for c, x in terms)
@@ -320,14 +304,14 @@ def _quadrature(space, a_expr, blocks: dict, k: Partition, e, a0,
     choices = product(*(range(len(t)) for t in split.values()))
     return sum(reduce(mul, (integrals[j][:, t] for j, t in zip(split, ts)),
                       np.ones(len(e))) * radial[:, combo]
-               for combo, ts in enumerate(choices)), closed
+               for combo, ts in enumerate(choices))
 
 
 def _radial_value(space, a_expr, coupled: list, split: list, e, a0,
                   spec) -> np.ndarray:
-    """Radial integrals of a(rho) prod B(rho) times each product of one
+    """Radial means of a(rho) prod B(rho) times each product of one
     term R per split block (split lists each block's R, None for 1), in
-    itertools.product order; each coupled block integral B (b, cosines and
+    itertools.product order; each coupled block mean B (b, cosines and
     weights on the block's axes) is contracted at every radial node."""
 
     def g(radii):
@@ -387,13 +371,13 @@ def _moment_ratio(x, exps) -> np.ndarray:
 
 
 def _integral(form, env, d: int, exps, a0, spec) -> float:
-    """Integral of a `_form` (closed, rest), rest at the variables env(x),
-    against x^exps (1-sum x)^a0 over the d-simplex: each closed term by its
-    Dirichlet moment, rest on the rule (or sampled).  x holds all d+1
-    coordinates, the last 1 - sum x."""
+    """Mean of a `_form` (closed, rest), rest at the variables env(x),
+    under the normalized weight x^exps (1-sum x)^a0 on the d-simplex: each
+    closed term by its moment ratio, rest on the rule (or sampled).  x
+    holds all d+1 coordinates, the last 1 - sum x."""
     closed, rest = form
-    value = dirichlet_closed_form(exps, a0) * sum(
-        c * _moment_ratio(np.array([[*exps, a0]]), x)[0] for c, x in closed)
+    value = sum(c * _moment_ratio(np.array([[*exps, a0]]), x)[0]
+                for c, x in closed)
     if rest is None:
         return value
     if spec.method == "monte-carlo":
@@ -434,8 +418,8 @@ def _mc_value(space, a_expr, blocks: dict, k: Partition, key, spec):
 
 def _sphere_values(b: Expr | None, k: Partition, j: int, p_j, n: int,
                    alphas, spec: QuadratureSpec) -> np.ndarray:
-    """Single-sphere gamma at every alpha of alphas (0 at hard zeros): a log
-    prefactor times one k_j-simplex integral per distinct (exps, a0)."""
+    """Single-sphere gamma at every alpha of alphas (0 at hard zeros): the
+    Gamma ratio over block j times a mean per distinct weight (h_(j), a0)."""
     kj = k.parts[j]
     if kj >= n:
         raise UnsupportedCaseError(
@@ -444,10 +428,10 @@ def _sphere_values(b: Expr | None, k: Partition, j: int, p_j, n: int,
     A = np.array(alphas, dtype=int).reshape(-1, n)
     live = np.flatnonzero(np.all(A[:, k.block_slice(j)] + p_j >= 0, axis=1))
     d, a_j = A[live].sum(axis=1), A[live, k.block_slice(j)]
-    a0 = d - a_j.sum(axis=1) + n - kj - 1
-    logpref = gammaln(d + n) - gammaln(a0 + 1) - _gammaln_sum(a_j + p_j + 1)
+    h = a_j + np.asarray(p_j) / 2
+    scale = _gammaln_sum(h + 1, a_j + p_j + 1)
     weights, weight_of = _distinct(np.column_stack(
-        [a_j + np.asarray(p_j) / 2, a0]))
+        [h, d - a_j.sum(axis=1) + n - kj - 1]))
     form = _form(b, _roots("sig", kj, kj + 1), spec)
     if form[1] is not None and spec.method != "monte-carlo":
         build_jacobi_rules([pair for w in weights for pair in simplex_pairs(
@@ -455,7 +439,7 @@ def _sphere_values(b: Expr | None, k: Partition, j: int, p_j, n: int,
     integrals = [_integral(form, partial(_cosines_env, kj=kj, name="sig"),
                            kj, tuple(w[:-1]), w[-1], spec) for w in weights]
     out = np.zeros(len(A))
-    out[live] = [_scaled(s, integrals[u]) for s, u in zip(logpref.tolist(),
+    out[live] = [_scaled(s, integrals[u]) for s, u in zip(scale.tolist(),
                                                           weight_of)]
     return out
 

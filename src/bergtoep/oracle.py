@@ -203,13 +203,17 @@ def _mc_draw(psi, k, domain, m, samples, seed):
 
 def _mc_shifted(psi_w, Z, R, diff):
     """c = psi w e^{-i diff.theta} at every point of the draw, with
-    e^{i theta_j} = Z_j / R_j (1 where R_j = 0)."""
+    e^{i theta_j} = Z_j / R_j (1 where R_j = 0).  The complex multiply is
+    not bitwise commutative, so each product is factor * c into the
+    factor's array at every size, as NumPy's temporary elision forms
+    c * factor from 16 384 points on."""
     c = psi_w
     for j, d in enumerate(diff):
         if d:
             u = np.divide(Z[:, j], R[j], out=np.ones(len(Z), dtype=complex),
                           where=R[j] > 0)
-            c = c * (np.conj(u) ** d if d > 0 else u ** -d)
+            factor = np.conj(u) ** d if d > 0 else u ** -d
+            c = np.multiply(factor, c, out=factor)
     return c
 
 

@@ -1,12 +1,13 @@
 """Deterministic quadrature kernels and a seeded Monte Carlo fallback.
 
-Two deterministic kernels cover every coefficient integral in the package:
-an integral over the standard simplex with monomial weights (possibly
-half-integer exponents), and a rational-weight integral over the positive
-orthant which is mapped onto the simplex by r = u/(1-sum u).  The simplex
-rule is a tensor Gauss-Jacobi rule under the Duffy (collapsed-cube) map;
-the monomial weights are absorbed into the Jacobi weights so endpoint
-algebraic behavior costs no accuracy.
+Every kernel returns a probability mean; the masses, ratios of Gamma values,
+are the caller's, in log space.  Two deterministic kernels cover every
+coefficient integral in the package: a mean under a monomial weight on the
+standard simplex (possibly half-integer exponents), and a mean under a
+rational weight on the positive orthant, which is mapped onto the simplex by
+r = u/(1-sum u).  The simplex rule is a tensor Gauss-Jacobi rule under the
+Duffy (collapsed-cube) map; the monomial weights are absorbed into the
+Jacobi weights so endpoint algebraic behavior costs no accuracy.
 
 The kernels keep a tensor rule as its per-axis factors: the cube
 coordinates u_i lie on broadcast 1-D axes, the integrand's variables are
@@ -14,28 +15,25 @@ derived on those axes (x_i = u_i prod_{j<i}(1-u_j), 1 - sum x =
 prod_j (1-u_j), and on the orthant r_i^2 = u_i / prod_{j>=i}(1-u_j)), the
 integrand is evaluated by broadcasting, and `contract` sums it against the
 1-D weights one axis at a time.  No node or weight array of the full grid
-is built; only `simplex_rule` materializes one, from the same axes.
+is built; only `simplex_rule` materializes one, times the Dirichlet mass.
 
-Each one-dimensional Gauss-Jacobi rule is built by the Golub-Welsch method
-in NumPy: the nodes are the eigenvalues of the symmetric tridiagonal Jacobi
-matrix, and the weights are the Christoffel numbers 1/sum_k p_k(x)^2 of the
-orthonormal recurrence, scaled to the exact mass B(a+1, b+1).  Christoffel
-numbers keep tiny endpoint weights to relative accuracy, where squared
-eigenvector components would not.  A mass below the normal double range
-raises DomainError instead of returning a rule without accurate digits,
-and so does a rule over the node budget, before anything is allocated.
-Rules live in a bounded cache; `build_jacobi_rules` fills it with many
-rules of one order in a single vectorized build, bitwise equal to building
-each alone.
+Each one-dimensional Gauss-Jacobi rule is a probability rule, built by the
+Golub-Welsch method in NumPy: the nodes are the eigenvalues of the
+symmetric tridiagonal Jacobi matrix, and the weights are the Christoffel
+numbers 1/sum_k p_k(x)^2 of the orthonormal recurrence, normalized to sum
+to one.  Christoffel numbers keep tiny endpoint weights to relative
+accuracy, where squared eigenvector components would not.  A rule over the
+node budget raises DomainError before anything is allocated.  Rules live in
+a bounded cache; `build_jacobi_rules` fills it with many rules of one order
+in a single vectorized build, bitwise equal to building each alone.
 
-The Monte Carlo estimator draws every point from the Dirichlet weight it
-integrates; the deterministic kernels refuse a Monte Carlo spec, whose
-order counts samples rather than Gauss points.
+The Monte Carlo estimator draws every point from the probability measure
+whose mean it estimates; the deterministic kernels refuse a Monte Carlo
+spec, whose order counts samples rather than Gauss points.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,34 +105,21 @@ def _golub_welsch(a, b, q: int):
     return x, w / np.sum(w, axis=-1, keepdims=True)
 
 
-def _mass(a: float, b: float) -> float:
-    """B(a+1, b+1), the mass of the weight u^a (1-u)^b on [0, 1]."""
-    return math.exp(gammaln(a + 1) + gammaln(b + 1) - gammaln(a + b + 2))
-
-
 def build_jacobi_rules(pairs, q: int) -> None:
     """Build jacobi_rule_01(a, b, q) for every (a, b) in pairs that the
     cache lacks, in one Golub-Welsch build vectorized over the stack (in
     chunks of a few MB), and keep them in the cache.  A pair jacobi_rule_01
     would refuse is left out, so that it still raises there; at most
     RULE_CACHE_SIZE rules are built."""
-    keys, masses = [], []
-    for a, b in dict.fromkeys((float(a), float(b)) for a, b in pairs):
-        if (a, b, q) in _rules or a <= -1 or b <= -1:
-            continue
-        # below the normal range the weights would lose their relative
-        # accuracy without a warning
-        mu0 = _mass(a, b)
-        if mu0 >= np.finfo(float).tiny:
-            keys.append((a, b, q))
-            masses.append(mu0)
-    keys, masses = keys[:RULE_CACHE_SIZE], masses[:RULE_CACHE_SIZE]
+    pairs = dict.fromkeys((float(a), float(b)) for a, b in pairs)
+    keys = [(a, b, q) for a, b in pairs
+            if (a, b, q) not in _rules and a > -1 and b > -1][:RULE_CACHE_SIZE]
     chunk = max(1, _BATCH_DOUBLES // (q * q))
     for lo in range(0, len(keys), chunk):
         batch = keys[lo:lo + chunk]
         x, w = _golub_welsch([key[0] for key in batch],
                              [key[1] for key in batch], q)
-        u, w = 0.5 * (x + 1.0), w * np.array(masses[lo:lo + chunk])[:, None]
+        u = 0.5 * (x + 1.0)
         u.flags.writeable = w.flags.writeable = False
         for key, u_i, w_i in zip(batch, u, w):
             # single zero weights (underflow at the endpoints) are
@@ -146,7 +131,8 @@ def build_jacobi_rules(pairs, q: int) -> None:
 
 
 def jacobi_rule_01(a: float, b: float, q: int):
-    """Nodes/weights for int_0^1 u^a (1-u)^b f(u) du, from the cache."""
+    """Nodes and probability weights for the Beta(a+1, b+1) mean of f,
+    int_0^1 u^a (1-u)^b f(u) du / B(a+1, b+1), from the cache."""
     if a <= -1 or b <= -1:
         raise DomainError(f"Jacobi exponents must exceed -1, got ({a}, {b})")
     key = (float(a), float(b), q)
@@ -188,9 +174,9 @@ def simplex_pairs(a, a0: float, q: int) -> list[tuple[float, float]]:
 
 
 def simplex_axes(d: int, a: tuple, a0: float, q: int):
-    """The tensor rule of `simplex_rule` kept as per-axis factors: the cube
-    coordinates u_i, each broadcast along axis i of d, and the 1-D
-    weights w_i, the monomial weight folded in."""
+    """The tensor rule of `simplex_integrate` kept as per-axis factors: the
+    cube coordinates u_i, each broadcast along axis i of d, and the 1-D
+    probability weights w_i, the monomial weight folded in."""
     if len(a) != d:
         raise DomainError(f"got {len(a)} exponents for dimension {d}")
     us, ws = [], []
@@ -238,13 +224,18 @@ def simplex_rule(d: int, a: tuple, a0: float, q: int):
     """Tensor rule for int_{Delta_d} f(x) prod x_l^{a_l} (1-sum x)^{a0} dx.
 
     Returns (nodes, weights): nodes of shape (q^d, d), the monomial weight
-    already folded into weights.
+    already folded into weights, which sum to its mass.  A mass below the
+    normal double range, where they would lose their relative accuracy,
+    raises DomainError.
     """
     us, ws = simplex_axes(d, a, a0, q)
+    W = dirichlet_closed_form(a, a0)
+    if W < np.finfo(float).tiny:
+        raise DomainError(f"the mass {W} of the weight of exponents {a}, "
+                          f"{a0} is below the normal double range")
     if d == 0:
         return np.zeros((1, 0)), np.ones(1)
     X = np.empty((q,) * d + (d,))
-    W = 1.0
     for i, (x, w) in enumerate(zip(barycentric(us), ws)):
         X[..., i] = x
         W = W * w.reshape(us[i].shape)
@@ -261,7 +252,7 @@ def dirichlet_closed_form(a, a0: float) -> float:
 
 def _tensor_integral(integrand, d: int, a: tuple, a0: float,
                      spec: QuadratureSpec):
-    """Sum of integrand(us) over the Duffy rule of the weight x^a
+    """Mean of integrand(us) over the Duffy rule of the weight x^a
     (1-sum x)^a0 on the d-simplex, us the rule's broadcast cube
     coordinates; axes of the values before the rule's d are kept."""
     if any(x <= -1 for x in a) or a0 <= -1:
@@ -280,13 +271,14 @@ def _tensor_integral(integrand, d: int, a: tuple, a0: float,
 
 
 def simplex_integrate(f, d: int, a, a0: float, spec: QuadratureSpec):
-    """int_{Delta_d} f(x) prod x_l^{a_l} (1-sum x)^{a0} dx.
+    """The mean of f under the normalized Dirichlet weight
+    prod x_l^{a_l} (1-sum x)^{a0} on the d-simplex.
 
     f takes the d+1 coordinates x_1, ..., x_d, 1 - sum x, each an array
     broadcast on the rule's d axes, and returns values that broadcast
     against them; pass None for f == 1.  A list of such values holds
     several integrands, each contracted on its own axes, and gives an
-    array of their integrals.  Exponents may be half-integers but must
+    array of their means.  Exponents may be half-integers but must
     exceed -1.
     """
     return _tensor_integral(
@@ -296,7 +288,8 @@ def simplex_integrate(f, d: int, a, a0: float, spec: QuadratureSpec):
 
 def radial_integrate_projective(g, ell: int, e, N: float,
                                 spec: QuadratureSpec):
-    """int_{R_+^ell} g(sqrt(r)) prod r_j^{e_j} (1+sum r)^{-N} dr.
+    """The mean of g(sqrt(r)) under the normalized weight
+    prod r_j^{e_j} (1+sum r)^{-N} on R_+^ell.
 
     g takes the componentwise square roots of r (the block radii), each an
     array broadcast on the rule's ell axes, and may give a list as f does
@@ -317,15 +310,16 @@ def radial_integrate_projective(g, ell: int, e, N: float,
 
 
 def mc_integrate(f, domain, N: int, seed: int):
-    """Unbiased Monte Carlo estimate with sample standard error.
+    """Unbiased Monte Carlo estimate of a mean, with sample standard error.
 
-    Every point is drawn from the Dirichlet weight it integrates.  domain is
-    one of
-      ("dirichlet", factors)  -- int over a product of simplices of
-                                 f(u_0, u_1, ...) prod_i x^a_i (1-sum x)^a0_i
-                                 for factors [(a_i, a0_i), ...]; u_i is
-                                 drawn from Dirichlet(a_i+1, a0_i+1) and
-                                 holds all d_i+1 coordinates
+    Every point is drawn from the probability measure of the mean.  domain
+    is one of
+      ("dirichlet", factors)  -- E[f(u_0, u_1, ...)] under the product of
+                                 the normalized weights prod_i x^a_i
+                                 (1-sum x)^a0_i for factors
+                                 [(a_i, a0_i), ...]; u_i is drawn from
+                                 Dirichlet(a_i+1, a0_i+1) and holds all
+                                 d_i+1 coordinates
       ("nu_m", n, m)          -- E[f(z)] under the weight-m probability
                                  measure on C^n
       ("ball", n, lam)        -- E[f(z)] under the weight-lambda probability
@@ -345,11 +339,9 @@ def mc_integrate(f, domain, N: int, seed: int):
     rng = np.random.default_rng(seed)
     kind = domain[0]
     if kind == "dirichlet":
-        factors = domain[1]
         draws = [rng.dirichlet(np.append(np.asarray(a, dtype=float), a0)
-                               + 1.0, size=N) for a, a0 in factors]
-        scale = np.prod([dirichlet_closed_form(a, a0) for a, a0 in factors])
-        vals = np.asarray(f(*draws)) * scale
+                               + 1.0, size=N) for a, a0 in domain[1]]
+        vals = np.asarray(f(*draws))
     elif kind in ("nu_m", "ball"):
         vals = np.asarray(f(_space_points(rng, kind, domain[1], domain[2],
                                           N)))

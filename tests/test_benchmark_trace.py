@@ -25,19 +25,23 @@ CONFIG = {
 }
 
 
-@pytest.mark.parametrize("command", ["gamma", "operator", "fusion"])
-def test_traced_job_records_its_layers(command, tmp_path):
+def _traced(tmp_path, config: dict, command: str, out) -> dict:
+    """The record of one traced job, run as the benchmark runs it."""
     cfg, record = tmp_path / "config.json", tmp_path / "record.json"
-    cfg.write_text(json.dumps(CONFIG))
+    cfg.write_text(json.dumps(config))
     env = {**os.environ, "PYTHONPATH": str(SRC),
            "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run(
         [sys.executable, str(BENCH / "child.py"), str(record), "smoke", "1",
-         "--", command, "--config", str(cfg), "--out",
-         str(tmp_path / "out")],
+         "--", command, "--config", str(cfg), "--out", str(out)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    rec = json.loads(record.read_text())
+    return json.loads(record.read_text())
+
+
+@pytest.mark.parametrize("command", ["gamma", "operator", "fusion"])
+def test_traced_job_records_its_layers(command, tmp_path):
+    rec = _traced(tmp_path, CONFIG, command, tmp_path / "out")
     dim = math.comb(2 + 3, 2)
     # the fusion job builds the product's table and each factor's
     tables = {"gamma": 1, "operator": 1, "fusion": 3}[command]
@@ -47,27 +51,34 @@ def test_traced_job_records_its_layers(command, tmp_path):
     assert "indexing.enumerate_basis" in {span[2] for span in rec["spans"]}
 
 
+def test_traced_gamma_records_the_quadrature_kernels(tmp_path):
+    """A table whose integrals take rules, unlike CONFIG's, which close: the
+    radial factor r1^2/(2+r1^2) and the block factor's odd cosine s2 are
+    no polynomials in their barycentric coordinates."""
+    rec = _traced(tmp_path, {
+        **CONFIG,
+        "symbols": [{"kind": "quasi-radial", "a": "r1^2/(2+r1^2)"},
+                    {"kind": "multi-sphere", "block": 1, "b": "s2",
+                     "p": [1, -1]}]}, "gamma", tmp_path / "out")
+    spans = {span[2] for span in rec["spans"]}
+    assert {"quadrature.radial_integrate_projective",
+            "quadrature.simplex_integrate",
+            "quadrature.jacobi_rule_01"} <= spans
+
+
 def test_traced_monte_carlo_oracle_counts_its_draws(tmp_path):
     """A Monte Carlo oracle-compare run: the tracer counts every sample
     drawn, and psi is evaluated on each once (in chunks, so over more
     calls than draws), plus the domain pre-check's 1000 probe points."""
     samples, m = 20_000, 3
-    cfg, record = tmp_path / "config.json", tmp_path / "record.json"
-    cfg.write_text(json.dumps({
+    out = tmp_path / "out.csv"
+    rec = _traced(tmp_path, {
         "space": {"type": "projective", "n": 3, "m": m},
         "partition": [2, 1],
         "symbols": [{"kind": "single-sphere", "block": 1, "b": "sig1^2",
                      "p": [1, -1]}],
-        "oracle": {"method": "monte-carlo", "samples": samples, "seed": 0}}))
-    out = tmp_path / "out.csv"
-    env = {**os.environ, "PYTHONPATH": str(SRC),
-           "PYTHONDONTWRITEBYTECODE": "1"}
-    proc = subprocess.run(
-        [sys.executable, str(BENCH / "child.py"), str(record), "smoke", "1",
-         "--", "oracle-compare", "--config", str(cfg), "--out", str(out)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    rec = json.loads(record.read_text())
+        "oracle": {"method": "monte-carlo", "samples": samples, "seed": 0}},
+        "oracle-compare", out)
     # one draw per importance weight M, which changes grade by grade
     grades = [sum(map(int, line.split(",")[0].split()))
               for line in out.read_text().splitlines()

@@ -87,17 +87,28 @@ def test_operator_json_entries_match_text_export(config_path, tmp_path):
         assert entry == [int(r), int(c), float(re_), float(im_)]
 
 
-def test_unrepresentable_jacobi_rule_is_numerical_error(tmp_path):
-    # the Jacobi rule of the radial integral overflows at m = 1100; it
-    # used to write NaN and 0.0 rows.  r1^2/(2+r1^2) is no polynomial in
-    # the barycentric coordinates, so it still takes the rule
-    cfg = {"space": {"type": "projective", "n": 1, "m": 1100},
+def test_large_weight_rule_table_matches_scipy_beta_mean(tmp_path):
+    # r1^2/(2+r1^2) is U_1/(2 - U_1) on P^1, no polynomial in the
+    # barycentric coordinates, so it takes the Jacobi rule; at m = 1100 the
+    # rule's Beta mass underflows, but its probability weights do not
+    stats = pytest.importorskip("scipy.stats")
+    integrate = pytest.importorskip("scipy.integrate")
+    m = 1100
+    cfg = {"space": {"type": "projective", "n": 1, "m": m},
            "partition": [1],
            "symbols": [{"kind": "quasi-radial", "a": "r1^2/(2+r1^2)"}]}
-    path = tmp_path / "c.json"
+    path, out = tmp_path / "c.json", tmp_path / "g.csv"
     path.write_text(json.dumps(cfg))
-    assert run(["gamma", "--config", str(path), "--out",
-                str(tmp_path / "g.csv")]) == 3
+    assert run(["gamma", "--config", str(path), "--out", str(out)]) == 0
+    rows = {int(r[0]): float(r[1]) for r in [
+        ln.split(",") for ln in out.read_text().splitlines()
+        if not ln.startswith("#")][1:]}
+    for alpha in (0, 1, 100, 550, 1099, 1100):
+        # gamma is the mean of u/(2-u) under Beta(alpha+1, m-alpha+1)
+        density = stats.beta(alpha + 1, m - alpha + 1).pdf
+        want, _ = integrate.quad(lambda u: u / (2 - u) * density(u), 0, 1,
+                                 epsabs=0, epsrel=1e-13, limit=200)
+        assert rows[alpha] == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("n, partition, symbols", [

@@ -139,6 +139,19 @@ def test_quasi_radial_depends_on_block_degrees_only():
     assert abs(v1 - v3) > 1e-6
 
 
+@pytest.mark.parametrize("m, a", [(1000, 333), (3000, 1000)])
+def test_large_weight_half_power_is_a_gamma_ratio(m, a):
+    """r2 = (U_2/U_0)^(1/2) on k=(1,1), m-d = m-2a, has gamma
+    Gamma(a+3/2) Gamma(m-d+1/2) / (Gamma(a+1) Gamma(m-d+1)), near 1 though
+    the weight's mass underflows: a mean under probability rules."""
+    got = gamma_quasi_radial(parse("r2"), Partition((1, 1)), m, (a, a), SPEC)
+    # Gamma(3/2) Gamma(1/2) = pi/2 times products of (i + 1/2)/i and
+    # (i - 1/2)/i, exact but for their rounding
+    want = (math.pi / 2 * math.prod((i + 0.5) / i for i in range(1, a + 1))
+            * math.prod((i - 0.5) / i for i in range(1, m - 2 * a + 1)))
+    assert got == pytest.approx(want, rel=1e-11)
+
+
 def test_multisphere_factor_unit_is_one():
     k = Partition((3,))
     for alpha in [(0, 0, 0), (1, 2, 0), (2, 2, 2)]:
@@ -359,8 +372,9 @@ def test_monte_carlo_needs_100_samples():
 
 @pytest.mark.parametrize("space", [ProjectiveSpace(3, 5), BallSpace(3, 1.0, 5)])
 def test_coupled_grid_matches_materialised_rules(space):
-    """The radial x block grid contracted one axis at a time against sums
-    over simplex_rule's nodes: sum_r W_r a(r) sum_s W_s b(r, s)."""
+    """The radial x block grid contracted one axis at a time against means
+    over simplex_rule's nodes: sum_r W_r a(r) sum_s W_s b(r, s), each sum
+    over the sum of its weights."""
     a, b = parse("r1^2*r2/(1+r1^2+r2^2)"), parse("s1^2*r2 + s2/(1+r1^2)")
     spec = QuadratureSpec(order=24)
     e, exps, b0 = (1.5, 0.5), (0.5,), 1.0
@@ -373,8 +387,9 @@ def test_coupled_grid_matches_materialised_rules(space):
     S, Wb = simplex_rule(1, exps, b0, spec.order)
     radii = {"r1": rho[:, 0, None], "r2": rho[:, 1, None]}
     cosines = {"s1": np.sqrt(S[None, :, 0]), "s2": np.sqrt(1 - S[None, :, 0])}
-    inner = evaluate(b, {**radii, **cosines}) @ Wb
+    inner = evaluate(b, {**radii, **cosines}) @ Wb / np.sum(Wb)
     want = np.sum(W * evaluate(a, {"r1": rho[:, 0], "r2": rho[:, 1]}) * inner)
+    want /= np.sum(W)
     coupled = [(b, *gamma_module._block_rule(2, exps, b0, spec))]
     got, = gamma_module._radial_value(space, a, coupled, [], e, a0, spec)
     assert got == pytest.approx(want, rel=1e-14)

@@ -244,7 +244,8 @@ def test_mc_memo_is_bitwise_per_alpha_draws():
                     u = np.divide(Z[:, j], R[j],
                                   out=np.ones(len(Z), dtype=complex),
                                   where=R[j] > 0)
-                    c = c * (np.conj(u) ** (b - a) if b > a else u ** (a - b))
+                    c = np.multiply(np.conj(u) ** (b - a) if b > a
+                                    else u ** (a - b), c)
             mono = None
             for r, e in zip(R, (a + b for a, b in zip(alpha, beta))):
                 if e:
@@ -295,6 +296,23 @@ def test_ball_mc_table_is_chunk_independent(monkeypatch):
             for alpha, beta in _table_pairs(3, 3, p))])
     assert rows[0] == rows[1] == rows[2]
     assert len(rows[0]) > 5
+
+
+def test_mc_shifted_is_bitwise_across_chunkings():
+    """The phases c of a 100 000-point P^n draw are bit for bit the same
+    on the whole draw and on chunks of 2^15 (the last one below NumPy's
+    16 384-point elision threshold) and 1000 points."""
+    k = Partition((2, 1))
+    psi = SingleSphereFactor(0, "sig1^2", (1, -1))
+    Z, R, psi_w, _ = oracle._mc_draw(psi, k, ("nu_m", 3, 3), 3, 100_000, 1)
+    for diff in ((1, -1, 0), (2, -1, -1), (-1, 0, 1), (3, -2, -1)):
+        whole = oracle._mc_shifted(psi_w, Z, R, diff)
+        for chunk in (2**15, 1000):
+            parts = [oracle._mc_shifted(psi_w[lo:lo + chunk],
+                                        Z[lo:lo + chunk],
+                                        R[:, lo:lo + chunk], diff)
+                     for lo in range(0, len(Z), chunk)]
+            assert np.concatenate(parts).tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("space", ["projective", 1.0])

@@ -28,18 +28,18 @@ def beta(a, b):
 
 
 def test_jacobi_rule_beta_identity():
-    # int_0^1 u^a (1-u)^b du = B(a+1, b+1), exponents absorbed in weights
+    # a probability rule: int_0^1 u^a (1-u)^b du over its mass B(a+1, b+1)
     for a in (0.0, 0.5, 1.0, 2.5):
         for b in (0.0, 0.5, 3.0):
             u, w = jacobi_rule_01(a, b, 12)
-            assert np.sum(w) == pytest.approx(beta(a + 1, b + 1), rel=1e-13)
+            assert np.sum(w) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_jacobi_rule_polynomial_exactness():
     # order-q Gauss rule integrates polynomials of degree <= 2q-1 exactly
     u, w = jacobi_rule_01(0.5, 1.5, 6)
     for deg in range(12):
-        exact = beta(0.5 + deg + 1, 2.5)
+        exact = beta(0.5 + deg + 1, 2.5) / beta(1.5, 2.5)
         assert np.sum(w * u**deg) == pytest.approx(exact, rel=1e-12)
 
 
@@ -54,23 +54,24 @@ def test_jacobi_rule_matches_scipy_and_beta_moments():
         for q in (1, 2, 5, 40, 64):
             u, w = jacobi_rule_01(a, b, q)
             x, wr = special.roots_jacobi(q, b, a)
-            ur, wr = 0.5 * (x + 1), wr * 0.5 ** (a + b + 1)
+            ur, wr = 0.5 * (x + 1), wr / np.sum(wr)
             assert np.max(np.abs(u - ur)) < 1e-14
             for f in funcs:
                 assert np.sum(w * f(u)) == pytest.approx(np.sum(wr * f(ur)),
                                                          rel=1e-12)
             for j in range(2 * q):
-                exact = math.exp(special.betaln(a + j + 1, b + 1))
+                exact = math.exp(special.betaln(a + j + 1, b + 1)
+                                 - special.betaln(a + 1, b + 1))
                 assert np.sum(w * u**j) == pytest.approx(exact, rel=1e-11)
 
 
-def test_jacobi_rule_rejects_subnormal_mass():
-    # B(511, 511) = 3.5e-309 is below the normal range: no rule, rather
-    # than one whose weights have lost their relative accuracy
-    with pytest.raises(DomainError, match="not representable"):
-        jacobi_rule_01(510.0, 510.0, 40)
-    u, w = jacobi_rule_01(500.0, 500.0, 40)
-    assert np.all(np.isfinite(w)) and np.sum(w) > 0
+def test_simplex_rule_rejects_subnormal_mass():
+    # B(511, 511) = 3.5e-309 is below the normal range: no materialized
+    # rule, rather than one whose weights have lost their relative accuracy
+    with pytest.raises(DomainError, match="normal double range"):
+        simplex_rule(1, (510.0,), 510.0, 40)
+    X, W = simplex_rule(1, (500.0,), 500.0, 40)
+    assert np.all(np.isfinite(W)) and np.sum(W) > 0
 
 
 def test_dirichlet_closed_form_values():
@@ -81,15 +82,18 @@ def test_dirichlet_closed_form_values():
 
 
 def test_simplex_rule_dirichlet_identity_half_integer_grid():
-    # the unit integrand reproduces the Dirichlet integral for every
-    # half-integer exponent combination
+    # the unit integrand has mean 1, and x_1 the Dirichlet moment ratio,
+    # for every half-integer exponent combination
     half = [0.0, 0.5, 1.0, 1.5, 2.0]
     for d in (1, 2, 3):
         for a in itertools.product(half[:3], repeat=d):
             for a0 in half:
                 got = simplex_integrate(None, d, a, a0, SPEC)
-                assert got == pytest.approx(dirichlet_closed_form(a, a0),
-                                            rel=1e-12)
+                assert got == pytest.approx(1.0, rel=1e-12)
+                got = simplex_integrate(lambda x: x[0], d, a, a0, SPEC)
+                moment = dirichlet_closed_form((a[0] + 1, *a[1:]), a0)
+                assert got == pytest.approx(
+                    moment / dirichlet_closed_form(a, a0), rel=1e-12)
 
 
 def test_simplex_rule_dimension_zero():
@@ -105,15 +109,21 @@ def test_simplex_rule_rejects_large_dimension():
 def test_simplex_integrate_polynomial():
     got = simplex_integrate(lambda x: x[0] ** 2 * x[1], 2,
                             (0.5, 0.0), 1.0, SPEC)
-    assert got == pytest.approx(dirichlet_closed_form((2.5, 1.0), 1.0),
+    assert got == pytest.approx(dirichlet_closed_form((2.5, 1.0), 1.0)
+                                / dirichlet_closed_form((0.5, 0.0), 1.0),
                                 rel=1e-12)
 
 
 def test_radial_integral_rational_weight():
-    # int_{R_+} r^e (1+r)^{-N} dr = B(e+1, N-e-1)
+    # int_{R_+} r^e (1+r)^{-N} dr = B(e+1, N-e-1): the mean of 1/(1+r) is
+    # B(e+1, N-e) over that mass, and the unit integrand's mean is 1
     for e, N in [(0.0, 3.0), (1.5, 5.0), (2.0, 7.5)]:
         got = radial_integrate_projective(None, 1, (e,), N, SPEC)
-        assert got == pytest.approx(beta(e + 1, N - e - 1), rel=1e-12)
+        assert got == pytest.approx(1.0, rel=1e-12)
+        got = radial_integrate_projective(lambda s: 1 / (1 + s[0] ** 2), 1,
+                                          (e,), N, SPEC)
+        assert got == pytest.approx(beta(e + 1, N - e)
+                                    / beta(e + 1, N - e - 1), rel=1e-12)
 
 
 def test_radial_integral_rejects_divergent():
@@ -122,10 +132,11 @@ def test_radial_integral_rejects_divergent():
 
 
 def test_radial_integral_feeds_square_roots():
-    # g(sqrt(r)) = r/(1+r): int r^2 (1+r)^(-7) dr = B(3, 4)
+    # g(sqrt(r)) = r/(1+r): int r^2 (1+r)^(-7) dr = B(3, 4), over the
+    # mass B(2, 4) of r (1+r)^(-6)
     got = radial_integrate_projective(
         lambda s: s[0] ** 2 / (1 + s[0] ** 2), 1, (1.0,), 6.0, SPEC)
-    assert got == pytest.approx(beta(3.0, 4.0), rel=1e-12)
+    assert got == pytest.approx(beta(3.0, 4.0) / beta(2.0, 4.0), rel=1e-12)
 
 
 def test_mc_seed_determinism():
@@ -195,13 +206,14 @@ def _smooth(x):
 
 @pytest.mark.parametrize("d", [0, 1, 2, 3, 4])
 def test_factored_simplex_matches_materialised_rule(d):
-    # the broadcast kernel against sum W f(X) over simplex_rule's nodes,
-    # at half-integer exponents
+    # the broadcast kernel's mean against sum W f(X) / sum W over
+    # simplex_rule's nodes, at half-integer exponents
     q = (40, 40, 24, 16, 10)[d]
     for a, a0 in (((0.5, 0.0, 1.5, 2.0)[:d], 0.5),
                   ((0.0, 2.5, 0.5, 1.0)[:d], 3.0)):
         X, W = simplex_rule(d, a, a0, q)
         want = np.sum(W * _smooth(list(X.T) + [1.0 - X.sum(axis=-1)]))
+        want /= np.sum(W)
         got = simplex_integrate(_smooth, d, a, a0, QuadratureSpec(order=q))
         assert got == pytest.approx(want, rel=1e-14)
 
@@ -214,7 +226,7 @@ def test_factored_projective_map_matches_materialised_rule(ell):
     N = ell + sum(e) + 4.5
     X, W = simplex_rule(ell, e, N - ell - 1 - sum(e), q)
     rho = np.sqrt(X / (1.0 - X.sum(axis=-1, keepdims=True)))
-    want = np.sum(W * _smooth(list(rho.T)))
+    want = np.sum(W * _smooth(list(rho.T))) / np.sum(W)
     got = radial_integrate_projective(_smooth, ell, e, N,
                                       QuadratureSpec(order=q))
     assert got == pytest.approx(want, rel=1e-14)
@@ -226,7 +238,7 @@ def test_factored_ball_map_matches_materialised_rule(ell):
     q = (40, 40, 20, 10)[ell - 1]
     e, a0 = (1.5, 0.0, 0.5, 1.0)[:ell], 1.0
     X, W = simplex_rule(ell, e, a0, q)
-    want = np.sum(W * _smooth(list(np.sqrt(X).T)))
+    want = np.sum(W * _smooth(list(np.sqrt(X).T))) / np.sum(W)
     got = simplex_integrate(lambda x: _smooth([np.sqrt(v) for v in x[:-1]]),
                             ell, e, a0, QuadratureSpec(order=q))
     assert got == pytest.approx(want, rel=1e-14)
@@ -244,18 +256,18 @@ def test_batched_rules_equal_single_builds():
 
 def test_batched_rules_keep_the_refusal_boundary(monkeypatch):
     monkeypatch.setattr(quadrature, "_rules", {})
-    # B(511, 511) = 3.5e-309 is below the normal range, B(501, 501) is not
+    # B(511, 511) = 3.5e-309 is below the normal range, but a probability
+    # rule carries no mass: its weights sum to 1 all the same
     pairs = [(0.5, 2.0), (510.0, 510.0), (500.0, 500.0), (3.0, 0.0)]
     build_jacobi_rules(pairs, 40)
-    assert set(quadrature._rules) == {(0.5, 2.0, 40), (500.0, 500.0, 40),
-                                      (3.0, 0.0, 40)}
-    for a, b in (0.5, 2.0), (500.0, 500.0), (3.0, 0.0):
+    assert set(quadrature._rules) == {(a, b, 40) for a, b in pairs}
+    for a, b in pairs:
         x, w = _golub_welsch(a, b, 40)
         u, w_ab = quadrature._rules[(a, b, 40)]
         assert np.array_equal(u, 0.5 * (x + 1.0))
-        assert np.array_equal(w_ab, w * quadrature._mass(a, b))
-    with pytest.raises(DomainError, match="not representable"):
-        jacobi_rule_01(510.0, 510.0, 40)
+        assert np.array_equal(w_ab, w)
+    u, w = jacobi_rule_01(510.0, 510.0, 40)
+    assert np.all(w >= 0) and np.sum(w) == pytest.approx(1.0, rel=1e-13)
 
     # a rule whose weights come out non-finite stays out of the cache, and
     # jacobi_rule_01 refuses it as before; the rest of its batch is kept
