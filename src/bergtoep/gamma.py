@@ -8,23 +8,24 @@ the ball, for every family:
 
 E the mean under the probability Dirichlet weight (e, a0), e_j = |h_(j)| +
 k_j - 1 and a0 = m-|alpha| on P^n, lambda on the ball, and B_j the mean of b_j
-under the block's weight h_(j).  The Gamma ratio is one log scale and every
-integral a probability mean, so no Dirichlet mass is formed.  It takes a whole
-basis: the bookkeeping is arrays with a row per alpha, and each distinct radial
-key (e, a0) and block key (j, exps, a0_j) is integrated once, in order of first
+under the block's weight h_(j).  A single-sphere block's b(sigma) reads the
+global cosines, so its weight carries the coordinates outside the block as one
+leftover coordinate, |alpha| - |alpha_(j)| + n - k_j - 1; the radial mean of
+that lone block is 1.  The Gamma ratio is one log scale and every integral a
+probability mean, so no Dirichlet mass is formed.  It takes a whole basis: the
+bookkeeping is arrays with a row per alpha, and each distinct radial key
+(e, a0) and block key (j, exps, a0_j) is integrated once, in order of first
 appearance, after one batched build of all their Jacobi rules.  A b_j that
 reads radii is split into terms c_t R_t(r) S_t(s), and the mean is sum_t c_t
 radial(a R_t) block(S_t), unless a term reads radii and cosines in one factor
 or the terms outnumber the q^(k_j - 1) nodes per radial node of the coupled
-grid, the block's rule contracted at every radial node.  A lone single-sphere
-factor on P^n takes the ratio over its block times the mean of b(sigma);
-Monte Carlo draws once per distinct key.
+grid, the block's rule contracted at every radial node.  Monte Carlo draws once
+per distinct key, and only the weights its integrand reads.
 
 Terms of degree <= 2q - 1 in the barycentric coordinates of their integral
 (`expr.dirichlet_form`), where the order-q rule is exact, take their
-Dirichlet moment ratios and build no rule: block and single-sphere terms, and
-the radial integral when every a R_t is one.  Everything else integrates on its
-rule; Monte Carlo samples every non-constant integrand.
+Dirichlet moment ratios and build no rule: block terms, and the terms of each
+a R_t unless a block is coupled.  The other terms integrate on their rule.
 """
 
 from __future__ import annotations
@@ -141,19 +142,26 @@ def _evaluate(e: Expr | None, env: dict):
 
 
 def _cosines_env(x, kj: int, name: str = "s") -> dict:
-    """Cosines s1..s_kj (or sig1..) at the block's squared cosines x."""
+    """Cosines s1..s_kj (or sig1..) at the block's squared cosines x, the
+    first kj coordinates of x."""
     return {f"{name}{l + 1}": np.sqrt(x[l]) for l in range(kj)}
 
 
 def _split_product(psi: SymbolSpec, k: Partition, allowed):
-    """Collect (a_expr, {block: b_expr}, total shift) from a product."""
+    """Collect (a_expr, {block: (cosine name, b_expr)}, total shift) from a
+    product: a single-sphere factor reads sig1.., every other factor s1.."""
     validate_product(psi, k)
     a_expr, blocks = None, {}
     for f in flatten(psi):
         if isinstance(f, QuasiRadial):
             a_expr = f.a
         elif isinstance(f, allowed):
-            blocks[f.j] = f.b
+            single = isinstance(f, SingleSphereFactor)
+            if single and k.parts[f.j] >= k.n:
+                raise UnsupportedCaseError(
+                    "single-sphere factor with k_j = n is not covered; "
+                    "use the one-block multi-sphere form instead")
+            blocks[f.j] = ("sig" if single else "s", f.b)
         elif not isinstance(f, PhaseMonomial):
             raise ValidationError(
                 f"factor {type(f).__name__} is outside this symbol family")
@@ -237,10 +245,24 @@ def _values(space, a_expr, blocks: dict, k: Partition, p, alphas,
     e = np.column_stack([h[:, k.block_slice(j)].sum(axis=1) + kj - 1
                          for j, kj in enumerate(k.parts)])
     weights = {j: h[:, k.block_slice(j)] for j in sorted(blocks)}
+    for j in weights:
+        if blocks[j][0] == "sig":  # the coordinates outside block j as one
+            outside = np.delete(A, k.block_slice(j), axis=1).sum(axis=1)
+            weights[j] = np.column_stack(
+                [weights[j], outside + k.n - k.parts[j] - 1])
     if spec.method == "monte-carlo":
-        keys, key_of = _distinct(np.column_stack([e, a0, *weights.values()]))
-        value = np.array([_mc_value(space, a_expr, blocks, k, key, spec)
-                          for key in keys])[key_of]
+        # draw the radial weight only when a radius is read or no block is
+        radial = a_expr is not None or not blocks or any(
+            v[0] == "r" for _, b in blocks.values() if b is not None
+            for v in variables(b))
+        drawn = (([np.column_stack([e, a0])] if radial else [])
+                 + list(weights.values()))
+        keys, key_of = _distinct(np.column_stack(drawn))
+        cuts = np.cumsum([w.shape[1] for w in drawn])[:-1]
+        value = np.array([_mc_value(
+            space, a_expr, blocks, k,
+            [(w[:-1], w[-1]) for w in np.split(key, cuts)], spec)
+            for key in keys])[key_of]
     else:
         value = _quadrature(space, a_expr, blocks, k, e, a0, weights, spec)
     out[live] = [_scaled(s, v) for s, v in zip(scale.tolist(),
@@ -253,29 +275,32 @@ def _quadrature(space, a_expr, blocks: dict, k: Partition, e, a0,
     """The means of gamma by quadrature, one value per row of e."""
     ell, q = k.num_blocks, spec.order
     # each term takes the radial grid; a coupled grid is q^(k_j-1) times it
-    terms = {j: _block_terms(blocks[j], q ** (k.parts[j] - 1))
+    terms = {j: _block_terms(blocks[j][1], q ** (k.parts[j] - 1))
              for j in weights}
     coupled = [j for j, t in terms.items() if t is None]
     split = {j: t for j, t in terms.items() if t is not None}
-    forms = {j: [_form(S, _roots("s", k.parts[j], k.parts[j]), spec)
+    # a block integral has the block's cosines over its weight's width
+    forms = {j: [_form(S, _roots(blocks[j][0], k.parts[j],
+                                 weights[j].shape[1]), spec)
                  for *_, S in t] for j, t in split.items()}
-    # a times each product of one term R per split block, by its moments
-    # when every such product is a polynomial in the radial coordinates
+    # a times each product of one term R per split block, its polynomial
+    # terms by their moments; beside a coupled block nothing closes
     radial_roots = _roots("r", ell, ell + 1, ell if isinstance(
         space, ProjectiveSpace) else None)
-    products = [] if coupled else [
-        _form(_times(a_expr, *Rs), radial_roots, spec)
-        for Rs in product(*([R for _, R, _ in t] for t in split.values()))]
-    closed = not coupled and all(rest is None for _, rest in products)
+    products = [_times(a_expr, *Rs) for Rs in product(
+        *([R for _, R, _ in t] for t in split.values()))]
+    radial_forms = [([], Num(1.0) if x is None else x) if coupled
+                    else _form(x, radial_roots, spec) for x in products]
+    rests = [rest for _, rest in radial_forms]
     keys = {j: _distinct(h) for j, h in weights.items()}
     pairs = [pair for j, (rows, _) in keys.items()
              if j in coupled or any(rest is not None for _, rest in forms[j])
              for w in rows for pair in simplex_pairs(w[:-1], w[-1], q)]
-    if not closed:
+    ruled = any(rest is not None for rest in rests)
+    if ruled:
         # radial times coupled nodes, once per product of split terms
         quadrature.check_tensor_size(
-            ell + sum(k.parts[j] - 1 for j in coupled), q,
-            math.prod(map(len, split.values())))
+            ell + sum(k.parts[j] - 1 for j in coupled), q, len(rests))
         radial_keys, radial_of = _distinct(np.column_stack(
             [e, a0, *(keys[j][1] for j in coupled)]))
         pairs += [pair for row in radial_keys
@@ -283,22 +308,21 @@ def _quadrature(space, a_expr, blocks: dict, k: Partition, e, a0,
     build_jacobi_rules(pairs, q)
     # each block's terms c_t block(S_t) per distinct block key, gathered
     integrals = {j: np.array([[
-        c * _integral(form, partial(_cosines_env, kj=k.parts[j]),
-                      k.parts[j] - 1, tuple(w[:-1]), w[-1], spec)
+        c * _integral(form, partial(_cosines_env, kj=k.parts[j],
+                                    name=blocks[j][0]),
+                      len(w) - 1, tuple(w[:-1]), w[-1], spec)
         for (c, *_), form in zip(t, forms[j])] for w in keys[j][0]]
     ).reshape(-1, len(t))[keys[j][1]] for j, t in split.items()}
-    if closed:
-        weight = np.column_stack([e, a0])
-        radial = np.column_stack([
-            sum(c * _moment_ratio(weight, x) for c, x in terms)
-            for terms, _ in products])
-    else:
+    weight = np.column_stack([e, a0])
+    radial = np.column_stack([
+        sum((c * _moment_ratio(weight, x) for c, x in closed),
+            np.zeros(len(e))) for closed, _ in radial_forms])
+    if ruled:
         rules = {j: [_block_rule(k.parts[j], tuple(w[:-1]), w[-1], spec)
                      for w in keys[j][0]] for j in coupled}
-        radial = np.array([_radial_value(
-            space, a_expr, [(blocks[j], *rules[j][int(u)])
-                            for j, u in zip(coupled, row[ell + 1:])],
-            [[R for _, R, _ in t] for t in split.values()],
+        radial += np.array([_radial_value(
+            space, rests, [(blocks[j][1], *rules[j][int(u)])
+                           for j, u in zip(coupled, row[ell + 1:])],
             tuple(row[:ell]), row[ell], spec)
             for row in radial_keys])[radial_of]
     choices = product(*(range(len(t)) for t in split.values()))
@@ -307,24 +331,24 @@ def _quadrature(space, a_expr, blocks: dict, k: Partition, e, a0,
                for combo, ts in enumerate(choices))
 
 
-def _radial_value(space, a_expr, coupled: list, split: list, e, a0,
+def _radial_value(space, rests: list, coupled: list, e, a0,
                   spec) -> np.ndarray:
-    """Radial means of a(rho) prod B(rho) times each product of one
-    term R per split block (split lists each block's R, None for 1), in
-    itertools.product order; each coupled block mean B (b, cosines and
-    weights on the block's axes) is contracted at every radial node."""
+    """Radial means of each rest (an expression in the radii, None for 0)
+    times prod B(rho), one per rest; each coupled block mean B (b, cosines
+    and weights on the block's axes) is contracted at every radial node."""
 
     def g(radii):
         env = {f"r{j + 1}": r for j, r in enumerate(radii)}
-        vals = _evaluate(a_expr, env)
+        # one integrand per rest, each contracted on its own axes
+        vals = [0.0 if rest is None else evaluate(rest, env)
+                for rest in rests]
         for b_expr, cosines, ws in coupled:
             pad = (...,) + (None,) * len(ws)  # block axes after radial ones
             h = evaluate(b_expr, {**{v: r[pad] for v, r in env.items()},
                                   **cosines})
-            vals = vals * quadrature.contract(h, ws)
-        # one integrand per product, each contracted on its own axes
-        return [reduce(mul, Rs, vals) for Rs in product(
-            *([_evaluate(R, env) for R in Rs] for Rs in split))]
+            B = quadrature.contract(h, ws)
+            vals = [v * B for v in vals]
+        return vals
 
     if isinstance(space, ProjectiveSpace):
         return radial_integrate_projective(g, len(e), e,
@@ -349,10 +373,7 @@ def _roots(name: str, count: int, size: int, over: int | None = None):
 
 def _form(expr: Expr | None, roots: dict, spec):
     """(closed, rest) of expr as `dirichlet_form` splits it, up to the
-    degree the order-q rule integrates exactly; under Monte Carlo every
-    non-constant expr is all rest, so that it is sampled."""
-    if spec.method == "monte-carlo" and expr is not None:
-        return [], expr
+    degree the order-q rule integrates exactly."""
     return dirichlet_form(Num(1.0) if expr is None else expr, roots,
                           2 * spec.order - 1)
 
@@ -373,18 +394,13 @@ def _moment_ratio(x, exps) -> np.ndarray:
 def _integral(form, env, d: int, exps, a0, spec) -> float:
     """Mean of a `_form` (closed, rest), rest at the variables env(x),
     under the normalized weight x^exps (1-sum x)^a0 on the d-simplex: each
-    closed term by its moment ratio, rest on the rule (or sampled).  x
-    holds all d+1 coordinates, the last 1 - sum x."""
+    closed term by its moment ratio, rest on the rule.  x holds all d+1
+    coordinates, the last 1 - sum x."""
     closed, rest = form
     value = sum(c * _moment_ratio(np.array([[*exps, a0]]), x)[0]
                 for c, x in closed)
     if rest is None:
         return value
-    if spec.method == "monte-carlo":
-        # a Dirichlet draw holds one point per row
-        return value + mc_integrate(
-            lambda X: np.broadcast_to(evaluate(rest, env(X.T)), len(X)),
-            ("dirichlet", [(exps, a0)]), spec.order, spec.seed)[0]
     return value + float(simplex_integrate(lambda x: evaluate(rest, env(x)),
                                            d, exps, a0, spec))
 
@@ -395,53 +411,26 @@ def _block_rule(kj: int, exps, a0, spec):
     return _cosines_env(quadrature.barycentric(us), kj), ws
 
 
-def _mc_value(space, a_expr, blocks: dict, k: Partition, key, spec):
-    """Monte Carlo estimate at a key row (e, a0, then each block's exps and
-    a0_j); each point is drawn from its Dirichlet weight."""
+def _mc_value(space, a_expr, blocks: dict, k: Partition, drawn, spec):
+    """Monte Carlo estimate at one key: drawn holds the Dirichlet weights
+    (exps, a0) each point is drawn from, the radial (e, a0) first when it is
+    drawn, then each block's in block order."""
     ell, order = k.num_blocks, sorted(blocks)
-    e, a0, *ws, _ = np.split(key, np.cumsum([ell, 1, *(k.parts[j]
-                                                       for j in order)]))
 
-    def f(u, *S):
-        rest = u[:, ell:] if isinstance(space, ProjectiveSpace) else 1.0
-        env = {f"r{j + 1}": r
-               for j, r in enumerate(np.sqrt(u[:, :ell] / rest).T)}
+    def f(*draws):
+        env, u = {}, draws[0]
+        if len(draws) > len(order):  # the radial draw
+            rest = u[:, ell:] if isinstance(space, ProjectiveSpace) else 1.0
+            env = {f"r{j + 1}": r
+                   for j, r in enumerate(np.sqrt(u[:, :ell] / rest).T)}
         vals = _evaluate(a_expr, env)
-        for j, Sj in zip(order, S):
-            cosines = _cosines_env(Sj.T, k.parts[j])
-            vals = vals * _evaluate(blocks[j], {**env, **cosines})
+        for j, Sj in zip(order, draws[len(draws) - len(order):]):
+            name, b = blocks[j]
+            cosines = _cosines_env(Sj.T, k.parts[j], name)
+            vals = vals * _evaluate(b, {**env, **cosines})
         return np.broadcast_to(vals, len(u))
 
-    factors = [(e, a0[0]), *((w[:-1], w[-1]) for w in ws)]
-    return mc_integrate(f, ("dirichlet", factors), spec.order, spec.seed)[0]
-
-
-def _sphere_values(b: Expr | None, k: Partition, j: int, p_j, n: int,
-                   alphas, spec: QuadratureSpec) -> np.ndarray:
-    """Single-sphere gamma at every alpha of alphas (0 at hard zeros): the
-    Gamma ratio over block j times a mean per distinct weight (h_(j), a0)."""
-    kj = k.parts[j]
-    if kj >= n:
-        raise UnsupportedCaseError(
-            "single-sphere factor with k_j = n is not covered; "
-            "use the one-block multi-sphere form instead")
-    A = np.array(alphas, dtype=int).reshape(-1, n)
-    live = np.flatnonzero(np.all(A[:, k.block_slice(j)] + p_j >= 0, axis=1))
-    d, a_j = A[live].sum(axis=1), A[live, k.block_slice(j)]
-    h = a_j + np.asarray(p_j) / 2
-    scale = _gammaln_sum(h + 1, a_j + p_j + 1)
-    weights, weight_of = _distinct(np.column_stack(
-        [h, d - a_j.sum(axis=1) + n - kj - 1]))
-    form = _form(b, _roots("sig", kj, kj + 1), spec)
-    if form[1] is not None and spec.method != "monte-carlo":
-        build_jacobi_rules([pair for w in weights for pair in simplex_pairs(
-            w[:-1], w[-1], spec.order)], spec.order)
-    integrals = [_integral(form, partial(_cosines_env, kj=kj, name="sig"),
-                           kj, tuple(w[:-1]), w[-1], spec) for w in weights]
-    out = np.zeros(len(A))
-    out[live] = [_scaled(s, integrals[u]) for s, u in zip(scale.tolist(),
-                                                          weight_of)]
-    return out
+    return mc_integrate(f, ("dirichlet", drawn), spec.order, spec.seed)[0]
 
 
 def _one(space, psi: SymbolSpec, k: Partition, alpha, spec,
@@ -483,8 +472,8 @@ def gamma_single_sphere(b: Expr | None, k: Partition, j: int, p_j, n: int,
     Independent of the weight; depends on alpha only through alpha_(j) and
     |alpha|.  k_j = n is outside the theorem (the leftover simplex factor
     degenerates) and raises."""
-    validate_product(SingleSphereFactor(j, b, p_j), k)
-    return float(_sphere_values(b, k, j, p_j, n, [alpha], spec)[0])
+    return _one(ProjectiveSpace(n, sum(alpha)), SingleSphereFactor(j, b, p_j),
+                k, alpha, spec, SingleSphereFactor)
 
 
 def gamma_extended_projective(psi: SymbolSpec, k: Partition, m: int, alpha,
@@ -503,7 +492,7 @@ def gamma_extended_ball(psi: SymbolSpec, k: Partition, lam: float, alpha,
 def build_gamma_table(psi: SymbolSpec, space, k: Partition,
                       spec: QuadratureSpec) -> GammaTable:
     """Evaluate gamma over the whole basis, recording hard zeros.  A lone
-    single-sphere factor on P^n takes its own theorem; every other product
+    single-sphere factor on P^n is its own theorem; every other product is
     the extended one, which rejects single-sphere factors.  A non-finite
     entry raises DomainError naming the first such alpha."""
     factors = flatten(psi)
@@ -519,12 +508,7 @@ def build_gamma_table(psi: SymbolSpec, space, k: Partition,
     basis = space_basis(space)
     # a non-finite entry raises below, in place of NumPy's warnings
     with np.errstate(all="ignore"):
-        if single:
-            (j, b), = blocks.items()
-            values = _sphere_values(b, k, j, k.block(p, j), space.n, basis,
-                                    spec)
-        else:
-            values = _values(space, a_expr, blocks, k, p, basis, spec)
+        values = _values(space, a_expr, blocks, k, p, basis, spec)
     bad = np.flatnonzero(~np.isfinite(values))
     if len(bad):
         raise DomainError(f"gamma{tuple(basis[bad[0]].tolist())} = "

@@ -66,6 +66,22 @@ def test_traced_gamma_records_the_quadrature_kernels(tmp_path):
             "quadrature.jacobi_rule_01"} <= spans
 
 
+def test_traced_single_sphere_table_takes_only_block_rules(tmp_path):
+    """A lone single-sphere factor is one block of the engine: its odd
+    cosine sig2 takes block rules, and its radial mean, which is 1, builds
+    no radial rule."""
+    rec = _traced(tmp_path, {
+        **CONFIG,
+        "space": {"type": "projective", "n": 3, "m": 3},
+        "partition": [2, 1],
+        "symbols": [{"kind": "single-sphere", "block": 1, "b": "sig2",
+                     "p": [1, -1]}]}, "gamma", tmp_path / "out")
+    spans = {span[2] for span in rec["spans"]}
+    assert {"quadrature.simplex_integrate",
+            "quadrature.jacobi_rule_01"} <= spans
+    assert "quadrature.radial_integrate_projective" not in spans
+
+
 def test_traced_monte_carlo_oracle_counts_its_draws(tmp_path):
     """A Monte Carlo oracle-compare run: the tracer counts every sample
     drawn, and psi is evaluated on each once (in chunks, so over more

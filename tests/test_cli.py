@@ -354,6 +354,16 @@ def test_too_few_monte_carlo_samples_is_numerical_error(tmp_path):
     assert run(["gamma", "--config", str(path)]) == 3
 
 
+def test_full_block_single_sphere_table_is_not_covered(tmp_path, capsys):
+    path = tmp_path / "single.json"
+    cfg = dict(BASE_CONFIG)
+    cfg["symbols"] = [{"kind": "single-sphere", "block": 1, "b": "sig1",
+                       "p": [1, -1]}]
+    path.write_text(json.dumps(cfg))
+    assert run(["gamma", "--config", str(path)]) == 3
+    assert "not covered" in capsys.readouterr().err
+
+
 def test_bad_expression_is_validation_error(tmp_path):
     path = tmp_path / "bad.json"
     cfg = dict(BASE_CONFIG)

@@ -237,6 +237,41 @@ def test_single_sphere_full_block_unsupported():
                             SPEC)
 
 
+def test_single_sphere_full_block_table_unsupported():
+    with pytest.raises(UnsupportedCaseError, match="not covered"):
+        build_gamma_table(SingleSphereFactor(0, "sig1", (1, -1)),
+                          ProjectiveSpace(2, 3), Partition((2,)), SPEC)
+
+
+def test_single_sphere_table_is_its_per_alpha_coefficient():
+    """A single-sphere block that is not the first: the table and the
+    per-alpha coefficient, on its own P^4 of weight |alpha|, agree bit for
+    bit (the radial mean of the lone block closes to 1)."""
+    k, b = Partition((2, 2)), parse("sig1^2 + sig2")
+    table = build_gamma_table(SingleSphereFactor(1, b, (1, -1)),
+                              ProjectiveSpace(4, 6), k, SPEC)
+    assert sum(v != 0 for v in table.entries.values()) > 100
+    for alpha, got in table.entries.items():
+        assert got == gamma_single_sphere(b, k, 1, (1, -1), 4, alpha, SPEC)
+
+
+def test_single_sphere_monte_carlo_draws_only_its_block():
+    """Under Monte Carlo the estimate is the Gamma ratio over block j times
+    one draw from the block's weight (h_(j), |alpha| - |alpha_(j)| + n -
+    k_j - 1) with the spec's seed: no radial weight is drawn before it."""
+    spec = QuadratureSpec(method="monte-carlo", order=2000, seed=3)
+    b, alpha = parse("sig1^2 + sig2"), (1, 1, 1)
+    got = gamma_single_sphere(b, Partition((2, 1)), 0, (1, -1), 3, alpha,
+                              spec)
+    h, leftover = (1.5, 0.5), 3 - 2 + 3 - 2 - 1
+    mean, _ = quadrature.mc_integrate(
+        lambda X: evaluate(b, {"sig1": np.sqrt(X[:, 0]),
+                               "sig2": np.sqrt(X[:, 1])}),
+        ("dirichlet", [(h, leftover)]), spec.order, spec.seed)
+    ratio = math.gamma(2.5) * math.gamma(1.5) / (math.gamma(3) * math.gamma(1))
+    assert got == pytest.approx(ratio * mean, rel=1e-15)
+
+
 def test_single_sphere_depends_on_block_and_total_degree():
     k = Partition((2, 2))
     b = parse("sig1^2")
@@ -391,7 +426,7 @@ def test_coupled_grid_matches_materialised_rules(space):
     want = np.sum(W * evaluate(a, {"r1": rho[:, 0], "r2": rho[:, 1]}) * inner)
     want /= np.sum(W)
     coupled = [(b, *gamma_module._block_rule(2, exps, b0, spec))]
-    got, = gamma_module._radial_value(space, a, coupled, [], e, a0, spec)
+    got, = gamma_module._radial_value(space, [a], coupled, e, a0, spec)
     assert got == pytest.approx(want, rel=1e-14)
 
 
@@ -572,6 +607,21 @@ def test_radial_quadrature_integrates_once_per_distinct_key(monkeypatch):
     live = [a for a in enumerate_basis(3, 10) if a[1] >= 1]
     assert sum(v != 0 for v in table.entries.values()) == len(live) == 220
     assert len(radial) == len({(a[0] + a[1], a[2]) for a in live}) == 55
+
+
+def test_radial_terms_close_one_by_one(monkeypatch):
+    """r1^2/(1+r1^2+r2^2) is the coordinate U_1 and closes by its moment;
+    only r2 = (U_2/U_0)^(1/2) goes to the radial rule, and the table is the
+    sum of the two one-term tables."""
+    radial = _count_calls(monkeypatch, "_radial_value")
+    space, k = ProjectiveSpace(2, 12), Partition((1, 1))
+    table = build_gamma_table(QuasiRadial("r1^2/(1+r1^2+r2^2) + r2"),
+                              space, k, SPEC)
+    assert radial and all(rests == [Var("r2")] for _, rests, *_ in radial)
+    parts = [build_gamma_table(QuasiRadial(a), space, k, SPEC).values
+             for a in ("r1^2/(1+r1^2+r2^2)", "r2")]
+    assert np.allclose(table.values, parts[0] + parts[1], rtol=1e-14,
+                       atol=0)
 
 
 def test_witness_product_table_runs_no_coupled_grid(monkeypatch):
