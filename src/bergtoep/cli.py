@@ -82,8 +82,10 @@ def load_config(path: str, args) -> dict:
         qcfg["order"] = args.quad_order
     if args.seed is not None:
         qcfg["seed"] = args.seed
-    spec = QuadratureSpec(qcfg.get("method", "gauss-jacobi-tensor"),
-                          int(qcfg.get("order", 40)), int(qcfg.get("seed", 0)))
+    spec = QuadratureSpec(**{key: qcfg[key] if key == "method"
+                             else int(qcfg[key])
+                             for key in ("method", "order", "seed")
+                             if key in qcfg})
     ocfg = dict(cfg.get("oracle", {}))
     if args.mc_samples is not None:
         ocfg["samples"] = args.mc_samples
@@ -91,28 +93,29 @@ def load_config(path: str, args) -> dict:
             "quadrature": spec, "oracle": ocfg, "raw": cfg}
 
 
-def _probe_points(n: int) -> np.ndarray:
-    """A fixed low-discrepancy set of 1000 points in C^n: the generalized
-    golden-ratio (Kronecker) sequence in [0, 1)^(2n) sets each coordinate's
-    modulus, log-uniform on [1e-3, 1e3], and its phase."""
+def _probe_points(n: int):
+    """The moduli and angles, each (1000, n), of a fixed low-discrepancy
+    set of points in C^n: the generalized golden-ratio (Kronecker) sequence
+    in [0, 1)^(2n) sets each coordinate's modulus, log-uniform on
+    [1e-3, 1e3], and its angle, uniform on [0, 2 pi)."""
     phi = 2.0
     for _ in range(60):  # phi^(2n+1) = phi + 1
         phi = (1.0 + phi) ** (1.0 / (2 * n + 1))
     steps = phi ** -np.arange(1.0, 2 * n + 1)
     u = (0.5 + np.arange(1, 1001)[:, None] * steps) % 1.0
-    return 10.0 ** (6.0 * u[:, :n] - 3.0) * np.exp(2j * np.pi * u[:, n:])
+    return 10.0 ** (6.0 * u[:, :n] - 3.0), 2 * np.pi * u[:, n:]
 
 
 def domain_precheck(symbols, k: Partition) -> None:
     """Probe symbol expressions on 1000 fixed chart points and flag
     evaluation failures (division by zero, log out of domain)."""
-    Z = _probe_points(k.n)
+    R, theta = _probe_points(k.n)
     for s in symbols:
         try:
             # a non-finite probe value is reported below in one line, not
             # as NumPy's warnings
             with np.errstate(all="ignore"):
-                vals = evaluate_symbol_batch(s, Z, k)
+                vals = evaluate_symbol_batch(s, R, theta, k)
             if not np.all(np.isfinite(vals)):
                 print("warning: symbol evaluates non-finite on probe points",
                       file=sys.stderr)

@@ -251,17 +251,19 @@ def _values(space, a_expr, blocks: dict, k: Partition, p, alphas,
             weights[j] = np.column_stack(
                 [weights[j], outside + k.n - k.parts[j] - 1])
     if spec.method == "monte-carlo":
-        # draw the radial weight only when a radius is read or no block is
-        radial = a_expr is not None or not blocks or any(
-            v[0] == "r" for _, b in blocks.values() if b is not None
-            for v in variables(b))
-        drawn = (([np.column_stack([e, a0])] if radial else [])
-                 + list(weights.values()))
-        keys, key_of = _distinct(np.column_stack(drawn))
-        cuts = np.cumsum([w.shape[1] for w in drawn])[:-1]
+        # draw a block's weight only when its b reads a cosine, and the
+        # radial weight only when a radius is read or no block is drawn
+        reads = {j: {v[0] for v in variables(b)} if b is not None else set()
+                 for j, (_, b) in blocks.items()}
+        drawn = {j: weights[j] for j in weights if "s" in reads[j]}
+        if a_expr is not None or not drawn or any("r" in v
+                                                   for v in reads.values()):
+            drawn = {None: np.column_stack([e, a0]), **drawn}
+        keys, key_of = _distinct(np.column_stack(list(drawn.values())))
+        cuts = np.cumsum([w.shape[1] for w in drawn.values()])[:-1]
         value = np.array([_mc_value(
-            space, a_expr, blocks, k,
-            [(w[:-1], w[-1]) for w in np.split(key, cuts)], spec)
+            space, a_expr, blocks, k, dict(zip(drawn, (
+                (w[:-1], w[-1]) for w in np.split(key, cuts)))), spec)
             for key in keys])[key_of]
     else:
         value = _quadrature(space, a_expr, blocks, k, e, a0, weights, spec)
@@ -411,26 +413,27 @@ def _block_rule(kj: int, exps, a0, spec):
     return _cosines_env(quadrature.barycentric(us), kj), ws
 
 
-def _mc_value(space, a_expr, blocks: dict, k: Partition, drawn, spec):
-    """Monte Carlo estimate at one key: drawn holds the Dirichlet weights
-    (exps, a0) each point is drawn from, the radial (e, a0) first when it is
-    drawn, then each block's in block order."""
-    ell, order = k.num_blocks, sorted(blocks)
+def _mc_value(space, a_expr, blocks: dict, k: Partition, drawn: dict,
+              spec):
+    """Monte Carlo estimate at one key: drawn maps the radial factor (None)
+    and each block it samples to the Dirichlet weight (exps, a0) its points
+    are drawn from, in drawing order; a block not drawn reads no cosine."""
 
     def f(*draws):
-        env, u = {}, draws[0]
-        if len(draws) > len(order):  # the radial draw
-            rest = u[:, ell:] if isinstance(space, ProjectiveSpace) else 1.0
+        env, u = {}, dict(zip(drawn, draws))
+        if None in u:  # the radial draw
+            x, ell = u[None], k.num_blocks
+            rest = x[:, ell:] if isinstance(space, ProjectiveSpace) else 1.0
             env = {f"r{j + 1}": r
-                   for j, r in enumerate(np.sqrt(u[:, :ell] / rest).T)}
+                   for j, r in enumerate(np.sqrt(x[:, :ell] / rest).T)}
         vals = _evaluate(a_expr, env)
-        for j, Sj in zip(order, draws[len(draws) - len(order):]):
-            name, b = blocks[j]
-            cosines = _cosines_env(Sj.T, k.parts[j], name)
+        for j, (name, b) in sorted(blocks.items()):
+            cosines = _cosines_env(u[j].T, k.parts[j], name) if j in u else {}
             vals = vals * _evaluate(b, {**env, **cosines})
-        return np.broadcast_to(vals, len(u))
+        return np.broadcast_to(vals, len(draws[0]))
 
-    return mc_integrate(f, ("dirichlet", drawn), spec.order, spec.seed)[0]
+    return mc_integrate(f, ("dirichlet", list(drawn.values())), spec.order,
+                        spec.seed)[0]
 
 
 def _one(space, psi: SymbolSpec, k: Partition, alpha, spec,

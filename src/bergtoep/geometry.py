@@ -67,7 +67,7 @@ def _max_deviation(psi: SymbolSpec, k: Partition, trials: int, seed: int,
         rng = np.random.default_rng(seed + trial)
         Z[0, trial] = _sample_points(rng, k.n, 1)[0]
         Z[1, trial] = move(rng, Z[0, trial])
-    vals = evaluate_symbol_batch(psi, Z, k)
+    vals = evaluate_symbol_batch(psi, np.abs(Z), np.angle(Z), k)
     # Python's abs, as for one pair: NumPy's vector loop may round |z| apart
     return max(0.0, *map(abs, (vals[1] - vals[0]).tolist()))
 

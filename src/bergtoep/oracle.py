@@ -38,16 +38,19 @@ grid.  samples_or_points stays the nominal q_r^n q_theta^n.  psi is
 evaluated in chunks of at most _CHUNK_POINTS points.
 
 Monte Carlo.  Both spaces draw from their own measures, through
-mc_integrate: the ball from its weight-lambda probability measure, P^n from
-the weight-M one, with the importance weight w of weight m against M.
-Every alpha with the same measure, samples and seed reads the same draw (on
-the ball, the whole table; on P^n, each M), so the memo takes it once and
+mc_integrate, which hands over the points as their moduli R and angles
+theta: the ball from its weight-lambda probability measure, P^n from the
+weight-M one, with the importance weight w of weight m against M.  Every
+alpha with the same measure, samples and seed reads the same draw (on the
+ball, the whole table; on P^n, each M), so the memo takes it once and
 evaluates psi w on it once, in chunks (bitwise: psi does not depend on the
-batch, and w is elementwise).  The estimator is in the factored form
-z^alpha conj(z^beta) = |z|^(alpha+beta) e^{-i (beta-alpha).theta}: a draw
-holds the points Z, their moduli R, psi w, and per shift beta - alpha the
-product c = psi w e^{-i (beta-alpha).theta}, (24 n + 32) bytes a sample
-with one shift, so each alpha costs one real monomial
+batch, and w is elementwise).  psi is evaluated, phase and all, at every
+drawn point, so the estimate still checks the evaluator's t^p.  The
+estimator is in the factored form z^alpha conj(z^beta) =
+R^(alpha+beta) e^{-i (beta-alpha).theta}: a draw holds R, theta, psi w and
+per shift beta - alpha the product c = psi w e^{-i (beta-alpha).theta},
+taken in real arithmetic from the cos and sin of one angle, (16 n + 32)
+bytes a sample with one shift, so each alpha costs one real monomial
 prod R_i^(alpha_i+beta_i) and one mean in one more real and complex array,
 and its estimate is bitwise that of a separate call.
 """
@@ -102,7 +105,6 @@ def _dft_profile(psi, k, rho, diff, q):
     psi is evaluated in chunks of at most _CHUNK_POINTS points."""
     n = rho.shape[1]
     thetas = _theta_grid(n, q)
-    circle = np.exp(1j * thetas)
     # conjugated monomial phases exp(-i (beta - alpha) . theta)
     phase = np.exp(-1j * thetas @ diff)
     rows = max(1, _CHUNK_POINTS // len(thetas))
@@ -111,8 +113,8 @@ def _dft_profile(psi, k, rho, diff, q):
     peak = 0.0
     for r0 in range(0, len(rho), rows):
         for t0 in range(0, len(thetas), cols):
-            Z = rho[r0:r0 + rows, None, :] * circle[None, t0:t0 + cols, :]
-            values = evaluate_symbol_batch(psi, Z, k)
+            values = evaluate_symbol_batch(psi, rho[r0:r0 + rows, None, :],
+                                           thetas[None, t0:t0 + cols, :], k)
             peak = max(peak, float(np.abs(values).max()))
             profile[r0:r0 + rows] += values @ phase[t0:t0 + cols]
     return profile / len(thetas), peak
@@ -175,25 +177,25 @@ def _polar_inner(psi, k, alpha, beta, a0_rule, a0_int, to_rho, q_r, q_theta,
 
 
 def _mc_draw(psi, k, domain, m, samples, seed):
-    """One seeded draw from domain, in the factored form: the points Z,
-    their moduli R (one row per coordinate), psi w at every point, and an
-    empty map from shift to c.  w is the importance weight of the weight-m
-    measure against the drawn weight M on P^n, taken from R, and 1 on the
-    ball.  psi w is filled _MC_CHUNK_POINTS points at a time."""
+    """One seeded draw from domain, in the factored form: the moduli R and
+    angles theta of its points, each (samples, n), psi w at every point,
+    and an empty map from shift to c.  w is the importance weight of the
+    weight-m measure against the drawn weight M on P^n, taken from R, and 1
+    on the ball.  psi w is filled _MC_CHUNK_POINTS points at a time."""
     kept = []
     if domain[0] == "nu_m":
         n, M = domain[1:]
         log_c = lambda x: gammaln(n + x + 1) - gammaln(x + 1)
 
-    def psi_w_at(Z):
-        R, psi_w = np.abs(Z.T, order="C"), np.empty(len(Z), dtype=complex)
-        for lo in range(0, len(Z), _MC_CHUNK_POINTS):
+    def psi_w_at(R, theta):
+        psi_w = np.empty(len(R), dtype=complex)
+        for lo in range(0, len(R), _MC_CHUNK_POINTS):
             s = slice(lo, lo + _MC_CHUNK_POINTS)
-            psi_w[s] = evaluate_symbol_batch(psi, Z[s], k)
+            psi_w[s] = evaluate_symbol_batch(psi, R[s], theta[s], k)
             if domain[0] == "nu_m":
                 psi_w[s] *= np.exp(log_c(m) - log_c(M) + (M - m) * np.log1p(
-                    np.sum(R[:, s] ** 2, axis=0)))
-        kept.append((Z, R, psi_w))
+                    np.sum(R[s] ** 2, axis=1)))
+        kept.append((R, theta, psi_w))
         return psi_w
 
     # the one place that draws; its estimate of E[psi w] is not needed
@@ -201,19 +203,17 @@ def _mc_draw(psi, k, domain, m, samples, seed):
     return (*kept.pop(), {})
 
 
-def _mc_shifted(psi_w, Z, R, diff):
-    """c = psi w e^{-i diff.theta} at every point of the draw, with
-    e^{i theta_j} = Z_j / R_j (1 where R_j = 0).  The complex multiply is
-    not bitwise commutative, so each product is factor * c into the
-    factor's array at every size, as NumPy's temporary elision forms
-    c * factor from 16 384 points on."""
-    c = psi_w
-    for j, d in enumerate(diff):
-        if d:
-            u = np.divide(Z[:, j], R[j], out=np.ones(len(Z), dtype=complex),
-                          where=R[j] > 0)
-            factor = np.conj(u) ** d if d > 0 else u ** -d
-            c = np.multiply(factor, c, out=factor)
+def _mc_shifted(psi_w, theta, diff):
+    """c = psi w e^{-i diff.theta} at every point of the draw: the cos and
+    sin of the one angle -diff.theta, summed in coordinate order, times
+    psi w in real arithmetic."""
+    if not any(diff):
+        return psi_w
+    angle = sum(-d * theta[:, j] for j, d in enumerate(diff) if d)
+    cos, sin = np.cos(angle), np.sin(angle, out=angle)
+    c = np.empty_like(psi_w)
+    c.real = psi_w.real * cos - psi_w.imag * sin
+    c.imag = psi_w.real * sin + psi_w.imag * cos
     return c
 
 
@@ -235,12 +235,12 @@ def _mc_inner(psi, k, alpha, beta, domain, m, samples, seed, memo):
         memo.pop("monte-carlo", None)  # free the earlier draw first
         memo["monte-carlo"] = (key, _mc_draw(psi, k, domain, m, samples,
                                              seed))
-    Z, R, psi_w, shifts = memo["monte-carlo"][1]
+    R, theta, psi_w, shifts = memo["monte-carlo"][1]
     diff = tuple(b - a for a, b in zip(alpha, beta))
     if diff not in shifts:
-        shifts[diff] = _mc_shifted(psi_w, Z, R, diff)
+        shifts[diff] = _mc_shifted(psi_w, theta, diff)
     mono = None
-    for r, e in zip(R, (a + b for a, b in zip(alpha, beta))):
+    for r, e in zip(R.T, (a + b for a, b in zip(alpha, beta))):
         if e:
             mono = r**e if mono is None else np.multiply(mono, r**e, out=mono)
     # mc_mean(c * mono), residual over c mono, |residual|^2 over mono

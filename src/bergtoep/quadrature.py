@@ -320,13 +320,15 @@ def mc_integrate(f, domain, N: int, seed: int):
                                  [(a_i, a0_i), ...]; u_i is drawn from
                                  Dirichlet(a_i+1, a0_i+1) and holds all
                                  d_i+1 coordinates
-      ("nu_m", n, m)          -- E[f(z)] under the weight-m probability
-                                 measure on C^n
-      ("ball", n, lam)        -- E[f(z)] under the weight-lambda probability
-                                 measure on the unit ball of C^n
-    Both measures draw |z|^2 from Dirichlet(1, ..., 1, w+1) with
-    independent uniform phases: rho^2 = y/y_last on C^n (w = m), rho^2 = y
-    on the ball (w = lambda).
+      ("nu_m", n, m)          -- E[f(R, theta)] under the weight-m
+                                 probability measure on C^n
+      ("ball", n, lam)        -- E[f(R, theta)] under the weight-lambda
+                                 probability measure on the unit ball of C^n
+    The two measures hand f the points z_i = R_i e^{i theta_i} in polar
+    form: the moduli R and the angles theta, each of shape (N, n).  Both
+    draw R^2 from Dirichlet(1, ..., 1, w+1) and theta uniform on
+    [0, 2 pi)^n: R^2 = y/y_last on C^n (w = m), R^2 = y on the ball
+    (w = lambda).
     Deterministic for a fixed seed.  Returns (estimate, stderr).  A count
     of N below 100 or above MAX_SAMPLES is refused before anything is
     drawn.
@@ -343,26 +345,21 @@ def mc_integrate(f, domain, N: int, seed: int):
                                + 1.0, size=N) for a, a0 in domain[1]]
         vals = np.asarray(f(*draws))
     elif kind in ("nu_m", "ball"):
-        vals = np.asarray(f(_space_points(rng, kind, domain[1], domain[2],
-                                          N)))
+        vals = np.asarray(f(*_space_points(rng, kind, domain[1], domain[2],
+                                           N)))
     else:
         raise DomainError(f"unknown MC domain {kind!r}")
     return mc_mean(vals)
 
 
 def _space_points(rng, kind: str, n: int, w: float, N: int):
-    """N points z = rho e^{i theta} of the ("nu_m" or "ball") measure of
-    weight w, drawn from rng as mc_integrate documents.  The draw's
-    Dirichlet, rho and theta arrays die on return, before the integrand
-    runs; every step is the floating-point operation of the one-line
-    rho * np.exp(1j * theta), so the points are bitwise those."""
+    """The moduli and angles (R, theta), each (N, n), of N points of the
+    ("nu_m" or "ball") measure of weight w, drawn from rng as mc_integrate
+    documents.  The Dirichlet draw dies before theta is drawn."""
     y = rng.dirichlet(np.concatenate([np.ones(n), [w + 1.0]]), size=N)
-    rho = np.sqrt(y[:, :n] / y[:, n:] if kind == "nu_m" else y[:, :n])
+    R = np.sqrt(y[:, :n] / y[:, n:] if kind == "nu_m" else y[:, :n])
     del y
-    Z = 1j * (rng.random((N, n)) * 2 * np.pi)
-    np.exp(Z, out=Z)
-    Z *= rho
-    return Z
+    return R, rng.random((N, n)) * 2 * np.pi
 
 
 def mc_mean(vals):

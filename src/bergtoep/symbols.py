@@ -152,33 +152,35 @@ def _cosines(x):
                     1.0 / np.sqrt(x.shape[-1]))
 
 
-def evaluate_symbol_batch(psi: SymbolSpec, Z: np.ndarray, k: Partition):
-    """Evaluate psi at a batch of points, Z of shape (..., n).
+def evaluate_symbol_batch(psi: SymbolSpec, R, theta, k: Partition):
+    """Evaluate psi at a batch of points in polar form: the moduli R and
+    the angles theta of the coordinates, z_i = R_i e^{i theta_i}, arrays of
+    shape (..., n) that broadcast together.
 
-    Returns a complex array of shape Z.shape[:-1].  Phases of vanishing
-    coordinates are taken as 1 and zero-radius block directions as the
-    uniform point (1/sqrt(k_j), ..., 1/sqrt(k_j)).  The factors' real
-    values are multiplied as reals, then the phase t^p of the total shift
-    is applied once, so that every point's value is the same whatever the
-    batch it is evaluated in.
+    Returns a complex array of their broadcast shape without the last axis.
+    The factors' real values are taken from R alone; zero-radius block
+    directions are the uniform point (1/sqrt(k_j), ..., 1/sqrt(k_j)).  The
+    phase t^p of the total shift is the cos and sin of sum_i p_i theta_i,
+    summed elementwise in coordinate order with theta_i taken as 0 where
+    R_i = 0, so that every point's value is the same whatever the batch it
+    is evaluated in.
     """
-    Z = np.asarray(Z, dtype=complex)
-    if Z.shape[-1] != k.n:
-        raise DomainError(f"points have {Z.shape[-1]} coords, expected {k.n}")
-    factors = flatten(psi)
-    mod = np.abs(Z)
+    R, theta = np.asarray(R, dtype=float), np.asarray(theta, dtype=float)
+    if R.shape[-1] != k.n or theta.shape[-1] != k.n:
+        raise DomainError(f"points have {R.shape[-1]} moduli and "
+                          f"{theta.shape[-1]} angles, expected {k.n}")
     # the block radii r1..rl
-    radii = {f"r{j + 1}": np.sqrt(np.sum(mod[..., k.block_slice(j)]**2, -1))
+    radii = {f"r{j + 1}": np.sqrt(np.sum(R[..., k.block_slice(j)]**2, -1))
              for j in range(k.num_blocks)}
-    value = np.ones(Z.shape[:-1])
-    for f in factors:
+    value = np.ones(R.shape[:-1])
+    for f in flatten(psi):
         if isinstance(f, QuasiRadial):
             value = value * evaluate(f.a, radii)
         elif isinstance(f, AngularFactor):
             # the global cosines' block slice, or the block's own cosines
             single = isinstance(f, SingleSphereFactor)
-            cosines = (_cosines(mod)[..., k.block_slice(f.j)] if single
-                       else _cosines(mod[..., k.block_slice(f.j)]))
+            cosines = (_cosines(R)[..., k.block_slice(f.j)] if single
+                       else _cosines(R[..., k.block_slice(f.j)]))
             env = {f"{'sig' if single else 's'}{l + 1}": cosines[..., l]
                    for l in range(k.parts[f.j])}
             if isinstance(f, ExtendedFactor):
@@ -186,30 +188,17 @@ def evaluate_symbol_batch(psi: SymbolSpec, Z: np.ndarray, k: Partition):
             value = value * evaluate(f.b, env)
         elif not isinstance(f, PhaseMonomial):
             raise TypeError(f"not a symbol: {f!r}")
-    out = value.astype(complex)
-    if (phase := _phase(Z, mod, total_shift(psi, k))) is not None:
-        out.real, out.imag = value * phase[0], value * phase[1]
+    out = np.zeros(np.broadcast_shapes(R.shape, theta.shape)[:-1], complex)
+    if any(p := total_shift(psi, k)):
+        angle = sum(pi * np.where(R[..., i] > 0, theta[..., i], 0.0)
+                    for i, pi in enumerate(p) if pi)
+        out.imag = value * np.sin(angle)
+        value = value * np.cos(angle)
+    out.real = value
     return out
-
-
-def _phase(Z, mod, p):
-    """t^p, t = Z/|Z| (1 where Z = 0), as its real and imaginary parts, or
-    None for p = 0: integer powers in coordinate order, t^-1 as the
-    conjugate of t, products in real arithmetic (NumPy's complex multiply
-    rounds by the operands' layout: its vector and scalar loops differ)."""
-    safe = np.where(mod > 0, mod, 1.0)
-    cos = np.where(mod > 0, Z.real / safe, 1.0)
-    sin = np.where(mod > 0, Z.imag / safe, 0.0)
-    phase = None
-    for i, pi in enumerate(p):
-        u = cos[..., i], (sin[..., i] if pi >= 0 else -sin[..., i])
-        for _ in range(abs(pi)):
-            phase = u if phase is None else (phase[0] * u[0] - phase[1] * u[1],
-                                             phase[0] * u[1] + phase[1] * u[0])
-    return phase
 
 
 def evaluate_symbol(psi: SymbolSpec, z, k: Partition) -> complex:
     """Pointwise value of psi at a single point z in C^n."""
-    val = evaluate_symbol_batch(psi, np.asarray(z, dtype=complex)[None, :], k)
-    return complex(val[0])
+    z = np.asarray(z, dtype=complex)[None, :]
+    return complex(evaluate_symbol_batch(psi, np.abs(z), np.angle(z), k)[0])

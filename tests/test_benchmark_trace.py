@@ -107,3 +107,14 @@ def test_traced_monte_carlo_oracle_counts_its_draws(tmp_path):
     assert counts["symbols.evaluate_symbol_batch.points"] == (
         draws * samples + 1000)
     assert "oracle.gamma_from_oracle" in {span[2] for span in rec["spans"]}
+
+
+def test_traced_polar_grid_oracle_evaluates_the_symbol(tmp_path):
+    """A polar-grid oracle-compare run: the tracer sees psi evaluated on
+    the polar grid, well past the pre-check's 1000 probe points."""
+    rec = _traced(tmp_path, {**CONFIG, "oracle": {"method": "polar-grid",
+                                                  "grid": 8}},
+                  "oracle-compare", tmp_path / "out.csv")
+    assert {"symbols.evaluate_symbol_batch",
+            "oracle.gamma_from_oracle"} <= {span[2] for span in rec["spans"]}
+    assert rec["counts"]["symbols.evaluate_symbol_batch.points"] > 1000

@@ -13,7 +13,8 @@ import pytest
 
 from bergtoep import gamma as gamma_module
 from bergtoep import oracle as oracle_module
-from bergtoep.cli import main
+from bergtoep.cli import build_parser, load_config, main
+from bergtoep.quadrature import QuadratureSpec
 
 BASE_CONFIG = {
     "space": {"type": "projective", "n": 2, "m": 3},
@@ -56,6 +57,21 @@ def test_gamma_json_output(config_path, tmp_path):
     assert doc["columns"] == ["alpha", "re", "im"]
     assert doc["meta"]["quadrature"]["order"] == 40
     assert len(doc["rows"]) == 10
+
+
+def test_quadrature_section_defaults_to_the_spec(tmp_path):
+    """A config without a quadrature section runs on QuadratureSpec's own
+    defaults, and writes them to the JSON meta."""
+    cfg = {key: val for key, val in BASE_CONFIG.items()
+           if key != "quadrature"}
+    path, out = tmp_path / "c.json", tmp_path / "g.json"
+    path.write_text(json.dumps(cfg))
+    args = build_parser().parse_args(["gamma", "--config", str(path)])
+    assert load_config(str(path), args)["quadrature"] == QuadratureSpec()
+    assert run(["gamma", "--config", str(path), "--out", str(out),
+                "--format", "json"]) == 0
+    assert json.loads(out.read_text())["meta"]["quadrature"] == {
+        "method": "gauss-jacobi-tensor", "order": 40, "seed": 0}
 
 
 def test_rerun_byte_identical(config_path, tmp_path):

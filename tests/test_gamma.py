@@ -272,6 +272,23 @@ def test_single_sphere_monte_carlo_draws_only_its_block():
     assert got == pytest.approx(ratio * mean, rel=1e-15)
 
 
+def test_monte_carlo_draws_no_weight_of_a_block_without_cosines(
+        monkeypatch):
+    """An extended factor whose b reads radii only is evaluated on the
+    radial draw: one factor per draw, one draw per radial key (|alpha_(1)|,
+    alpha_3, |alpha|) of the live rows."""
+    psi = Product((QuasiRadial("r1^2/(1+r1^2+r2^2)"),
+                   ExtendedFactor(0, "r1^2/(1+r1^2)", (1, -1))))
+    spec = QuadratureSpec(method="monte-carlo", order=1000, seed=0)
+    factors, draw = [], gamma_module.mc_integrate
+    monkeypatch.setattr(gamma_module, "mc_integrate", lambda f, domain, *a: (
+        factors.append(len(domain[1])) or draw(f, domain, *a)))
+    table = build_gamma_table(psi, ProjectiveSpace(3, 6), Partition((2, 1)),
+                              spec)
+    assert factors == [1] * 21
+    assert np.all(np.isfinite(table.values))
+
+
 def test_single_sphere_depends_on_block_and_total_degree():
     k = Partition((2, 2))
     b = parse("sig1^2")

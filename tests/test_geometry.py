@@ -139,7 +139,8 @@ def per_trial_deviation(psi, k, check, trials, seed):
             for j in range(k.num_blocks):
                 sl = k.block_slice(j)
                 zt[sl] = _random_block_unitary(rng, k.parts[j]) @ z[sl]
-        vals = evaluate_symbol_batch(psi, np.stack([z, zt]), k)
+        Z = np.stack([z, zt])
+        vals = evaluate_symbol_batch(psi, np.abs(Z), np.angle(Z), k)
         worst = max(worst, float(abs(vals[1] - vals[0])))
     return worst
 

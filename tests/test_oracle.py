@@ -67,7 +67,7 @@ def test_mc_measure_validation():
     n, m = 2, 3
     for u, alpha in [(0, (1, 0)), (1, (0, 1))]:
         est, stderr = mc_integrate(
-            lambda Z: np.abs(Z[:, u]) ** 2, ("nu_m", n, m), 200_000, 9)
+            lambda R, theta: R[:, u] ** 2, ("nu_m", n, m), 200_000, 9)
         want = float(monomial_norm_sq_projective(alpha, m))
         assert abs(est - want) < 4 * stderr
         assert stderr < 5e-3
@@ -78,7 +78,7 @@ def test_mc_ball_measure_validation():
     ratio ||z^e_u||^2 / ||1||^2."""
     for lam in (0.0, 1.0):
         for u, alpha in [(0, (1, 0)), (1, (0, 1))]:
-            est, stderr = mc_integrate(lambda Z: np.abs(Z[:, u]) ** 2,
+            est, stderr = mc_integrate(lambda R, theta: R[:, u] ** 2,
                                        ("ball", 2, lam), 200_000, 9)
             want = monomial_norm_sq_ball(alpha, lam, 2)
             assert abs(est - want) < 4 * stderr
@@ -150,9 +150,9 @@ def _whole_weight_rule(psi, k, alpha, beta, a0, rho_of, logpref, q_r,
     axes = np.meshgrid(*[2 * np.pi * np.arange(q_theta) / q_theta] * n,
                        indexing="ij")
     th = np.stack([g.ravel() for g in axes], axis=-1)
-    Z = rho_of(X)[:, None, :] * np.exp(1j * th)[None, :, :]
+    values = evaluate_symbol_batch(psi, rho_of(X)[:, None, :], th[None], k)
     mono = np.exp(-1j * th @ (np.asarray(beta) - np.asarray(alpha)))
-    total = np.sum(W[:, None] * evaluate_symbol_batch(psi, Z, k) * mono)
+    total = np.sum(W[:, None] * values * mono)
     return complex(np.exp(logpref) * total / q_theta**n)
 
 
@@ -233,21 +233,19 @@ def test_mc_memo_is_bitwise_per_alpha_draws():
         logw0 = ((gammaln(n + m + 1) - gammaln(m + 1))
                  - (gammaln(n + M + 1) - gammaln(M + 1)))
 
-        def f(Z):
+        def f(R, theta):
             # the factored form: psi w e^{-i (beta-alpha).theta} times the
             # real monomial prod R_i^(alpha_i+beta_i), operation by operation
-            R = np.abs(Z.T, order="C")
-            c = evaluate_symbol_batch(psi, Z, k)
-            c *= np.exp(logw0 + (M - m) * np.log1p(np.sum(R ** 2, axis=0)))
-            for j, (a, b) in enumerate(zip(alpha, beta)):
-                if b - a:
-                    u = np.divide(Z[:, j], R[j],
-                                  out=np.ones(len(Z), dtype=complex),
-                                  where=R[j] > 0)
-                    c = np.multiply(np.conj(u) ** (b - a) if b > a
-                                    else u ** (a - b), c)
+            c = evaluate_symbol_batch(psi, R, theta, k)
+            c *= np.exp(logw0 + (M - m) * np.log1p(np.sum(R ** 2, axis=1)))
+            diff = [b - a for a, b in zip(alpha, beta)]
+            if any(diff):
+                angle = sum(-d * theta[:, j] for j, d in enumerate(diff) if d)
+                cos, sin = np.cos(angle), np.sin(angle)
+                c = (c.real * cos - c.imag * sin) + 1j * (c.real * sin
+                                                          + c.imag * cos)
             mono = None
-            for r, e in zip(R, (a + b for a, b in zip(alpha, beta))):
+            for r, e in zip(R.T, (a + b for a, b in zip(alpha, beta))):
                 if e:
                     mono = r ** e if mono is None else mono * r ** e
             return c if mono is None else c * mono
@@ -304,15 +302,16 @@ def test_mc_shifted_is_bitwise_across_chunkings():
     16 384-point elision threshold) and 1000 points."""
     k = Partition((2, 1))
     psi = SingleSphereFactor(0, "sig1^2", (1, -1))
-    Z, R, psi_w, _ = oracle._mc_draw(psi, k, ("nu_m", 3, 3), 3, 100_000, 1)
+    R, theta, psi_w, _ = oracle._mc_draw(psi, k, ("nu_m", 3, 3), 3, 100_000,
+                                         1)
     for diff in ((1, -1, 0), (2, -1, -1), (-1, 0, 1), (3, -2, -1)):
-        whole = oracle._mc_shifted(psi_w, Z, R, diff)
-        for chunk in (2**15, 1000):
+        whole = oracle._mc_shifted(psi_w, theta, diff)
+        for chunk, stop in ((2**15, len(R)), (1000, len(R)), (999, len(R)),
+                            (7, 7000)):
             parts = [oracle._mc_shifted(psi_w[lo:lo + chunk],
-                                        Z[lo:lo + chunk],
-                                        R[:, lo:lo + chunk], diff)
-                     for lo in range(0, len(Z), chunk)]
-            assert np.concatenate(parts).tobytes() == whole.tobytes()
+                                        theta[lo:lo + chunk], diff)
+                     for lo in range(0, stop, chunk)]
+            assert np.concatenate(parts).tobytes() == whole[:stop].tobytes()
 
 
 @pytest.mark.parametrize("space", ["projective", 1.0])
@@ -346,12 +345,13 @@ def test_mc_factored_estimator_matches_complex_powers(space, p):
                                      seed=seed, memo=memo)
         scale = []
 
-        def f(Z):
+        def f(R, theta):
+            Z = R * np.exp(1j * theta)
             mono = np.prod(Z ** np.asarray(alpha), axis=-1)
             mono = mono * np.prod(np.conj(Z) ** np.asarray(beta), axis=-1)
             w = np.exp(logw0 + (M - m) * np.log1p(
                 np.sum(np.abs(Z) ** 2, axis=-1)))
-            terms = evaluate_symbol_batch(psi, Z, k) * mono * w
+            terms = evaluate_symbol_batch(psi, R, theta, k) * mono * w
             scale.append(np.mean(np.abs(terms)))
             return terms
 
@@ -402,9 +402,10 @@ def test_theta_agreement_resolves_an_alias_cheaply(monkeypatch):
     answers, with a tenth of the points of the 64^2 cap grid."""
     counted = []
 
-    def counting(psi, Z, k):
-        counted.append(Z.size // Z.shape[-1])
-        return evaluate_symbol_batch(psi, Z, k)
+    def counting(psi, R, theta, k):
+        values = evaluate_symbol_batch(psi, R, theta, k)
+        counted.append(values.size)
+        return values
 
     monkeypatch.setattr(oracle, "evaluate_symbol_batch", counting)
     res = inner_product_projective(UNIT, (4, 0), (0, 4), 8, 2, K2, q_r=8,

@@ -152,19 +152,20 @@ def test_mc_seed_determinism():
 @pytest.mark.parametrize("kind, n, w", [
     ("nu_m", 3, 3), ("nu_m", 2, 0), ("ball", 3, 1.0), ("ball", 2, -0.5)])
 def test_space_draws_are_bitwise_the_one_line_draw(kind, n, w):
-    """The points handed to f are bit for bit rho e^{i theta} built from
-    the seeded generator in one line, as the measures are documented."""
+    """The moduli and angles handed to f are bit for bit the rho and theta
+    of z = rho e^{i theta} built from the seeded generator in one line, as
+    the measures are documented."""
     N, seed = 5000, 11
     got = []
-    mc_integrate(lambda Z: got.append(Z) or np.abs(Z[:, 0]), (kind, n, w),
-                 N, seed)
+    mc_integrate(lambda R, theta: got.append((R, theta)) or R[:, 0],
+                 (kind, n, w), N, seed)
     rng = np.random.default_rng(seed)
     y = rng.dirichlet(np.concatenate([np.ones(n), [w + 1.0]]), size=N)
     rho = np.sqrt(y[:, :n] / y[:, n:] if kind == "nu_m" else y[:, :n])
     theta = rng.random((N, n)) * 2 * np.pi
-    want = rho * np.exp(1j * theta)
-    assert got[0].dtype == want.dtype and got[0].shape == want.shape
-    assert got[0].tobytes() == want.tobytes()
+    for got_x, want in zip(got[0], (rho, theta)):
+        assert got_x.dtype == want.dtype and got_x.shape == want.shape
+        assert got_x.tobytes() == want.tobytes()
 
 
 def test_deterministic_kernels_refuse_monte_carlo():

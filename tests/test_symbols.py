@@ -115,7 +115,8 @@ def test_blockwise_zero_phase_invariance(seed, theta):
     ))
     zt = z.copy()
     zt[:2] *= np.exp(1j * theta)  # common phase on block 0
-    v, w = evaluate_symbol_batch(psi, np.stack([z, zt]), K21)
+    Z = np.stack([z, zt])
+    v, w = evaluate_symbol_batch(psi, np.abs(Z), np.angle(Z), K21)
     assert abs(v - w) < 1e-12
 
 
@@ -127,9 +128,48 @@ def test_blockwise_zero_phase_invariance(seed, theta):
 ], ids=["single-sphere", "radial-multi-sphere-phase"])
 def test_batch_evaluation_is_bitwise_in_chunks(psi):
     """Each point's value does not depend on the batch it is evaluated in,
-    so a Monte Carlo draw may be evaluated in chunks."""
-    Z = _space_points(np.random.default_rng(1), "nu_m", 3, 3, 100_000)
-    whole = evaluate_symbol_batch(psi, Z, K21)
-    chunks = np.concatenate([evaluate_symbol_batch(psi, Z[i:i + 2**15], K21)
-                             for i in range(0, len(Z), 2**15)])
-    assert whole.tobytes() == chunks.tobytes()
+    so a Monte Carlo draw may be evaluated in chunks, also of sizes that
+    divide neither the draw nor a SIMD vector (chunks of 7 over the first
+    7000 points, to keep the call count small)."""
+    R, theta = _space_points(np.random.default_rng(1), "nu_m", 3, 3, 100_000)
+    whole = evaluate_symbol_batch(psi, R, theta, K21)
+    for chunk, stop in ((2**15, len(R)), (999, len(R)), (7, 7000)):
+        chunks = np.concatenate([
+            evaluate_symbol_batch(psi, R[i:i + chunk], theta[i:i + chunk],
+                                  K21) for i in range(0, stop, chunk)])
+        assert whole[:stop].tobytes() == chunks.tobytes()
+
+
+def test_polar_evaluation_matches_complex_phases():
+    """At random points, the polar evaluator equals its value times
+    prod_i (z_i/|z_i|)^p_i taken through complex powers, for shifts with
+    |p_i| up to 3 and a phase monomial among the factors."""
+    k = Partition((2, 2))
+    psi = Product((QuasiRadial("r1^2/(1+r1^2+r2^2)"),
+                   MultiSphereFactor(0, "s1^2 + s2", (3, -3)),
+                   ExtendedFactor(1, "r1*s2", (1, -1)),
+                   PhaseMonomial((-1, 2, 1, -2))))
+    p = np.array(total_shift(psi, k))
+    assert np.abs(p).max() == 3
+    rng = np.random.default_rng(5)
+    Z = rng.standard_normal((10_000, 4)) + 1j * rng.standard_normal((10_000,
+                                                                     4))
+    R = np.abs(Z)
+    got = evaluate_symbol_batch(psi, R, np.angle(Z), k)
+    amplitude = evaluate_symbol_batch(Product(tuple(
+        f for f in flatten(psi) if not isinstance(f, PhaseMonomial))),
+        R, np.zeros_like(R), k)
+    assert np.all(amplitude.imag == 0)
+    want = amplitude.real * np.prod((Z / R) ** p, axis=-1)
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-14
+
+
+def test_zero_coordinate_phase_ignores_the_sign_of_zero():
+    """A coordinate -0.0 + 0.0j has angle pi, but its phase is 1 as at 0j:
+    p_i theta_i drops out wherever R_i = 0."""
+    psi = Product((QuasiRadial("1 + r2"), PhaseMonomial((1, 0, -1))))
+    at_zero = evaluate_symbol(psi, [0j, 1 + 1j, 2 - 1j], K21)
+    at_minus_zero = evaluate_symbol(psi, [complex(-0.0, 0.0), 1 + 1j, 2 - 1j],
+                                    K21)
+    assert at_minus_zero == at_zero
+    assert at_zero == pytest.approx((1 + np.sqrt(5)) * (2 + 1j) / np.sqrt(5))
