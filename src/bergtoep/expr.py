@@ -317,14 +317,14 @@ def _collect(terms: list) -> list:
     return list(out.values())
 
 
-def dirichlet_monomial(factors, roots: dict, degree: int):
+def dirichlet_monomial(factors, roots: dict):
     """prod atom^k over the pairs (atom, k) of a `split_terms` term as
-    (c, exps), the term being c prod_i x_i^exps_i over the coordinates x of
-    a simplex (sum x = 1) when each variable v of roots is prod_i
-    x_i^roots[v][i] (roots[v] an array); None unless every exps_i is a
-    nonnegative integer and sum exps <= degree.  An atom is a variable of
-    roots, or a sum c sum_i x^(m + unit_i) over every coordinate i, which
-    is c x^m: with r_j^2 = x_j / x_0, c + c sum_j r_j^2 is c / x_0."""
+    (c, exps), the term being c prod_i x_i^exps_i, exps_i real, over the
+    coordinates x of a simplex (sum x = 1) when each variable v of roots is
+    prod_i x_i^roots[v][i] (roots[v] an array); None unless every atom is
+    a variable of roots, or a sum c sum_i x^(m + unit_i) over every
+    coordinate i, which is c x^m: with r_j^2 = x_j / x_0, c + c sum_j r_j^2
+    is c / x_0."""
     size = len(next(iter(roots.values())))
     c, exps = 1.0, np.zeros(size)
     for atom, k in factors:
@@ -333,9 +333,7 @@ def dirichlet_monomial(factors, roots: dict, degree: int):
         elif (got := _dirichlet_sum(atom, roots, size)) is None:
             return None
         c, exps = c * got[0] ** k, exps + k * got[1]
-    if np.all(exps >= 0) and np.all(exps % 1 == 0) and exps.sum() <= degree:
-        return c, tuple(int(x) for x in exps)
-    return None
+    return c, exps
 
 
 def _dirichlet_sum(atom: Expr, roots: dict, size: int):
@@ -355,19 +353,24 @@ def _dirichlet_sum(atom: Expr, roots: dict, size: int):
 
 
 def dirichlet_form(e: Expr, roots: dict, degree: int):
-    """(closed, rest): the `split_terms` terms of e that `dirichlet_monomial`
-    writes as c prod x^exps, as pairs (c, exps), and the others as one
-    expression; rest is e itself when no term closes, None when all do."""
-    closed, rest = [], None
+    """(closed, ruled, rest): the `split_terms` terms of e that
+    `dirichlet_monomial` writes as c prod x^exps, as (c, exps) if exps are
+    integers >= 0 summing to <= degree, else as (c, exps, term), term the
+    expression of c x^exps; the other terms as one expression, rest, which
+    is e itself when no term is a monomial and None when all are."""
+    closed, ruled, rest = [], [], None
     for c, factors in split_terms(e):
-        if (got := dirichlet_monomial(factors, roots, degree)) is not None:
-            closed.append((c * got[0], got[1]))
-            continue
         term = monomial(factors)
         term = Num(c) if term is None else term if c == 1 else \
             BinOp("*", Num(c), term)
-        rest = term if rest is None else BinOp("+", rest, term)
-    return closed, (e if not closed else rest)
+        if (got := dirichlet_monomial(factors, roots)) is None:
+            rest = term if rest is None else BinOp("+", rest, term)
+        elif (np.all(got[1] >= 0) and np.all(got[1] % 1 == 0)
+              and got[1].sum() <= degree):
+            closed.append((c * got[0], tuple(int(x) for x in got[1])))
+        else:
+            ruled.append((c * got[0], tuple(got[1].tolist()), term))
+    return closed, ruled, (e if not closed and not ruled else rest)
 
 
 def monomial(factors) -> Expr | None:

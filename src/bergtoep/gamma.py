@@ -22,10 +22,12 @@ or the terms outnumber the q^(k_j - 1) nodes per radial node of the coupled
 grid, the block's rule contracted at every radial node.  Monte Carlo draws once
 per distinct key, and only the weights its integrand reads.
 
-Terms of degree <= 2q - 1 in the barycentric coordinates of their integral
-(`expr.dirichlet_form`), where the order-q rule is exact, take their
-Dirichlet moment ratios and build no rule: block terms, and the terms of each
-a R_t unless a block is coupled.  The other terms integrate on their rule.
+Block terms, and the terms of each a R_t unless a block is coupled, that
+are monomials c prod x^c_i in the barycentric coordinates of their integral
+(`expr.dirichlet_form`) build no tensor grid: integer c_i >= 0 of degree
+<= 2q - 1, where the order-q rule is exact, take their Dirichlet moment
+ratios, and other real c_i that rule axis by axis, a product of 1-D sums.
+Only the other terms integrate on the grid.
 """
 
 from __future__ import annotations
@@ -285,22 +287,23 @@ def _quadrature(space, a_expr, blocks: dict, k: Partition, e, a0,
     forms = {j: [_form(S, _roots(blocks[j][0], k.parts[j],
                                  weights[j].shape[1]), spec)
                  for *_, S in t] for j, t in split.items()}
-    # a times each product of one term R per split block, its polynomial
-    # terms by their moments; beside a coupled block nothing closes
+    # a times each product of one term R per split block, its monomials
+    # closed or per axis; beside a coupled block nothing is split
     radial_roots = _roots("r", ell, ell + 1, ell if isinstance(
         space, ProjectiveSpace) else None)
     products = [_times(a_expr, *Rs) for Rs in product(
         *([R for _, R, _ in t] for t in split.values()))]
-    radial_forms = [([], Num(1.0) if x is None else x) if coupled
+    radial_forms = [([], [], Num(1.0) if x is None else x) if coupled
                     else _form(x, radial_roots, spec) for x in products]
-    rests = [rest for _, rest in radial_forms]
+    rests = [rest for *_, rest in radial_forms]
     keys = {j: _distinct(h) for j, h in weights.items()}
     pairs = [pair for j, (rows, _) in keys.items()
-             if j in coupled or any(rest is not None for _, rest in forms[j])
+             if j in coupled or any(f[1:] != ([], None) for f in forms[j])
              for w in rows for pair in simplex_pairs(w[:-1], w[-1], q)]
-    ruled = any(rest is not None for rest in rests)
-    if ruled:
-        # radial times coupled nodes, once per product of split terms
+    gridded = any(rest is not None for rest in rests)
+    per_key = gridded or any(ruled for _, ruled, _ in radial_forms)
+    if per_key:
+        # radial times coupled nodes, once per product, as on the grid
         quadrature.check_tensor_size(
             ell + sum(k.parts[j] - 1 for j in coupled), q, len(rests))
         radial_keys, radial_of = _distinct(np.column_stack(
@@ -309,24 +312,28 @@ def _quadrature(space, a_expr, blocks: dict, k: Partition, e, a0,
                   for pair in simplex_pairs(row[:ell], row[ell], q)]
     build_jacobi_rules(pairs, q)
     # each block's terms c_t block(S_t) per distinct block key, gathered
-    integrals = {j: np.array([[
-        c * _integral(form, partial(_cosines_env, kj=k.parts[j],
-                                    name=blocks[j][0]),
-                      len(w) - 1, tuple(w[:-1]), w[-1], spec)
-        for (c, *_), form in zip(t, forms[j])] for w in keys[j][0]]
-    ).reshape(-1, len(t))[keys[j][1]] for j, t in split.items()}
-    weight = np.column_stack([e, a0])
-    radial = np.column_stack([
-        sum((c * _moment_ratio(weight, x) for c, x in closed),
-            np.zeros(len(e))) for closed, _ in radial_forms])
-    if ruled:
+    integrals = {}
+    for j, t in split.items():
+        rows, of = keys[j]
+        env = partial(_cosines_env, kj=k.parts[j], name=blocks[j][0])
+        integrals[j] = np.column_stack([c * (_closed_means(form[0], rows) + [
+            _integral(form, env, len(w) - 1, tuple(w[:-1]), w[-1], spec)
+            if form[1:] != ([], None) else 0.0 for w in rows])
+            for (c, *_), form in zip(t, forms[j])])[of]
+    radial = np.column_stack([_closed_means(closed, np.column_stack([e, a0]))
+                              for closed, *_ in radial_forms])
+    if per_key:
+        at = [(tuple(row[:ell]), row[ell]) for row in radial_keys]
+        radial += np.array([[_ruled_means(ruled, *w, q, lambda x: (
+            _radial_value(space, [x], [], *w, spec)[0]))
+            for _, ruled, _ in radial_forms] for w in at])[radial_of]
+    if gridded:
         rules = {j: [_block_rule(k.parts[j], tuple(w[:-1]), w[-1], spec)
                      for w in keys[j][0]] for j in coupled}
         radial += np.array([_radial_value(
             space, rests, [(blocks[j][1], *rules[j][int(u)])
-                           for j, u in zip(coupled, row[ell + 1:])],
-            tuple(row[:ell]), row[ell], spec)
-            for row in radial_keys])[radial_of]
+                           for j, u in zip(coupled, row[ell + 1:])], *w, spec)
+            for row, w in zip(radial_keys, at)])[radial_of]
     choices = product(*(range(len(t)) for t in split.values()))
     return sum(reduce(mul, (integrals[j][:, t] for j, t in zip(split, ts)),
                       np.ones(len(e))) * radial[:, combo]
@@ -374,37 +381,49 @@ def _roots(name: str, count: int, size: int, over: int | None = None):
 
 
 def _form(expr: Expr | None, roots: dict, spec):
-    """(closed, rest) of expr as `dirichlet_form` splits it, up to the
-    degree the order-q rule integrates exactly."""
+    """(closed, ruled, rest) of expr as `dirichlet_form` splits it, closed
+    up to the degree the order-q rule integrates exactly."""
     return dirichlet_form(Num(1.0) if expr is None else expr, roots,
                           2 * spec.order - 1)
 
 
-def _moment_ratio(x, exps) -> np.ndarray:
-    """Moment of prod_i x_i^exps_i, for integers exps_i >= 0, over the mass
-    of the Dirichlet weight prod_i x_i^x_i, one per row of x: a running
-    product of ratios (x_i + 1 + k)/(N + t), N = sum_i (x_i + 1), each at
-    most 1, so that it never overflows."""
-    out, N, t = np.ones(len(x)), x.shape[1] + x.sum(axis=1), 0
-    for i, c in enumerate(exps):
-        for k in range(c):
-            out = out * ((x[:, i] + 1 + k) / (N + t))
-            t += 1
-    return out
+def _closed_means(closed, x) -> np.ndarray:
+    """sum c E[prod_i x_i^exps_i] over the closed terms (c, exps) of a
+    `_form` under the Dirichlet weight prod_i x_i^x_i, one per row of x:
+    each moment over the mass is a running product of ratios (x_i + 1 +
+    k)/(N + t), N = sum_i (x_i + 1), each at most 1, so it never overflows."""
+    total, N = np.zeros(len(x)), x.shape[1] + x.sum(axis=1)
+    for c, exps in closed:
+        out, t = np.ones(len(x)), 0
+        for i, n in enumerate(exps):
+            for k in range(n):
+                out = out * ((x[:, i] + 1 + k) / (N + t))
+                t += 1
+        total = total + c * out
+    return total
+
+
+def _ruled_means(ruled, exps, a0, q: int, grid) -> float:
+    """sum c E[prod x^x] over the ruled terms (c, x, term) of a `_form`,
+    each axis by axis on the order-q rule of the weight (exps, a0), else,
+    if not finite, as grid(term) on the tensor grid, so it fails there."""
+    means = [(c, quadrature.monomial_mean(x, exps, a0, q), term)
+             for c, x, term in ruled]
+    return sum((c * v if math.isfinite(v) else grid(term)
+                for c, v, term in means), 0.0)
 
 
 def _integral(form, env, d: int, exps, a0, spec) -> float:
-    """Mean of a `_form` (closed, rest), rest at the variables env(x),
-    under the normalized weight x^exps (1-sum x)^a0 on the d-simplex: each
-    closed term by its moment ratio, rest on the rule.  x holds all d+1
-    coordinates, the last 1 - sum x."""
-    closed, rest = form
-    value = sum(c * _moment_ratio(np.array([[*exps, a0]]), x)[0]
-                for c, x in closed)
-    if rest is None:
-        return value
-    return value + float(simplex_integrate(lambda x: evaluate(rest, env(x)),
-                                           d, exps, a0, spec))
+    """Mean of the ruled terms and the rest of a `_form`, rest at the
+    variables env(x), under the normalized weight x^exps (1-sum x)^a0 on
+    the d-simplex.  x holds all d+1 coordinates, the last 1 - sum x."""
+    def grid(f):
+        return float(simplex_integrate(lambda x: evaluate(f, env(x)), d,
+                                       exps, a0, spec))
+
+    _, ruled, rest = form
+    value = _ruled_means(ruled, exps, a0, spec.order, grid)
+    return value if rest is None else value + grid(rest)
 
 
 def _block_rule(kj: int, exps, a0, spec):

@@ -58,15 +58,16 @@ def _sample_points(rng, n: int, count: int) -> np.ndarray:
 
 
 def _max_deviation(psi: SymbolSpec, k: Partition, trials: int, seed: int,
-                   move) -> float:
-    """Max |psi(move(rng, z)) - psi(z)| over trials, each drawing z and then
-    move's randomness from its own default_rng(seed + trial); psi is
-    evaluated once on all 2 trials points."""
-    Z = np.empty((2, trials, k.n), dtype=complex)
+                   draw, finish) -> float:
+    """Max |psi(z') - psi(z)| over trials, each drawing z and then
+    draw(rng, z) from its own default_rng(seed + trial); finish(Z, draws)
+    gives all the z' at once, and psi takes all 2 trials points."""
+    Z, draws = np.empty((2, trials, k.n), dtype=complex), []
     for trial in range(trials):
         rng = np.random.default_rng(seed + trial)
         Z[0, trial] = _sample_points(rng, k.n, 1)[0]
-        Z[1, trial] = move(rng, Z[0, trial])
+        draws.append(draw(rng, Z[0, trial]))
+    Z[1] = finish(Z[0], draws)
     vals = evaluate_symbol_batch(psi, np.abs(Z), np.angle(Z), k)
     # Python's abs, as for one pair: NumPy's vector loop may round |z| apart
     return max(0.0, *map(abs, (vals[1] - vals[0]).tolist()))
@@ -94,14 +95,16 @@ def invariance_check(psi: SymbolSpec, k: Partition, action: str,
             zt[k.block_slice(j)] *= block_phases[j + 1] / block_phases[0]
         return zt
 
-    return _max_deviation(psi, k, trials, seed, move)
+    return _max_deviation(psi, k, trials, seed, move,
+                          lambda Z, draws: draws)
 
 
-def _random_block_unitary(rng, dim: int) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def _haar_unitaries(g) -> np.ndarray:
+    """Haar unitaries from complex Gaussian matrices g (..., d, d): one
+    stacked QR, with the phase ambiguity of each R's diagonal fixed."""
     q, r = np.linalg.qr(g)
-    # fix the phase ambiguity so the distribution is Haar
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def factorization_check(a: SymbolSpec, k: Partition, pairs: int = 1000,
@@ -114,11 +117,16 @@ def factorization_check(a: SymbolSpec, k: Partition, pairs: int = 1000,
     if pairs < 1:
         raise DomainError("need at least one pair")
 
-    def move(rng, z):
-        zt = z.copy()
-        for j in range(k.num_blocks):
-            sl = k.block_slice(j)
-            zt[sl] = _random_block_unitary(rng, k.parts[j]) @ z[sl]
-        return zt
+    def draw(rng, z):  # a complex Gaussian matrix per block
+        return [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                for d in k.parts]
 
-    return _max_deviation(a, k, pairs, seed, move)
+    def finish(Z, draws):
+        Zt = Z.copy()
+        for j in range(k.num_blocks):
+            sl, U = k.block_slice(j), _haar_unitaries(
+                np.array([g[j] for g in draws]))
+            Zt[:, sl] = [u @ z for u, z in zip(U, Z[:, sl])]
+        return Zt
+
+    return _max_deviation(a, k, pairs, seed, draw, finish)

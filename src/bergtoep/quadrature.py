@@ -286,6 +286,20 @@ def simplex_integrate(f, d: int, a, a0: float, spec: QuadratureSpec):
         tuple(float(x) for x in a), a0, spec)
 
 
+def monomial_mean(c, a, a0: float, q: int) -> float:
+    """The mean of prod_i x_i^c_i, c real, over all d+1 coordinates x on
+    the order-q rule of `simplex_integrate` for the weight x^a (1-sum x)^a0,
+    as a product of d one-dimensional sums: the Duffy axis i carries
+    u_i^c_i (1-u_i)^(c_(i+1) + ... + c_d).  A zero base against a negative
+    power, or an overflow, gives inf or nan, and no warning."""
+    mean = 1.0
+    with np.errstate(all="ignore"):
+        for i, pair in enumerate(simplex_pairs(a, a0, q)):
+            u, w = jacobi_rule_01(*pair, q)
+            mean *= float(np.dot(u ** c[i] * (1.0 - u) ** sum(c[i + 1:]), w))
+    return mean
+
+
 def radial_integrate_projective(g, ell: int, e, N: float,
                                 spec: QuadratureSpec):
     """The mean of g(sqrt(r)) under the normalized weight

@@ -53,12 +53,12 @@ def test_traced_job_records_its_layers(command, tmp_path):
 
 def test_traced_gamma_records_the_quadrature_kernels(tmp_path):
     """A table whose integrals take rules, unlike CONFIG's, which close: the
-    radial factor r1^2/(2+r1^2) and the block factor's odd cosine s2 are
-    no polynomials in their barycentric coordinates."""
+    radial factor r1^2/(2+r1^2) and the block factor 1/(1+s2) are no
+    monomials in their barycentric coordinates."""
     rec = _traced(tmp_path, {
         **CONFIG,
         "symbols": [{"kind": "quasi-radial", "a": "r1^2/(2+r1^2)"},
-                    {"kind": "multi-sphere", "block": 1, "b": "s2",
+                    {"kind": "multi-sphere", "block": 1, "b": "1/(1+s2)",
                      "p": [1, -1]}]}, "gamma", tmp_path / "out")
     spans = {span[2] for span in rec["spans"]}
     assert {"quadrature.radial_integrate_projective",
@@ -67,19 +67,39 @@ def test_traced_gamma_records_the_quadrature_kernels(tmp_path):
 
 
 def test_traced_single_sphere_table_takes_only_block_rules(tmp_path):
-    """A lone single-sphere factor is one block of the engine: its odd
-    cosine sig2 takes block rules, and its radial mean, which is 1, builds
+    """A lone single-sphere factor is one block of the engine: its 1/(1+sig2),
+    no monomial, takes block rules, and its radial mean, which is 1, builds
     no radial rule."""
     rec = _traced(tmp_path, {
         **CONFIG,
         "space": {"type": "projective", "n": 3, "m": 3},
         "partition": [2, 1],
-        "symbols": [{"kind": "single-sphere", "block": 1, "b": "sig2",
+        "symbols": [{"kind": "single-sphere", "block": 1, "b": "1/(1+sig2)",
                      "p": [1, -1]}]}, "gamma", tmp_path / "out")
     spans = {span[2] for span in rec["spans"]}
     assert {"quadrature.simplex_integrate",
             "quadrature.jacobi_rule_01"} <= spans
     assert "quadrature.radial_integrate_projective" not in spans
+
+
+def test_traced_l3_table_takes_no_radial_grid(tmp_path):
+    """The l=3 quasi-radial table of the benchmark, at m=4: its symbol is
+    one Dirichlet monomial with half-integer exponents, taken axis by
+    axis, so no radial grid is integrated and the symbol is evaluated on
+    fewer points than one q^3 grid holds (the pre-check's probes)."""
+    q = CONFIG["quadrature"]["order"]
+    rec = _traced(tmp_path, {
+        **CONFIG,
+        "space": {"type": "projective", "n": 3, "m": 4},
+        "partition": [1, 1, 1],
+        "symbols": [{"kind": "quasi-radial",
+                     "a": "r1^2*r2/(1+r1^2+r2^2+r3^2)"}]},
+        "gamma", tmp_path / "out")
+    spans = [span[2] for span in rec["spans"]]
+    assert spans.count("quadrature.radial_integrate_projective") == 0
+    assert "quadrature.jacobi_rule_01" in spans
+    assert rec["counts"]["gamma.build_gamma_table.entries"] == 35
+    assert rec["counts"].get("expr.evaluate.points", 0) < q ** 3
 
 
 def test_traced_monte_carlo_oracle_counts_its_draws(tmp_path):

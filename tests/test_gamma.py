@@ -508,6 +508,108 @@ def test_l3_table_memory_is_bounded(monkeypatch):
     assert peak < 4 * 2**20
 
 
+# ------------------------------- Dirichlet monomials taken axis by axis
+
+def _refuse(*args):
+    raise AssertionError("not to be called")
+
+
+def test_l3_table_takes_its_monomial_per_axis(monkeypatch):
+    """r1^2 r2/(1+r1^2+r2^2+r3^2) is U_1 U_2^(1/2) U_0^(-1/2) on k=(1,1,1):
+    without a radius on the grid, each gamma is its mean on the tensor
+    grid, the radial rule at e = alpha, N = n + m + 1."""
+    a, m = parse("r1^2*r2/(1+r1^2+r2^2+r3^2)"), 4
+    with monkeypatch.context() as mp:
+        mp.setattr(quadrature, "projective_radii", _refuse)
+        table = build_gamma_table(QuasiRadial(a), ProjectiveSpace(3, m),
+                                  Partition((1, 1, 1)), SPEC)
+    for alpha, got in table.entries.items():
+        want = quadrature.radial_integrate_projective(
+            lambda r: evaluate(a, dict(zip(("r1", "r2", "r3"), r))), 3,
+            alpha, 3 + m + 1, SPEC)
+        assert got == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("a, b", [
+    # t_extended_ball's symbol: s1^2 closes and the radial factor is none
+    ("r1^2/(1+r1^2)", "s1^2 + r1^2/(1+r1^2)"),
+    # s2 and r1 r2^3 are monomials, taken per axis
+    ("r1*r2^3", "s2 + r1^2/(1+r1^2)"),
+])
+def test_ball_table_takes_its_monomials_per_axis(a, b, monkeypatch):
+    """On the ball, r_j^2 = U_j: the table equals its coupled grid, where
+    every integral is a tensor sum, entry by entry."""
+    k, space = Partition((2, 1)), BallSpace(3, 1.0, 8)
+    psi = Product((QuasiRadial(a), ExtendedFactor(0, b, (1, -1))))
+    split = build_gamma_table(psi, space, k, SPEC).values
+    monkeypatch.setattr(gamma_module, "_block_terms", lambda *args: None)
+    monkeypatch.setattr(quadrature, "monomial_mean", _refuse)
+    coupled = build_gamma_table(psi, space, k, SPEC).values
+    assert np.any(coupled != 0)
+    assert np.allclose(split, coupled, rtol=1e-14, atol=0)
+
+
+# ruled terms whose grid sums overflow or divide by an underflowed power at
+# some weights, and are finite at others
+RULED_TERMS = ["r2^41", "1/r2^41", "(r2^64)^3", "1/(r2^64)^9", "(r2^64)^20",
+               "1/(r2^64)^20", "(r1^64)^20*r2", "(r1^64)^40/(r2^64)^40"]
+
+
+@pytest.mark.parametrize("m, a", [(1000, 333), (3000, 1000)])
+def test_ruled_terms_fail_where_the_grid_fails(m, a):
+    """At the large weights above, each monomial of the radii, taken per
+    axis, is its tensor grid sum where that is finite, without a
+    RuntimeWarning (to 1e-12: powers up to 2560 round that many ulps
+    apart); where the sum is not finite, or divides by zero, the per-axis
+    path gives the same."""
+    for term in map(parse, RULED_TERMS):
+        def gamma():
+            return gamma_quasi_radial(term, Partition((1, 1)), m, (a, a),
+                                      SPEC)
+
+        try:
+            with np.errstate(all="ignore"):
+                want = float(quadrature.radial_integrate_projective(
+                    lambda r: evaluate(term, {"r1": r[0], "r2": r[1]}), 2,
+                    (a, a), m + 3, SPEC))
+        except EvalError:
+            with np.errstate(all="ignore"), pytest.raises(EvalError):
+                gamma()
+            continue
+        if math.isfinite(want):
+            assert gamma() == pytest.approx(want, rel=1e-12)
+        else:
+            with np.errstate(all="ignore"):
+                assert np.array_equal(gamma(), want, equal_nan=True)
+
+
+@pytest.mark.parametrize("space, errors", [
+    (ProjectiveSpace(2, 30), {EvalError, DomainError}),
+    (BallSpace(2, 0.5, 30), {EvalError})])
+def test_ruled_tables_raise_where_the_grid_raises(space, errors,
+                                                  monkeypatch):
+    """A table of each ruled term raises what the table raises when every
+    such term takes the tensor grid (EvalError for a divisor that
+    underflows to zero, DomainError for a sum that is not finite), or
+    equals it to 1e-12."""
+    def table(term):
+        try:
+            return build_gamma_table(QuasiRadial(term), space,
+                                     Partition((1, 1)), SPEC).values
+        except (EvalError, DomainError) as exc:
+            return type(exc)
+
+    got = [table(term) for term in RULED_TERMS]
+    monkeypatch.setattr(quadrature, "monomial_mean", lambda *args: math.nan)
+    want = [table(term) for term in RULED_TERMS]
+    assert {w for w in want if isinstance(w, type)} == errors
+    for g, w in zip(got, want):
+        if isinstance(w, type):
+            assert g is w
+        else:
+            assert np.allclose(g, w, rtol=1e-12, atol=0)
+
+
 # ------------------------------------- radial x angular split of the blocks
 
 def _split_grid(q=5):
@@ -627,18 +729,19 @@ def test_radial_quadrature_integrates_once_per_distinct_key(monkeypatch):
 
 
 def test_radial_terms_close_one_by_one(monkeypatch):
-    """r1^2/(1+r1^2+r2^2) is the coordinate U_1 and closes by its moment;
-    only r2 = (U_2/U_0)^(1/2) goes to the radial rule, and the table is the
-    sum of the two one-term tables."""
+    """r1^2/(1+r1^2+r2^2) is the coordinate U_1 and closes by its moment,
+    r2 = (U_2/U_0)^(1/2) is a monomial taken axis by axis, and only
+    1/(1+r2^2), no monomial, goes to the radial rule; the table is the sum
+    of the three one-term tables."""
     radial = _count_calls(monkeypatch, "_radial_value")
     space, k = ProjectiveSpace(2, 12), Partition((1, 1))
-    table = build_gamma_table(QuasiRadial("r1^2/(1+r1^2+r2^2) + r2"),
-                              space, k, SPEC)
-    assert radial and all(rests == [Var("r2")] for _, rests, *_ in radial)
+    rest = parse("1/(1+r2^2)")
+    table = build_gamma_table(
+        QuasiRadial("r1^2/(1+r1^2+r2^2) + r2 + 1/(1+r2^2)"), space, k, SPEC)
+    assert radial and all(rests == [rest] for _, rests, *_ in radial)
     parts = [build_gamma_table(QuasiRadial(a), space, k, SPEC).values
-             for a in ("r1^2/(1+r1^2+r2^2)", "r2")]
-    assert np.allclose(table.values, parts[0] + parts[1], rtol=1e-14,
-                       atol=0)
+             for a in ("r1^2/(1+r1^2+r2^2)", "r2", "1/(1+r2^2)")]
+    assert np.allclose(table.values, sum(parts), rtol=1e-14, atol=0)
 
 
 def test_witness_product_table_runs_no_coupled_grid(monkeypatch):
@@ -722,12 +825,13 @@ DIRICHLET_EXPRESSIONS = st.recursive(DIRICHLET_LEAVES, lambda inner: st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(DIRICHLET_EXPRESSIONS, st.sampled_from(sorted(DIRICHLET_CONTEXTS)))
 def test_closed_terms_equal_their_monomials(e, context):
-    """Every term that closes is c prod x^exps at interior points of the
-    simplex to 1e-13; a term whose evaluation fails never closes."""
+    """Every term that is a Dirichlet monomial is c prod x^exps, exps real,
+    at interior points of the simplex to 1e-13; a term whose evaluation
+    fails is none."""
     size, roots, env = DIRICHLET_CONTEXTS[context]
     x = np.random.default_rng(0).dirichlet(np.ones(size), 16).T
     for c, factors in split_terms(e):
-        got = dirichlet_monomial(factors, roots, 10**6)
+        got = dirichlet_monomial(factors, roots)
         term = monomial(factors)
         try:
             want = c * np.asarray(
@@ -744,26 +848,28 @@ def test_closed_terms_equal_their_monomials(e, context):
 
 def test_dirichlet_form_of_the_benchmark_symbols():
     """The P^n quasi-radial of the benchmarks is U_1 and the block factor
-    s1^2 + s2 closes in s1^2 only; on the ball, or with a radius missing
-    from the sum, r1^2/(1+r1^2) is no polynomial; past the degree an
-    order-40 rule integrates exactly, nothing closes."""
+    s1^2 + s2 closes in s1^2 and is ruled in s2 = U_2^(1/2); on the ball,
+    or with a radius missing from the sum, r1^2/(1+r1^2) is no monomial;
+    past the degree an order-40 rule integrates exactly, a polynomial term
+    is ruled."""
     projective, ball = (gamma_module._roots("r", 2, 3, over) for over in
                         (2, None))
     cosines = gamma_module._roots("s", 2, 2)
     assert dirichlet_form(parse("r1^2/(r1^2+r2^2+1)"), projective, 79) == (
-        [(1.0, (1, 0, 0))], None)
+        [(1.0, (1, 0, 0))], [], None)
     assert dirichlet_form(parse("2*r2^2/(3+3*r1^2+3*r2^2)"), projective,
-                          79) == ([(2 / 3, (0, 1, 0))], None)
+                          79) == ([(2 / 3, (0, 1, 0))], [], None)
     assert dirichlet_form(parse("s1^2 + s2"), cosines, 79) == (
-        [(1.0, (1, 0))], Var("s2"))
+        [(1.0, (1, 0))], [(1.0, (0.0, 0.5), Var("s2"))], None)
     for roots in (projective, ball):
         a = parse("r1^2/(1+r1^2)")
-        assert dirichlet_form(a, roots, 79) == ([], a)
+        assert dirichlet_form(a, roots, 79) == ([], [], a)
     wide = gamma_module._roots("s", 3, 3)
     assert dirichlet_form(parse("s1^64*s2^64"), wide, 79) == (
-        [(1.0, (32, 32, 0))], None)
+        [(1.0, (32, 32, 0))], [], None)
     high = parse("s1^64*s2^64*s3^64")
-    assert dirichlet_form(high, wide, 79) == ([], high)
+    assert dirichlet_form(high, wide, 79) == (
+        [], [(1.0, (32.0, 32.0, 32.0), high)], None)
 
 
 @pytest.mark.parametrize("name", ["t_multisphere_n2", "t_multisphere_n5",
@@ -785,14 +891,14 @@ def test_polynomial_tables_build_no_jacobi_rule(name, tmp_path, monkeypatch):
 def test_closed_block_term_matches_order_80_quadrature():
     """The s1^2 term of c_gamma's block factor s1^2 + s2 by its moment, at
     every block key (exps, a0_j) of the table, against order 80."""
-    closed, rest = gamma_module._form(parse("s1^2 + s2"),
-                                      gamma_module._roots("s", 2, 2), SPEC)
-    assert rest == Var("s2")
-    keys = {(a[0] + 0.5, a[1] - 0.5) for a in enumerate_basis(3, 20)
-            if a[1] >= 1}
+    closed, ruled, rest = gamma_module._form(
+        parse("s1^2 + s2"), gamma_module._roots("s", 2, 2), SPEC)
+    assert (len(ruled), rest) == (1, None)
+    keys = sorted({(a[0] + 0.5, a[1] - 0.5) for a in enumerate_basis(3, 20)
+                   if a[1] >= 1})
     assert len(keys) == 210
     fine = QuadratureSpec(order=80)
-    for x, x0 in sorted(keys):
-        got = gamma_module._integral((closed, None), None, 1, (x,), x0, SPEC)
+    means = gamma_module._closed_means(closed, np.array(keys))
+    for (x, x0), got in zip(keys, means):
         want = simplex_integrate(lambda u: u[0], 1, (x,), x0, fine)
         assert got == pytest.approx(want, rel=1e-14)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bergtoep import quadrature
 from bergtoep.indexing import DomainError
@@ -243,6 +244,25 @@ def test_factored_ball_map_matches_materialised_rule(ell):
     got = simplex_integrate(lambda x: _smooth([np.sqrt(v) for v in x[:-1]]),
                             ell, e, a0, QuadratureSpec(order=q))
     assert got == pytest.approx(want, rel=1e-14)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_monomial_mean_is_the_materialised_rule_sum(data):
+    """The per-axis mean of prod x^c over all d+1 coordinates against
+    sum W prod X^c / sum W over simplex_rule's nodes, the last coordinate
+    1 - sum X: half-integer weight exponents, and real c with a_i + c_i >
+    -1, so that the weighted mean is integrable."""
+    d = data.draw(st.integers(1, 3))
+    a = data.draw(st.lists(st.integers(-1, 8).map(lambda k: k / 2),
+                           min_size=d + 1, max_size=d + 1))
+    c = [data.draw(st.floats(-0.9 * (x + 1), 4.0)) for x in a]
+    q = data.draw(st.integers(1, 12))
+    X, W = simplex_rule(d, tuple(a[:-1]), a[-1], q)
+    coords = [*X.T, 1.0 - X.sum(axis=-1)]
+    want = np.sum(W * np.prod([x ** k for x, k in zip(coords, c)], axis=0))
+    got = quadrature.monomial_mean(c, a[:-1], a[-1], q)
+    assert got == pytest.approx(want / np.sum(W), rel=1e-13)
 
 
 def test_batched_rules_equal_single_builds():
