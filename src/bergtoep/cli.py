@@ -38,6 +38,15 @@ class ConfigError(ValueError):
     pass
 
 
+def _integer(section: dict, key: str, *default) -> int:
+    """int() of section[key], or of the default where given and the key is
+    absent; a number with a fractional part is refused, not truncated."""
+    value = section.get(key, *default) if default else section[key]
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 _ANGULAR = {"multi-sphere": MultiSphereFactor,
             "single-sphere": SingleSphereFactor, "extended": ExtendedFactor}
 
@@ -48,8 +57,8 @@ def parse_symbol(desc: dict):
         if kind == "quasi-radial":
             return QuasiRadial(desc["a"])
         if kind in _ANGULAR:
-            return _ANGULAR[kind](int(desc["block"]) - 1, desc.get("b", "1"),
-                                  tuple(desc["p"]))
+            return _ANGULAR[kind](_integer(desc, "block") - 1,
+                                  desc.get("b", "1"), tuple(desc["p"]))
         if kind == "phase":
             return PhaseMonomial(tuple(desc["p"]))
         if kind == "product":
@@ -62,10 +71,10 @@ def parse_symbol(desc: dict):
 def parse_space(desc: dict):
     t = desc.get("type")
     if t == "projective":
-        return ProjectiveSpace(int(desc["n"]), int(desc["m"]))
+        return ProjectiveSpace(_integer(desc, "n"), _integer(desc, "m"))
     if t == "ball":
-        return BallSpace(int(desc["n"]), float(desc["lambda"]),
-                         int(desc["cap"]))
+        return BallSpace(_integer(desc, "n"), float(desc["lambda"]),
+                         _integer(desc, "cap"))
     raise ConfigError(f"unknown space type {t!r}")
 
 
@@ -83,7 +92,7 @@ def load_config(path: str, args) -> dict:
     if args.seed is not None:
         qcfg["seed"] = args.seed
     spec = QuadratureSpec(**{key: qcfg[key] if key == "method"
-                             else int(qcfg[key])
+                             else _integer(qcfg, key)
                              for key in ("method", "order", "seed")
                              if key in qcfg})
     ocfg = dict(cfg.get("oracle", {}))
@@ -247,11 +256,11 @@ def cmd_oracle_compare(args, cfg) -> None:
     # one memo: every alpha of the table shares the oracle's rules and draws
     kwargs = {"memo": {}}
     if method == "monte-carlo":
-        kwargs["samples"] = int(ocfg.get("samples", oracle.DEFAULT_SAMPLES))
-        kwargs["seed"] = int(ocfg.get("seed", cfg["quadrature"].seed))
+        kwargs["samples"] = _integer(ocfg, "samples", oracle.DEFAULT_SAMPLES)
+        kwargs["seed"] = _integer(ocfg, "seed", cfg["quadrature"].seed)
     else:
-        kwargs["q_r"] = kwargs["q_theta"] = int(
-            ocfg.get("grid", oracle.DEFAULT_GRID))
+        kwargs["q_r"] = kwargs["q_theta"] = _integer(ocfg, "grid",
+                                                     oracle.DEFAULT_GRID)
     rows = []
     live = operators.shift_targets(space, table.shift) >= 0
     basis = operators.space_basis(space)
@@ -270,8 +279,8 @@ def cmd_geometry(args, cfg) -> None:
     k = cfg["partition"]
     gcfg = cfg["raw"].get("geometry", {})
     check = gcfg.get("check", "invariance")
-    trials = int(gcfg.get("trials", 1000))
-    seed = int(gcfg.get("seed", cfg["quadrature"].seed))
+    trials = _integer(gcfg, "trials", 1000)
+    seed = _integer(gcfg, "seed", cfg["quadrature"].seed)
     rows = []
     for i, s in enumerate(cfg["symbols"]):
         if check == "factorization":

@@ -352,25 +352,21 @@ def _dirichlet_sum(atom: Expr, roots: dict, size: int):
     return None
 
 
-def dirichlet_form(e: Expr, roots: dict, degree: int):
-    """(closed, ruled, rest): the `split_terms` terms of e that
-    `dirichlet_monomial` writes as c prod x^exps, as (c, exps) if exps are
-    integers >= 0 summing to <= degree, else as (c, exps, term), term the
-    expression of c x^exps; the other terms as one expression, rest, which
-    is e itself when no term is a monomial and None when all are."""
-    closed, ruled, rest = [], [], None
+def dirichlet_form(e: Expr, roots: dict):
+    """(monomials, rest): the `split_terms` terms of e that
+    `dirichlet_monomial` writes as c prod x^exps, exps real, as (c, exps,
+    term), term the expression of c x^exps; the other terms as one, rest: e
+    itself when no term is a monomial, None when all are."""
+    monomials, rest = [], None
     for c, factors in split_terms(e):
         term = monomial(factors)
         term = Num(c) if term is None else term if c == 1 else \
             BinOp("*", Num(c), term)
         if (got := dirichlet_monomial(factors, roots)) is None:
             rest = term if rest is None else BinOp("+", rest, term)
-        elif (np.all(got[1] >= 0) and np.all(got[1] % 1 == 0)
-              and got[1].sum() <= degree):
-            closed.append((c * got[0], tuple(int(x) for x in got[1])))
         else:
-            ruled.append((c * got[0], tuple(got[1].tolist()), term))
-    return closed, ruled, (e if not closed and not ruled else rest)
+            monomials.append((c * got[0], tuple(got[1].tolist()), term))
+    return monomials, (e if not monomials else rest)
 
 
 def monomial(factors) -> Expr | None:

@@ -24,10 +24,10 @@ per distinct key, and only the weights its integrand reads.
 
 Block terms, and the terms of each a R_t unless a block is coupled, that
 are monomials c prod x^c_i in the barycentric coordinates of their integral
-(`expr.dirichlet_form`) build no tensor grid: integer c_i >= 0 of degree
-<= 2q - 1, where the order-q rule is exact, take their Dirichlet moment
-ratios, and other real c_i that rule axis by axis, a product of 1-D sums.
-Only the other terms integrate on the grid.
+(`expr.dirichlet_form`) take their means at all distinct keys at once, axis
+by Duffy axis (`quadrature.monomial_means`): a Beta moment where the order-q
+rule is exact, else a 1-D rule sum.  Only the other terms integrate on a
+grid, and only a grid is held to the node budget.
 """
 
 from __future__ import annotations
@@ -284,60 +284,80 @@ def _quadrature(space, a_expr, blocks: dict, k: Partition, e, a0,
     coupled = [j for j, t in terms.items() if t is None]
     split = {j: t for j, t in terms.items() if t is not None}
     # a block integral has the block's cosines over its weight's width
-    forms = {j: [_form(S, _roots(blocks[j][0], k.parts[j],
-                                 weights[j].shape[1]), spec)
-                 for *_, S in t] for j, t in split.items()}
+    forms = {j: [dirichlet_form(S or Num(1.0), _roots(
+        blocks[j][0], k.parts[j], weights[j].shape[1])) for *_, S in t]
+             for j, t in split.items()}
     # a times each product of one term R per split block, its monomials
-    # closed or per axis; beside a coupled block nothing is split
+    # per axis; beside a coupled block all of it takes the grid
     radial_roots = _roots("r", ell, ell + 1, ell if isinstance(
         space, ProjectiveSpace) else None)
     products = [_times(a_expr, *Rs) for Rs in product(
         *([R for _, R, _ in t] for t in split.values()))]
-    radial_forms = [([], [], Num(1.0) if x is None else x) if coupled
-                    else _form(x, radial_roots, spec) for x in products]
-    rests = [rest for *_, rest in radial_forms]
-    keys = {j: _distinct(h) for j, h in weights.items()}
-    pairs = [pair for j, (rows, _) in keys.items()
-             if j in coupled or any(f[1:] != ([], None) for f in forms[j])
-             for w in rows for pair in simplex_pairs(w[:-1], w[-1], q)]
+    radial_forms = [([], x or Num(1.0)) if coupled
+                    else dirichlet_form(x or Num(1.0), radial_roots)
+                    for x in products]
+    rests = [rest for _, rest in radial_forms]
     gridded = any(rest is not None for rest in rests)
-    per_key = gridded or any(ruled for _, ruled, _ in radial_forms)
-    if per_key:
-        # radial times coupled nodes, once per product, as on the grid
+    if gridded:
+        # radial times coupled nodes, once per product
         quadrature.check_tensor_size(
             ell + sum(k.parts[j] - 1 for j in coupled), q, len(rests))
-        radial_keys, radial_of = _distinct(np.column_stack(
-            [e, a0, *(keys[j][1] for j in coupled)]))
-        pairs += [pair for row in radial_keys
-                  for pair in simplex_pairs(row[:ell], row[ell], q)]
-    build_jacobi_rules(pairs, q)
+    keys = {j: _distinct(h) for j, h in weights.items()}
+    radial_keys, radial_of = _distinct(np.column_stack(
+        [e, a0, *(keys[j][1] for j in coupled)]))
+    radial_rows = radial_keys[:, :ell + 1]
+    # the rules of every grid in one batch; monomials build their own
+    grids = [radial_rows] * gridded + [keys[j][0] for j in coupled] + [
+        keys[j][0] for j, fs in forms.items()
+        if any(rest is not None for _, rest in fs)]
+    build_jacobi_rules([pair for rows in grids for pair in np.column_stack(
+        [x.ravel() for x in simplex_pairs(rows)]).tolist()], q)
     # each block's terms c_t block(S_t) per distinct block key, gathered
     integrals = {}
     for j, t in split.items():
         rows, of = keys[j]
         env = partial(_cosines_env, kj=k.parts[j], name=blocks[j][0])
-        integrals[j] = np.column_stack([c * (_closed_means(form[0], rows) + [
-            _integral(form, env, len(w) - 1, tuple(w[:-1]), w[-1], spec)
-            if form[1:] != ([], None) else 0.0 for w in rows])
-            for (c, *_), form in zip(t, forms[j])])[of]
-    radial = np.column_stack([_closed_means(closed, np.column_stack([e, a0]))
-                              for closed, *_ in radial_forms])
-    if per_key:
-        at = [(tuple(row[:ell]), row[ell]) for row in radial_keys]
-        radial += np.array([[_ruled_means(ruled, *w, q, lambda x: (
-            _radial_value(space, [x], [], *w, spec)[0]))
-            for _, ruled, _ in radial_forms] for w in at])[radial_of]
+
+        def grid(f, w, env=env):
+            return float(simplex_integrate(lambda x: evaluate(f, env(x)),
+                                           len(w) - 1, w[:-1], w[-1], spec))
+
+        integrals[j] = np.column_stack([c * _means(form, rows, q, grid) for
+                                        (c, *_), form in zip(t, forms[j])])[of]
+    # the rests take one radial grid below, beside the coupled blocks
+    radial = np.column_stack([_means(
+        (monomials, None), radial_rows, q, lambda f, w: _radial_value(
+            space, [f], [], tuple(w[:ell]), w[ell], spec)[0])
+        for monomials, _ in radial_forms])
     if gridded:
         rules = {j: [_block_rule(k.parts[j], tuple(w[:-1]), w[-1], spec)
                      for w in keys[j][0]] for j in coupled}
         radial += np.array([_radial_value(
             space, rests, [(blocks[j][1], *rules[j][int(u)])
-                           for j, u in zip(coupled, row[ell + 1:])], *w, spec)
-            for row, w in zip(radial_keys, at)])[radial_of]
+                           for j, u in zip(coupled, row[ell + 1:])],
+            tuple(row[:ell]), row[ell], spec) for row in radial_keys])
+    radial = radial[radial_of]
     choices = product(*(range(len(t)) for t in split.values()))
     return sum(reduce(mul, (integrals[j][:, t] for j, t in zip(split, ts)),
                       np.ones(len(e))) * radial[:, combo]
                for combo, ts in enumerate(choices))
+
+
+def _means(form, rows, q: int, grid) -> np.ndarray:
+    """The mean of a `dirichlet_form` at each row of rows, the Dirichlet
+    weights of its integral: each monomial (c, exps, term) axis by axis, or
+    as grid(term, row) where that is not finite, so that it fails on the
+    grid, and the rest as grid(rest, row)."""
+    monomials, rest = form
+    total = np.zeros(len(rows)) if rest is None else np.array(
+        [grid(rest, w) for w in rows])
+    for c, exps, term in monomials:
+        mean = quadrature.monomial_means(exps, rows, q)
+        bad = ~np.isfinite(mean)
+        mean = c * mean
+        mean[bad] = [grid(term, w) for w in rows[bad]]
+        total = total + mean
+    return total
 
 
 def _radial_value(space, rests: list, coupled: list, e, a0,
@@ -378,52 +398,6 @@ def _roots(name: str, count: int, size: int, over: int | None = None):
     half = np.eye(size) / 2
     return {f"{name}{l + 1}": half[l] - (0 if over is None else half[over])
             for l in range(count)}
-
-
-def _form(expr: Expr | None, roots: dict, spec):
-    """(closed, ruled, rest) of expr as `dirichlet_form` splits it, closed
-    up to the degree the order-q rule integrates exactly."""
-    return dirichlet_form(Num(1.0) if expr is None else expr, roots,
-                          2 * spec.order - 1)
-
-
-def _closed_means(closed, x) -> np.ndarray:
-    """sum c E[prod_i x_i^exps_i] over the closed terms (c, exps) of a
-    `_form` under the Dirichlet weight prod_i x_i^x_i, one per row of x:
-    each moment over the mass is a running product of ratios (x_i + 1 +
-    k)/(N + t), N = sum_i (x_i + 1), each at most 1, so it never overflows."""
-    total, N = np.zeros(len(x)), x.shape[1] + x.sum(axis=1)
-    for c, exps in closed:
-        out, t = np.ones(len(x)), 0
-        for i, n in enumerate(exps):
-            for k in range(n):
-                out = out * ((x[:, i] + 1 + k) / (N + t))
-                t += 1
-        total = total + c * out
-    return total
-
-
-def _ruled_means(ruled, exps, a0, q: int, grid) -> float:
-    """sum c E[prod x^x] over the ruled terms (c, x, term) of a `_form`,
-    each axis by axis on the order-q rule of the weight (exps, a0), else,
-    if not finite, as grid(term) on the tensor grid, so it fails there."""
-    means = [(c, quadrature.monomial_mean(x, exps, a0, q), term)
-             for c, x, term in ruled]
-    return sum((c * v if math.isfinite(v) else grid(term)
-                for c, v, term in means), 0.0)
-
-
-def _integral(form, env, d: int, exps, a0, spec) -> float:
-    """Mean of the ruled terms and the rest of a `_form`, rest at the
-    variables env(x), under the normalized weight x^exps (1-sum x)^a0 on
-    the d-simplex.  x holds all d+1 coordinates, the last 1 - sum x."""
-    def grid(f):
-        return float(simplex_integrate(lambda x: evaluate(f, env(x)), d,
-                                       exps, a0, spec))
-
-    _, ruled, rest = form
-    value = _ruled_means(ruled, exps, a0, spec.order, grid)
-    return value if rest is None else value + grid(rest)
 
 
 def _block_rule(kj: int, exps, a0, spec):

@@ -1,13 +1,13 @@
 """Deterministic quadrature kernels and a seeded Monte Carlo fallback.
 
 Every kernel returns a probability mean; the masses, ratios of Gamma values,
-are the caller's, in log space.  Two deterministic kernels cover every
-coefficient integral in the package: a mean under a monomial weight on the
-standard simplex (possibly half-integer exponents), and a mean under a
-rational weight on the positive orthant, which is mapped onto the simplex by
-r = u/(1-sum u).  The simplex rule is a tensor Gauss-Jacobi rule under the
-Duffy (collapsed-cube) map; the monomial weights are absorbed into the
-Jacobi weights so endpoint algebraic behavior costs no accuracy.
+are the caller's, in log space.  Two grid kernels take a mean under a
+monomial weight on the standard simplex (possibly half-integer exponents),
+and under a rational weight on the positive orthant, mapped onto the simplex
+by r = u/(1-sum u), on a tensor Gauss-Jacobi rule under the Duffy
+(collapsed-cube) map; the monomial weights are absorbed into the Jacobi
+weights so endpoint algebraic behavior costs no accuracy.  `monomial_means`
+takes a monomial's mean on no grid, one Duffy axis at a time.
 
 The kernels keep a tensor rule as its per-axis factors: the cube
 coordinates u_i lie on broadcast 1-D axes, the integrand's variables are
@@ -22,8 +22,8 @@ Golub-Welsch method in NumPy: the nodes are the eigenvalues of the
 symmetric tridiagonal Jacobi matrix, and the weights are the Christoffel
 numbers 1/sum_k p_k(x)^2 of the orthonormal recurrence, normalized to sum
 to one.  Christoffel numbers keep tiny endpoint weights to relative
-accuracy, where squared eigenvector components would not.  A rule over the
-node budget raises DomainError before anything is allocated.  Rules live in
+accuracy, where squared eigenvector components would not.  A rule or grid
+over the node budget raises DomainError before it is allocated.  Rules live in
 a bounded cache; `build_jacobi_rules` fills it with many rules of one order
 in a single vectorized build, bitwise equal to building each alone.
 
@@ -110,10 +110,14 @@ def build_jacobi_rules(pairs, q: int) -> None:
     cache lacks, in one Golub-Welsch build vectorized over the stack (in
     chunks of a few MB), and keep them in the cache.  A pair jacobi_rule_01
     would refuse is left out, so that it still raises there; at most
-    RULE_CACHE_SIZE rules are built."""
+    RULE_CACHE_SIZE rules are built.  An order whose q x q Jacobi matrix
+    exceeds the node budget raises DomainError before anything is built."""
     pairs = dict.fromkeys((float(a), float(b)) for a, b in pairs)
     keys = [(a, b, q) for a, b in pairs
             if (a, b, q) not in _rules and a > -1 and b > -1][:RULE_CACHE_SIZE]
+    if keys and q * q > MAX_NODES:
+        raise DomainError(f"an order-{q} rule's Jacobi matrix exceeds the "
+                          f"budget of {MAX_NODES} nodes; lower the order")
     chunk = max(1, _BATCH_DOUBLES // (q * q))
     for lo in range(0, len(keys), chunk):
         batch = keys[lo:lo + chunk]
@@ -147,30 +151,59 @@ def jacobi_rule_01(a: float, b: float, q: int):
 
 
 def check_tensor_size(d: int, q: int, copies: int = 1) -> None:
-    """Refuse a d-dimensional order-q tensor rule before anything is
-    allocated: it holds q^d nodes, an integrand on it copies times that
-    many values, and each axis a q x q Jacobi matrix."""
+    """Refuse a d-dimensional order-q tensor grid, of q^d nodes, before
+    anything is allocated: an integrand on it holds copies times q^d."""
     if d > MAX_TENSOR_DIM:
         raise DomainError(
             f"tensor rule unsupported for dimension {d} > {MAX_TENSOR_DIM}; use Monte Carlo"
         )
-    if copies * q ** d > MAX_NODES or q ** 2 > MAX_NODES:
+    if copies * q ** d > MAX_NODES:
         times = f" times {copies} integrands" if copies > 1 else ""
         raise DomainError(
             f"a {d}-dimensional rule of order {q}{times} exceeds the budget "
             f"of {MAX_NODES} nodes; lower the order or use Monte Carlo")
 
 
-def simplex_pairs(a, a0: float, q: int) -> list[tuple[float, float]]:
-    """The Jacobi exponents (a_i, b_i) of the Duffy axes of the order-q
-    rule for the weight prod x_l^{a_l} (1-sum x)^{a0}, after the budget
-    check: axis i carries u^{a_i} (1-u)^{b_i}."""
-    d = len(a)
-    if d == 0:
-        return []
-    check_tensor_size(d, q)
-    return [(float(a[i]), float(a0 + (d - 1 - i) + sum(a[i + 1:])))
-            for i in range(d)]
+def simplex_pairs(x):
+    """The Jacobi exponents (a, b), each (..., d), of the Duffy axes for the
+    Dirichlet weight prod_i y_i^x_i, x of shape (..., d+1): axis i carries
+    u^a_i (1-u)^b_i, a_i = x_i and b_i = x_(i+1) + ... + x_d + d-1-i."""
+    x = np.asarray(x, dtype=float)
+    d = x.shape[-1] - 1
+    tails = np.cumsum(x[..., :0:-1], axis=-1)[..., ::-1]
+    return x[..., :d], tails + np.arange(d - 1, -1, -1)
+
+
+def monomial_means(c, x, q: int) -> np.ndarray:
+    """The mean of prod_i y_i^c_i, c real, under the normalized Dirichlet
+    weight prod_i y_i^x_i of each row of x, Duffy axis by axis: axis i
+    carries u^s (1-u)^t, s = c_i and t = c_(i+1) + ... + c_d, under
+    Beta(a_i+1, b_i+1) (`simplex_pairs`).  Where the order-q rule is exact,
+    s, t integers >= 0 with s + t <= 2q - 1, it takes the Beta moment, a
+    running product of ratios (a+1+k)/(a+b+2+k), then (b+1+k)/(a+b+2+s+k),
+    each at most 1, and builds no rule; any other axis sums its rule, all
+    rows' rules built in one batch.  A zero base against a negative power,
+    or an overflow, gives inf or nan, and no warning."""
+    a, b = simplex_pairs(x)
+    axes = [(float(c[i]), float(sum(c[i + 1:]))) for i in range(len(c) - 1)]
+    exact = np.array([min(s, t) >= 0 and s % 1 == t % 1 == 0
+                      and s + t < 2 * q for s, t in axes], dtype=bool)
+    build_jacobi_rules(zip(a[:, ~exact].ravel().tolist(),
+                           b[:, ~exact].ravel().tolist()), q)
+    mean = np.ones(len(a))
+    with np.errstate(all="ignore"):
+        for i, (s, t) in enumerate(axes):
+            if exact[i]:
+                n = a[:, i] + b[:, i] + 2
+                for k in range(int(s + t)):
+                    top = a[:, i] + 1 + k if k < s else b[:, i] + 1 + (k - s)
+                    mean = mean * (top / (n + k))
+            else:
+                rules = map(jacobi_rule_01, a[:, i].tolist(),
+                            b[:, i].tolist(), [q] * len(a))
+                mean = mean * [float(np.dot(u ** s * (1.0 - u) ** t, w))
+                               for u, w in rules]
+    return mean
 
 
 def simplex_axes(d: int, a: tuple, a0: float, q: int):
@@ -179,9 +212,10 @@ def simplex_axes(d: int, a: tuple, a0: float, q: int):
     probability weights w_i, the monomial weight folded in."""
     if len(a) != d:
         raise DomainError(f"got {len(a)} exponents for dimension {d}")
+    check_tensor_size(d, q)
     us, ws = [], []
-    for i, (ai, bi) in enumerate(simplex_pairs(a, a0, q)):
-        u, w = jacobi_rule_01(ai, bi, q)
+    for i, pair in enumerate(np.column_stack(simplex_pairs((*a, a0)))):
+        u, w = jacobi_rule_01(*pair.tolist(), q)
         us.append(u.reshape((1,) * i + (q,) + (1,) * (d - 1 - i)))
         ws.append(w)
     return us, ws
@@ -284,20 +318,6 @@ def simplex_integrate(f, d: int, a, a0: float, spec: QuadratureSpec):
     return _tensor_integral(
         None if f is None else lambda us: f(barycentric(us)), d,
         tuple(float(x) for x in a), a0, spec)
-
-
-def monomial_mean(c, a, a0: float, q: int) -> float:
-    """The mean of prod_i x_i^c_i, c real, over all d+1 coordinates x on
-    the order-q rule of `simplex_integrate` for the weight x^a (1-sum x)^a0,
-    as a product of d one-dimensional sums: the Duffy axis i carries
-    u_i^c_i (1-u_i)^(c_(i+1) + ... + c_d).  A zero base against a negative
-    power, or an overflow, gives inf or nan, and no warning."""
-    mean = 1.0
-    with np.errstate(all="ignore"):
-        for i, pair in enumerate(simplex_pairs(a, a0, q)):
-            u, w = jacobi_rule_01(*pair, q)
-            mean *= float(np.dot(u ** c[i] * (1.0 - u) ** sum(c[i + 1:]), w))
-    return mean
 
 
 def radial_integrate_projective(g, ell: int, e, N: float,

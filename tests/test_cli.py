@@ -13,6 +13,7 @@ import pytest
 
 from bergtoep import gamma as gamma_module
 from bergtoep import oracle as oracle_module
+from bergtoep import quadrature as quadrature_module
 from bergtoep.cli import build_parser, load_config, main
 from bergtoep.quadrature import QuadratureSpec
 
@@ -174,14 +175,32 @@ def test_split_blocks_take_the_radial_grid(tmp_path, monkeypatch):
 
 def test_split_products_over_node_budget_are_numerical_error(
         tmp_path, monkeypatch, capsys):
-    # (r1+s1)^6 is 7 terms per block, fewer than the 40 nodes a coupled
-    # block adds, but 7^3 term products on the 40^3 radial grid exceed the
-    # budget too: refused before any Jacobi rule is built
+    # (1/(1+r1)+s1)^6 is 7 terms per block, fewer than the 40 nodes a
+    # coupled block adds, but its 7^3 term products are no monomials, and
+    # on the 40^3 radial grid they exceed the budget too: refused before
+    # any Jacobi rule is built
     monkeypatch.setattr(gamma_module, "build_jacobi_rules", _refuse)
-    path = _extended_config(tmp_path, 6, [2, 2, 2], "(r1+s1)^6", 40)
+    path = _extended_config(tmp_path, 6, [2, 2, 2], "(1/(1+r1)+s1)^6", 40)
     assert run(["gamma", "--config", path, "--out",
                 str(tmp_path / "g.csv")]) == 3
     assert "times 343 integrands exceeds the budget" in capsys.readouterr().err
+
+
+def test_ruled_table_over_rule_budget_is_numerical_error(tmp_path,
+                                                         monkeypatch, capsys):
+    # r1^2 r2/(1+r1^2+r2^2+r3^2) is a monomial taken axis by axis, so no
+    # grid is built, but each of its 2049-point rules has a Jacobi matrix
+    # over the node budget: refused before any rule is built
+    monkeypatch.setattr(quadrature_module, "_golub_welsch", _refuse)
+    cfg = {"space": {"type": "projective", "n": 3, "m": 2},
+           "partition": [1, 1, 1],
+           "symbols": [{"kind": "quasi-radial",
+                        "a": "r1^2*r2/(1+r1^2+r2^2+r3^2)"}]}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["gamma", "--config", str(path), "--quad-order", "2049",
+                "--out", str(tmp_path / "g.csv")]) == 3
+    assert "budget" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("m", [1020, 1050, 1100, 5000])
@@ -360,6 +379,29 @@ def test_invalid_config_is_validation_error(tmp_path):
     assert run(["gamma", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("command, section, settings", [
+    ("gamma", "quadrature", {"order": 7.9}),
+    ("gamma", "quadrature", {"seed": 2.5}),
+    ("gamma", "space", {"m": 3.5}),
+    ("oracle-compare", "oracle", {"grid": 20.5}),
+    ("oracle-compare", "oracle", {"method": "monte-carlo",
+                                  "samples": 1000.5}),
+    ("geometry", "geometry", {"trials": 10.5}),
+    ("geometry", "geometry", {"seed": 1.5}),
+])
+def test_fractional_config_integer_is_validation_error(tmp_path, capsys,
+                                                       command, section,
+                                                       settings):
+    """A count or seed with a fractional part is refused, not truncated."""
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg.setdefault(section, {}).update(settings)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert run([command, "--config", str(path), "--out",
+                str(tmp_path / "o.csv")]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
 def test_too_few_monte_carlo_samples_is_numerical_error(tmp_path):
     path = tmp_path / "mc.json"
     cfg = dict(BASE_CONFIG)
@@ -409,10 +451,12 @@ def test_console_script_entry_point(config_path, tmp_path):
 
 
 def test_cli_import_loads_no_scipy():
+    """Nor mpmath or hypothesis: NumPy is the one runtime dependency, and
+    every CLI run pays for what the import loads."""
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, bergtoep.cli; print(sorted(m for m in sys.modules "
-         "if m == 'scipy' or m.startswith('scipy.')))"],
+         "if m.split('.')[0] in ('scipy', 'mpmath', 'hypothesis')))"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

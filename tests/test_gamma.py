@@ -37,6 +37,7 @@ from bergtoep.gamma import (
 from bergtoep.expr import parse
 from bergtoep.indexing import DomainError, Partition, enumerate_basis
 from bergtoep.operators import product_table
+from bergtoep.oracle import gamma_from_oracle_ball
 from bergtoep.quadrature import (QuadratureSpec, simplex_integrate,
                                  simplex_rule)
 from bergtoep.symbols import (
@@ -543,7 +544,7 @@ def test_ball_table_takes_its_monomials_per_axis(a, b, monkeypatch):
     psi = Product((QuasiRadial(a), ExtendedFactor(0, b, (1, -1))))
     split = build_gamma_table(psi, space, k, SPEC).values
     monkeypatch.setattr(gamma_module, "_block_terms", lambda *args: None)
-    monkeypatch.setattr(quadrature, "monomial_mean", _refuse)
+    monkeypatch.setattr(quadrature, "monomial_means", _refuse)
     coupled = build_gamma_table(psi, space, k, SPEC).values
     assert np.any(coupled != 0)
     assert np.allclose(split, coupled, rtol=1e-14, atol=0)
@@ -600,7 +601,8 @@ def test_ruled_tables_raise_where_the_grid_raises(space, errors,
             return type(exc)
 
     got = [table(term) for term in RULED_TERMS]
-    monkeypatch.setattr(quadrature, "monomial_mean", lambda *args: math.nan)
+    monkeypatch.setattr(quadrature, "monomial_means",
+                        lambda c, x, q: np.full(len(x), math.nan))
     want = [table(term) for term in RULED_TERMS]
     assert {w for w in want if isinstance(w, type)} == errors
     for g, w in zip(got, want):
@@ -608,6 +610,38 @@ def test_ruled_tables_raise_where_the_grid_raises(space, errors,
             assert g is w
         else:
             assert np.allclose(g, w, rtol=1e-12, atol=0)
+
+
+def test_all_monomial_radial_products_take_no_grid():
+    """(r_j + s1)^6 on each block of k=(2,2,2) is 7 terms a block, and its
+    7^3 radial products are monomials on the ball (r_j^2 = U_j), so no grid
+    is built and none is held to the q^3 x 343 node budget; every entry is
+    within 4 stderr of the Monte Carlo oracle."""
+    k, lam = Partition((2, 2, 2)), 1.0
+    psi = Product(tuple(ExtendedFactor(j, f"(r{j + 1}+s1)^6", (0, 0))
+                        for j in range(3)))
+    table = build_gamma_table(psi, BallSpace(6, lam, 1), k, SPEC)
+    assert len(table.entries) == 7
+    memo = {}
+    for alpha, got in table.entries.items():
+        o = gamma_from_oracle_ball(psi, alpha, table.shift, lam, 6, k,
+                                   method="monte-carlo", samples=4 * 10**5,
+                                   seed=3, memo=memo)
+        assert abs(got - o.value) <= 4 * o.stderr
+
+
+def test_ruled_block_monomial_past_the_grid_dimension():
+    """s2 on a k=(10,) block is U_2^(1/2) over 9 Duffy axes, past the
+    tensor grids' dimension cap: axis by axis it is the Gamma ratio
+    G(a_2 + 3/2) G(|a| + 10) / (G(a_2 + 1) G(|a| + 21/2)), to the error of
+    the rules on its two ruled axes."""
+    alpha = (1, 3) + (0,) * 7 + (1,)
+    got = gamma_multisphere_factor(parse("s2"), Partition((10,)), 0,
+                                   (0,) * 10, alpha, SPEC)
+    size = sum(alpha) + 10
+    want = math.exp(math.lgamma(alpha[1] + 1.5) - math.lgamma(alpha[1] + 1)
+                    + math.lgamma(size) - math.lgamma(size + 0.5))
+    assert got == pytest.approx(want, rel=1e-10)
 
 
 # ------------------------------------- radial x angular split of the blocks
@@ -699,18 +733,20 @@ def _count_calls(monkeypatch, name):
 
 def test_table_integrates_once_per_distinct_key(monkeypatch):
     """The c_gamma benchmark table: 1771 alpha, of which 1540 are no hard
-    zero (alpha_2 >= 1), with 210 block keys (exps, a0_j).  Its radial
+    zero (alpha_2 >= 1), with 210 block keys (exps, a0_j), whose
+    monomials s1^2 and s2 take one call at all of them.  Its radial
     integrand r1^2/(r1^2+r2^2+1) is the coordinate U_1, so no radial key
-    is integrated: the moment ratios take all of them."""
+    is integrated on a grid: the moments take all of them."""
     radial = _count_calls(monkeypatch, "_radial_value")
-    block = _count_calls(monkeypatch, "_integral")
+    means = _count_calls(monkeypatch, "_means")
     psi = Product((QuasiRadial("r1^2/(r1^2+r2^2+1)"),
                    MultiSphereFactor(0, "s1^2 + s2", (1, -1))))
     table = build_gamma_table(psi, ProjectiveSpace(3, 20),
                               Partition((2, 1)), SPEC)
     assert len(table.entries) == 1771
     assert sum(v != 0 for v in table.entries.values()) == 1540
-    assert (len(radial), len(block)) == (0, 210)
+    block = [len(rows) for _, rows, *_ in means if rows.shape[1] == 2]
+    assert (len(radial), block) == (0, [210])
 
 
 def test_radial_quadrature_integrates_once_per_distinct_key(monkeypatch):
@@ -848,28 +884,34 @@ def test_closed_terms_equal_their_monomials(e, context):
 
 def test_dirichlet_form_of_the_benchmark_symbols():
     """The P^n quasi-radial of the benchmarks is U_1 and the block factor
-    s1^2 + s2 closes in s1^2 and is ruled in s2 = U_2^(1/2); on the ball,
+    s1^2 + s2 is the monomials s1^2 = U_1 and s2 = U_2^(1/2); on the ball,
     or with a radius missing from the sum, r1^2/(1+r1^2) is no monomial;
-    past the degree an order-40 rule integrates exactly, a polynomial term
-    is ruled."""
+    exponents past the degree an order-40 rule integrates exactly are
+    monomials all the same."""
+    def pairs(form):
+        monomials, rest = form
+        return [(c, exps) for c, exps, _ in monomials], rest
+
     projective, ball = (gamma_module._roots("r", 2, 3, over) for over in
                         (2, None))
     cosines = gamma_module._roots("s", 2, 2)
-    assert dirichlet_form(parse("r1^2/(r1^2+r2^2+1)"), projective, 79) == (
-        [(1.0, (1, 0, 0))], [], None)
-    assert dirichlet_form(parse("2*r2^2/(3+3*r1^2+3*r2^2)"), projective,
-                          79) == ([(2 / 3, (0, 1, 0))], [], None)
-    assert dirichlet_form(parse("s1^2 + s2"), cosines, 79) == (
-        [(1.0, (1, 0))], [(1.0, (0.0, 0.5), Var("s2"))], None)
+    assert pairs(dirichlet_form(parse("r1^2/(r1^2+r2^2+1)"), projective)) \
+        == ([(1.0, (1, 0, 0))], None)
+    assert pairs(dirichlet_form(parse("2*r2^2/(3+3*r1^2+3*r2^2)"),
+                                projective)) == ([(2 / 3, (0, 1, 0))], None)
+    monomials, rest = dirichlet_form(parse("s1^2 + s2"), cosines)
+    assert [(c, exps) for c, exps, _ in monomials] == [(1.0, (1, 0)),
+                                                       (1.0, (0.0, 0.5))]
+    assert (monomials[1][2], rest) == (Var("s2"), None)
     for roots in (projective, ball):
         a = parse("r1^2/(1+r1^2)")
-        assert dirichlet_form(a, roots, 79) == ([], [], a)
+        assert dirichlet_form(a, roots) == ([], a)
     wide = gamma_module._roots("s", 3, 3)
-    assert dirichlet_form(parse("s1^64*s2^64"), wide, 79) == (
-        [(1.0, (32, 32, 0))], [], None)
+    assert pairs(dirichlet_form(parse("s1^64*s2^64"), wide)) == (
+        [(1.0, (32, 32, 0))], None)
     high = parse("s1^64*s2^64*s3^64")
-    assert dirichlet_form(high, wide, 79) == (
-        [], [(1.0, (32.0, 32.0, 32.0), high)], None)
+    assert dirichlet_form(high, wide) == (
+        [(1.0, (32.0, 32.0, 32.0), high)], None)
 
 
 @pytest.mark.parametrize("name", ["t_multisphere_n2", "t_multisphere_n5",
@@ -891,14 +933,16 @@ def test_polynomial_tables_build_no_jacobi_rule(name, tmp_path, monkeypatch):
 def test_closed_block_term_matches_order_80_quadrature():
     """The s1^2 term of c_gamma's block factor s1^2 + s2 by its moment, at
     every block key (exps, a0_j) of the table, against order 80."""
-    closed, ruled, rest = gamma_module._form(
-        parse("s1^2 + s2"), gamma_module._roots("s", 2, 2), SPEC)
-    assert (len(ruled), rest) == (1, None)
+    monomials, rest = dirichlet_form(parse("s1^2 + s2"),
+                                     gamma_module._roots("s", 2, 2))
+    assert (len(monomials), rest) == (2, None)
+    c, exps, _ = monomials[0]
+    assert (c, exps) == (1.0, (1, 0))
     keys = sorted({(a[0] + 0.5, a[1] - 0.5) for a in enumerate_basis(3, 20)
                    if a[1] >= 1})
     assert len(keys) == 210
     fine = QuadratureSpec(order=80)
-    means = gamma_module._closed_means(closed, np.array(keys))
+    means = c * quadrature.monomial_means(exps, np.array(keys), SPEC.order)
     for (x, x0), got in zip(keys, means):
         want = simplex_integrate(lambda u: u[0], 1, (x,), x0, fine)
         assert got == pytest.approx(want, rel=1e-14)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -249,20 +250,54 @@ def test_factored_ball_map_matches_materialised_rule(ell):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_monomial_mean_is_the_materialised_rule_sum(data):
-    """The per-axis mean of prod x^c over all d+1 coordinates against
-    sum W prod X^c / sum W over simplex_rule's nodes, the last coordinate
-    1 - sum X: half-integer weight exponents, and real c with a_i + c_i >
-    -1, so that the weighted mean is integrable."""
+    """The per-axis means of prod x^c over all d+1 coordinates at several
+    weights in one call, each against sum W prod X^c / sum W over
+    simplex_rule's nodes, the last coordinate 1 - sum X, to 1e-13, and
+    bitwise its own one-row call: half-integer weight exponents, and c
+    mixing integers >= 0 with reals with a_i + c_i > -1, so that the
+    weighted mean is integrable."""
     d = data.draw(st.integers(1, 3))
-    a = data.draw(st.lists(st.integers(-1, 8).map(lambda k: k / 2),
-                           min_size=d + 1, max_size=d + 1))
-    c = [data.draw(st.floats(-0.9 * (x + 1), 4.0)) for x in a]
+    halves = st.integers(-1, 8).map(lambda k: k / 2)
+    x = np.array(data.draw(st.lists(
+        st.lists(halves, min_size=d + 1, max_size=d + 1),
+        min_size=1, max_size=4)))
+    c = [data.draw(st.one_of(st.integers(0, 4).map(float),
+                             st.floats(-0.9 * (low + 1), 4.0)))
+         for low in x.min(axis=0)]
     q = data.draw(st.integers(1, 12))
-    X, W = simplex_rule(d, tuple(a[:-1]), a[-1], q)
-    coords = [*X.T, 1.0 - X.sum(axis=-1)]
-    want = np.sum(W * np.prod([x ** k for x, k in zip(coords, c)], axis=0))
-    got = quadrature.monomial_mean(c, a[:-1], a[-1], q)
-    assert got == pytest.approx(want / np.sum(W), rel=1e-13)
+    got = quadrature.monomial_means(c, x, q)
+    assert got.shape == (len(x),)
+    for row, g in zip(x, got):
+        X, W = simplex_rule(d, tuple(row[:-1]), row[-1], q)
+        coords = [*X.T, 1.0 - X.sum(axis=-1)]
+        want = np.sum(W * np.prod([v ** k for v, k in zip(coords, c)],
+                                  axis=0))
+        assert g == pytest.approx(want / np.sum(W), rel=1e-13)
+        assert quadrature.monomial_means(c, row[None], q)[0] == g
+
+
+def _refuse(*args):
+    raise AssertionError("a Jacobi rule was built")
+
+
+def test_integer_monomial_mean_needs_no_rule_at_any_dimension(monkeypatch):
+    """Past the tensor grids' dimension cap, d = 9, an integer monomial
+    takes its Dirichlet moment prod_i (x_i + 1)_(c_i) / (N)_(|c|), N =
+    sum_i (x_i + 1), and builds no Jacobi rule."""
+    monkeypatch.setattr(quadrature, "_rules", {})
+    monkeypatch.setattr(quadrature, "_golub_welsch", _refuse)
+    c = (2, 0, 1, 3, 0, 0, 1, 0, 2, 1)
+    x = np.array([[0, 1, 0.5, 2, 0, 3, 0, 1, 0.5, 4],
+                  [7, 0, 0, 1.5, 2, 0, 0, 0, 1, 0.5]])
+    got = quadrature.monomial_means(c, x, 40)
+    for row, g in zip(x.tolist(), got):
+        want, t = Fraction(1), 0
+        total = sum(Fraction(v) + 1 for v in row)
+        for v, k in zip(row, c):
+            for i in range(k):
+                want *= (Fraction(v) + 1 + i) / (total + t)
+                t += 1
+        assert g == pytest.approx(float(want), rel=1e-14)
 
 
 def test_batched_rules_equal_single_builds():
