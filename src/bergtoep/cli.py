@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -40,11 +41,15 @@ class ConfigError(ValueError):
 
 def _integer(section: dict, key: str, *default) -> int:
     """int() of section[key], or of the default where given and the key is
-    absent; a number with a fractional part is refused, not truncated."""
+    absent; a number with a fractional part is refused, not truncated, and
+    so is a value int() cannot read, such as a non-numeric string."""
     value = section.get(key, *default) if default else section[key]
-    if isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+    try:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
 
 
 _ANGULAR = {"multi-sphere": MultiSphereFactor,
@@ -73,8 +78,12 @@ def parse_space(desc: dict):
     if t == "projective":
         return ProjectiveSpace(_integer(desc, "n"), _integer(desc, "m"))
     if t == "ball":
-        return BallSpace(_integer(desc, "n"), float(desc["lambda"]),
-                         _integer(desc, "cap"))
+        try:
+            lam = float(desc["lambda"])
+        except (TypeError, ValueError):
+            raise ConfigError(f"lambda must be a number, got "
+                              f"{desc['lambda']!r}") from None
+        return BallSpace(_integer(desc, "n"), lam, _integer(desc, "cap"))
     raise ConfigError(f"unknown space type {t!r}")
 
 
@@ -246,30 +255,31 @@ def cmd_fusion(args, cfg) -> None:
 
 def cmd_oracle_compare(args, cfg) -> None:
     space = cfg["space"]
-    if not isinstance(space, ProjectiveSpace):
-        raise ConfigError("oracle-compare covers the projective space")
     psi = _combined_symbol(cfg)
     k = cfg["partition"]
     table = operators.product_table([psi], space, k, cfg["quadrature"])
     ocfg = cfg["oracle"]
     method = ocfg.get("method", "polar-grid")
-    # one memo: every alpha of the table shares the oracle's rules and draws
-    kwargs = {"memo": {}}
+    kwargs = {}
     if method == "monte-carlo":
         kwargs["samples"] = _integer(ocfg, "samples", oracle.DEFAULT_SAMPLES)
         kwargs["seed"] = _integer(ocfg, "seed", cfg["quadrature"].seed)
     else:
         kwargs["q_r"] = kwargs["q_theta"] = _integer(ocfg, "grid",
                                                      oracle.DEFAULT_GRID)
-    rows = []
     live = operators.shift_targets(space, table.shift) >= 0
-    basis = operators.space_basis(space)
-    for alpha, g in zip(basis[live].tolist(), table.values[live].tolist()):
-        res = oracle.gamma_from_oracle(psi, tuple(alpha), table.shift,
-                                       space.m, space.n, k, method, **kwargs)
-        rows.append([" ".join(map(str, alpha)), repr(g.real),
-                     repr(res.value.real), repr(abs(g - res.value)),
-                     repr(res.stderr)])
+    alphas = operators.space_basis(space)[live]
+    # one call: the table's rows share the oracle's rules and draws
+    gamma, weight = ((oracle.gamma_from_oracle, space.m)
+                     if isinstance(space, ProjectiveSpace)
+                     else (oracle.gamma_from_oracle_ball, space.lam))
+    res = gamma(psi, alphas, table.shift, weight, space.n, k, method,
+                **kwargs)
+    rows = [[" ".join(map(str, alpha)), repr(g.real), repr(o.real),
+             repr(abs(g - o)), repr(e)]
+            for alpha, g, o, e in zip(alphas.tolist(),
+                                      table.values[live].tolist(),
+                                      res.value.tolist(), res.stderr.tolist())]
     write_rows(args, cfg, rows,
                ["alpha", "gamma_formula", "gamma_oracle", "abs_diff",
                 "stderr"])
@@ -319,6 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # the import-time heap lives until exit: keep the collector off it
+    if gc.get_freeze_count() == 0:
+        gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args)

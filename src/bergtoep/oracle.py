@@ -5,10 +5,9 @@ pointwise against monomials, either on a deterministic polar tensor grid
 (n <= 2) or by seeded Monte Carlo under the exact probability measure of
 the space.  Formula values are tested against these numbers.
 
-Work is shared across the alpha of one table through a memo dict.  A memo
-belongs to one (symbol, partition, space) table, and `oracle-compare`
-passes one memo to every alpha of its command; a call without a memo makes
-its own, so a single call does what it always did.
+Every function takes one pair of indices, or a table's stacks of them in
+one call, which shares the work across the rows; a one-pair call is a
+one-row table.
 
 Polar grid.  With e = (alpha + beta)/2 the inner product is a radial rule
 for the weight x^e (1 - sum x)^a0 summed against the radial profile
@@ -41,18 +40,17 @@ Monte Carlo.  Both spaces draw from their own measures, through
 mc_integrate, which hands over the points as their moduli R and angles
 theta: the ball from its weight-lambda probability measure, P^n from the
 weight-M one, with the importance weight w of weight m against M.  Every
-alpha with the same measure, samples and seed reads the same draw (on the
-ball, the whole table; on P^n, each M), so the memo takes it once and
-evaluates psi w on it once, in chunks (bitwise: psi does not depend on the
-batch, and w is elementwise).  psi is evaluated, phase and all, at every
-drawn point, so the estimate still checks the evaluator's t^p.  The
-estimator is in the factored form z^alpha conj(z^beta) =
-R^(alpha+beta) e^{-i (beta-alpha).theta}: a draw holds R, theta, psi w and
-per shift beta - alpha the product c = psi w e^{-i (beta-alpha).theta},
-taken in real arithmetic from the cos and sin of one angle, (16 n + 32)
-bytes a sample with one shift, so each alpha costs one real monomial
-prod R_i^(alpha_i+beta_i) and one mean in one more real and complex array,
-and its estimate is bitwise that of a separate call.
+row with the same measure reads the same draw (on the ball, the whole
+table; on P^n, each M), so the table makes one mc_integrate call per
+measure, whose f yields every row's integrand chunk by chunk.  psi is
+evaluated, phase and all, at every drawn point, so the estimate still
+checks the evaluator's t^p.  The estimator is in the factored form
+z^alpha conj(z^beta) = R^(alpha+beta) e^{-i (beta-alpha).theta}: a chunk
+takes psi w once, per shift beta - alpha the product
+c = psi w e^{-i (beta-alpha).theta}, in real arithmetic from the cos and
+sin of one angle, and per row one real monomial prod R_i^(alpha_i+beta_i).
+The draw holds R for the whole sample, 8n bytes a sample, and one chunk;
+a row's estimate is bitwise that of a one-pair call.
 """
 
 from __future__ import annotations
@@ -75,14 +73,13 @@ from .symbols import SymbolSpec, evaluate_symbol_batch
 DEFAULT_GRID = 64
 DEFAULT_SAMPLES = 10**6
 _CHUNK_POINTS = 2**18
-_MC_CHUNK_POINTS = 2**14
 _FIRST_THETA_GRID = 4
 _AGREEMENT = 1e-13  # relative to max |psi| over the points evaluated
 
 
 @dataclass(frozen=True)
 class OracleResult:
-    value: complex
+    value: complex  # value and stderr are arrays for a table's stack
     stderr: float  # 0 for the deterministic path
     method: str  # "polar-grid" | "monte-carlo"
     samples_or_points: int
@@ -144,67 +141,47 @@ def _radial_profile(psi, k, frac_e, a0_rule, diff, to_rho, q_r, q_theta):
     return X, W, _dft_profile(psi, k, rho, diff, q_theta)[0]
 
 
-def _polar_inner(psi, k, alpha, beta, a0_rule, a0_int, to_rho, q_r, q_theta,
-                 memo, logpref):
-    """exp(logpref) times the polar-grid sum of psi z^alpha conj(z^beta)
-    against the weight x^e (1 - sum x)^(a0_rule + a0_int),
-    e = (alpha + beta)/2, with the radii rho = to_rho(x)."""
-    n = len(alpha)
+def _polar_rows(psi, k, pairs, measure, q_r, q_theta):
+    """(value, 0) of the polar-grid sum of psi z^alpha conj(z^beta) for
+    every pair, against the weight x^e (1 - sum x)^a0, e = (alpha + beta)/2,
+    one rule and profile per shift beta - alpha."""
+    kind, n, weight = measure
     if n > 2:
         raise DomainError("deterministic oracle supports n <= 2 only")
-    e = [(a + b) / 2 for a, b in zip(alpha, beta)]
-    e_int = [math.floor(x) for x in e]
-    degree = math.ceil(sum(e)) + a0_int
-    if degree > 2 * q_r - 1:
-        raise DomainError(
-            f"polar grid {q_r} is too coarse for a weight of degree {degree}: "
-            f"its shared radial rule is exact to degree {2 * q_r - 1}; use "
-            f"grid >= {degree // 2 + 1}")
-    # beta - alpha fixes the fractional parts of e and a0 (the latter on
-    # P^n; on the ball a0 is the table's lambda), so it keys rule and profile
-    diff = tuple(b - a for a, b in zip(alpha, beta))
-    key = ("polar", diff, q_r, q_theta)
-    if key not in memo:
-        frac_e = tuple(x - i for x, i in zip(e, e_int))
-        memo[key] = _radial_profile(psi, k, frac_e, a0_rule, diff, to_rho,
-                                    q_r, q_theta)
-    X, W, profile = memo[key]
-    W = W * np.prod(X ** np.asarray(e_int), axis=-1) \
-        * (1.0 - X.sum(axis=-1)) ** a0_int
-    value = complex(np.sum(W * profile))
-    return OracleResult(complex(np.exp(logpref) * value), 0.0, "polar-grid",
-                        len(W) * q_theta**n)
-
-
-def _mc_draw(psi, k, domain, m, samples, seed):
-    """One seeded draw from domain, in the factored form: the moduli R and
-    angles theta of its points, each (samples, n), psi w at every point,
-    and an empty map from shift to c.  w is the importance weight of the
-    weight-m measure against the drawn weight M on P^n, taken from R, and 1
-    on the ball.  psi w is filled _MC_CHUNK_POINTS points at a time."""
-    kept = []
-    if domain[0] == "nu_m":
-        n, M = domain[1:]
-        log_c = lambda x: gammaln(n + x + 1) - gammaln(x + 1)
-
-    def psi_w_at(R, theta):
-        psi_w = np.empty(len(R), dtype=complex)
-        for lo in range(0, len(R), _MC_CHUNK_POINTS):
-            s = slice(lo, lo + _MC_CHUNK_POINTS)
-            psi_w[s] = evaluate_symbol_batch(psi, R[s], theta[s], k)
-            if domain[0] == "nu_m":
-                psi_w[s] *= np.exp(log_c(m) - log_c(M) + (M - m) * np.log1p(
-                    np.sum(R[s] ** 2, axis=1)))
-        kept.append((R, theta, psi_w))
-        return psi_w
-
-    # the one place that draws; its estimate of E[psi w] is not needed
-    mc_integrate(psi_w_at, domain, samples, seed)
-    return (*kept.pop(), {})
+    to_rho = np.sqrt if kind == "ball" else _projective_rho
+    logpref = gammaln(n + weight + 1) - gammaln(weight + 1)
+    rows, profiles = [], {}
+    for alpha, beta in pairs:
+        e = [(a + b) / 2 for a, b in zip(alpha, beta)]
+        e_int = [math.floor(x) for x in e]
+        a0_rule, a0_int = weight, 0  # the ball's lambda stays in the rule
+        if kind == "nu_m":
+            a0 = weight - (sum(alpha) + sum(beta)) / 2
+            a0_int = math.floor(a0)
+            a0_rule = a0 - a0_int
+        degree = math.ceil(sum(e)) + a0_int
+        if degree > 2 * q_r - 1:
+            raise DomainError(
+                f"polar grid {q_r} is too coarse for a weight of degree "
+                f"{degree}: its shared radial rule is exact to degree "
+                f"{2 * q_r - 1}; use grid >= {degree // 2 + 1}")
+        # beta - alpha fixes the fractional parts of e and a0 (the latter on
+        # P^n), so it keys rule and profile
+        diff = tuple(b - a for a, b in zip(alpha, beta))
+        if diff not in profiles:
+            frac_e = tuple(x - i for x, i in zip(e, e_int))
+            profiles[diff] = _radial_profile(psi, k, frac_e, a0_rule, diff,
+                                             to_rho, q_r, q_theta)
+        X, W, profile = profiles[diff]
+        W = W * np.prod(X ** np.asarray(e_int), axis=-1) \
+            * (1.0 - X.sum(axis=-1)) ** a0_int
+        value = complex(np.sum(W * profile))
+        rows.append((complex(np.exp(logpref) * value), 0.0))
+    return rows, (q_r * q_theta)**n
 
 
 def _mc_shifted(psi_w, theta, diff):
-    """c = psi w e^{-i diff.theta} at every point of the draw: the cos and
+    """c = psi w e^{-i diff.theta} at every point of a chunk: the cos and
     sin of the one angle -diff.theta, summed in coordinate order, times
     psi w in real arithmetic."""
     if not any(diff):
@@ -217,125 +194,132 @@ def _mc_shifted(psi_w, theta, diff):
     return c
 
 
-def _mc_inner(psi, k, alpha, beta, domain, m, samples, seed, memo):
-    """Estimate of E[psi z^alpha conj(z^beta) w] on the seeded draw from
-    domain (a measure of mc_integrate), with the importance weight w of the
-    weight-m measure against the drawn weight M on P^n, and w = 1 on the
-    ball.
+def _mc_integrands(psi, k, pairs, domain, m):
+    """The f of mc_integrate on domain for the pairs: on a chunk of points
+    (R, theta), psi z^alpha conj(z^beta) w of each pair in turn, with the
+    importance weight w of the weight-m measure against the drawn weight M
+    on P^n, and w = 1 on the ball.  psi w is evaluated once a chunk, and
+    c = psi w e^{-i (beta-alpha).theta} once a shift; each pair then costs
+    the real monomial prod R_i^(alpha_i+beta_i)."""
+    if domain[0] == "nu_m":
+        n, M = domain[1:]
+        log_c = lambda x: gammaln(n + x + 1) - gammaln(x + 1)
 
-    z^alpha conj(z^beta) = |z|^(alpha+beta) e^{-i (beta-alpha).theta}: the
-    draw keeps c = psi w e^{-i (beta-alpha).theta} once per shift, and each
-    alpha costs the real monomial prod R_i^(alpha_i+beta_i).  The memo keeps
-    the latest draw only: a table meets its alpha grade by grade, so M
-    changes monotonically and an earlier draw is not asked for again, and
-    one draw of the default 10^6 samples already holds tens of MB.
-    """
-    key = (domain, m, samples, seed)
-    if memo.get("monte-carlo", (None,))[0] != key:
-        memo.pop("monte-carlo", None)  # free the earlier draw first
-        memo["monte-carlo"] = (key, _mc_draw(psi, k, domain, m, samples,
-                                             seed))
-    R, theta, psi_w, shifts = memo["monte-carlo"][1]
-    diff = tuple(b - a for a, b in zip(alpha, beta))
-    if diff not in shifts:
-        shifts[diff] = _mc_shifted(psi_w, theta, diff)
-    mono = None
-    for r, e in zip(R.T, (a + b for a, b in zip(alpha, beta))):
-        if e:
-            mono = r**e if mono is None else np.multiply(mono, r**e, out=mono)
-    # mc_mean(c * mono), residual over c mono, |residual|^2 over mono
-    c = shifts[diff]
-    vals = c.copy() if mono is None else c * mono
-    est = np.sum(vals) / samples
-    vals -= est
-    sq = np.abs(vals, out=mono)
-    sq **= 2
-    stderr = float(np.sqrt(np.sum(sq) / (samples - 1) / samples))
-    return OracleResult(complex(est), stderr, "monte-carlo", samples)
+    def f(R, theta):
+        psi_w = evaluate_symbol_batch(psi, R, theta, k)
+        if domain[0] == "nu_m":
+            psi_w *= np.exp(log_c(m) - log_c(M) + (M - m) * np.log1p(
+                np.sum(R ** 2, axis=1)))
+        shifts = {}
+        for alpha, beta in pairs:
+            diff = tuple(b - a for a, b in zip(alpha, beta))
+            if diff not in shifts:
+                shifts[diff] = _mc_shifted(psi_w, theta, diff)
+            mono = None
+            for r, e in zip(R.T, (a + b for a, b in zip(alpha, beta))):
+                if e:
+                    mono = r**e if mono is None else np.multiply(mono, r**e,
+                                                                out=mono)
+            yield shifts[diff] if mono is None else shifts[diff] * mono
+
+    return f
+
+
+def _mc_rows(psi, k, pairs, measure, samples, seed):
+    """(estimate, stderr) of E[psi z^alpha conj(z^beta) w] for every pair,
+    one mc_integrate call for all pairs of one measure."""
+    kind, n, weight = measure
+    draws = {}
+    for i, (alpha, beta) in enumerate(pairs):
+        domain = measure
+        if kind == "nu_m":
+            # Importance-sample from the heavier-tailed weight-M measure so
+            # the estimator keeps finite variance: the integrand grows like
+            # |z|^D with D = |alpha|+|beta|, and the second moment under
+            # weight M is finite exactly when M <= 2m - D.
+            D = sum(alpha) + sum(beta)
+            domain = ("nu_m", n, weight if D <= weight else 2 * weight - D)
+        draws.setdefault(domain, []).append(i)
+    out = {}
+    for domain, rows in draws.items():
+        f = _mc_integrands(psi, k, [pairs[i] for i in rows], domain, weight)
+        out.update(zip(rows, mc_integrate(f, domain, samples, seed)))
+    return [out[i] for i in range(len(pairs))], samples
+
+
+def _oracle(psi, k, alpha, beta, measure, method, norm_sq=None,
+            q_r=DEFAULT_GRID, q_theta=DEFAULT_GRID, samples=DEFAULT_SAMPLES,
+            seed=0):
+    """The OracleResult of the pair (alpha, beta), or of each pair of
+    equal-length stacks of them, under measure: ("nu_m", n, m) for P^n at
+    weight m, or ("ball", n, lambda).  With norm_sq, beta is the shift p,
+    each pair is (alpha, alpha + p), and its value and stderr are divided
+    by norm_sq(alpha + p)."""
+    one = np.ndim(alpha) == 1
+    alphas = [tuple(int(x) for x in a) for a in ([alpha] if one else alpha)]
+    if norm_sq is None:
+        betas = [tuple(int(x) for x in b) for b in ([beta] if one else beta)]
+    else:
+        betas = [tuple(a + q for a, q in zip(x, beta)) for x in alphas]
+        for b in betas:
+            if any(x < 0 for x in b):
+                raise DomainError(f"shifted index {b} has a negative entry")
+    kind, n, weight = measure
+    pairs = list(zip(alphas, betas))
+    if kind == "ball" and weight <= -1:
+        raise DomainError(f"need lambda > -1, got {weight}")
+    if kind == "nu_m" and any(max(sum(a), sum(b)) > weight for a, b in pairs):
+        raise DomainError("monomials outside the weight-m space")
+    if method == "polar-grid":
+        rows, points = _polar_rows(psi, k, pairs, measure, q_r, q_theta)
+    elif method == "monte-carlo":
+        rows, points = _mc_rows(psi, k, pairs, measure, samples, seed)
+    else:
+        raise DomainError(f"unknown oracle method {method!r}")
+    if norm_sq is not None:
+        rows = [(v / s, e / s) for (v, e), s in zip(rows, map(norm_sq, betas))]
+    if one:
+        return OracleResult(*rows[0], method, points)
+    return OracleResult(np.array([v for v, _ in rows], dtype=complex),
+                        np.array([e for _, e in rows]), method, points)
 
 
 def inner_product_projective(psi: SymbolSpec, alpha, beta, m: int, n: int,
                              k: Partition, method: str = "polar-grid",
-                             q_r: int = DEFAULT_GRID,
-                             q_theta: int = DEFAULT_GRID,
-                             samples: int = DEFAULT_SAMPLES,
-                             seed: int = 0,
-                             memo: dict | None = None) -> OracleResult:
+                             **kwargs) -> OracleResult:
     """<psi z^alpha, z^beta> at weight m, by direct integration.
 
-    memo shares the work across the alpha of one (psi, k, space) table."""
-    alpha = tuple(int(x) for x in alpha)
-    beta = tuple(int(x) for x in beta)
-    if sum(alpha) > m or sum(beta) > m:
-        raise DomainError("monomials outside the weight-m space")
-    memo = {} if memo is None else memo
-    if method == "polar-grid":
-        a0 = m - (sum(alpha) + sum(beta)) / 2
-        a0_int = math.floor(a0)
-        return _polar_inner(psi, k, alpha, beta, a0 - a0_int, a0_int,
-                            _projective_rho, q_r, q_theta, memo,
-                            gammaln(n + m + 1) - gammaln(m + 1))
-    if method != "monte-carlo":
-        raise DomainError(f"unknown oracle method {method!r}")
-
-    # Importance-sample from the heavier-tailed weight-M measure so the
-    # estimator keeps finite variance: the integrand grows like |z|^D with
-    # D = |alpha|+|beta|, and the second moment under weight M is finite
-    # exactly when M <= 2m - D.
-    D = sum(alpha) + sum(beta)
-    M = m if D <= m else 2 * m - D
-    return _mc_inner(psi, k, alpha, beta, ("nu_m", n, M), m, samples, seed,
-                     memo)
+    alpha and beta are one pair of indices, or equal-length stacks of them,
+    a table's pairs, taken in one call: then value and stderr are arrays,
+    row for row the values of one-pair calls.  kwargs are q_r and q_theta
+    (the polar grid, default DEFAULT_GRID) or samples (DEFAULT_SAMPLES) and
+    seed (0) for Monte Carlo."""
+    return _oracle(psi, k, alpha, beta, ("nu_m", n, m), method, **kwargs)
 
 
 def inner_product_ball(psi: SymbolSpec, alpha, beta, lam: float, n: int,
                        k: Partition, method: str = "polar-grid",
-                       q_r: int = DEFAULT_GRID, q_theta: int = DEFAULT_GRID,
-                       samples: int = DEFAULT_SAMPLES,
-                       seed: int = 0,
-                       memo: dict | None = None) -> OracleResult:
-    """<psi z^alpha, z^beta> on the weight-lambda ball space.
-
-    memo shares the work across the alpha of one table."""
-    if lam <= -1:
-        raise DomainError(f"need lambda > -1, got {lam}")
-    alpha = tuple(int(x) for x in alpha)
-    beta = tuple(int(x) for x in beta)
-    memo = {} if memo is None else memo
-    if method == "polar-grid":
-        return _polar_inner(psi, k, alpha, beta, float(lam), 0, np.sqrt, q_r,
-                            q_theta, memo,
-                            gammaln(n + lam + 1) - gammaln(lam + 1))
-    if method != "monte-carlo":
-        raise DomainError(f"unknown oracle method {method!r}")
-    return _mc_inner(psi, k, alpha, beta, ("ball", n, float(lam)), None,
-                     samples, seed, memo)
+                       **kwargs) -> OracleResult:
+    """<psi z^alpha, z^beta> on the weight-lambda ball space; alpha, beta
+    and kwargs as for inner_product_projective."""
+    return _oracle(psi, k, alpha, beta, ("ball", n, float(lam)), method,
+                   **kwargs)
 
 
 def gamma_from_oracle(psi: SymbolSpec, alpha, p, m: int, n: int,
                       k: Partition, method: str = "polar-grid",
                       **kwargs) -> OracleResult:
-    """gamma(alpha) = <psi z^alpha, z^(alpha+p)> / ||z^(alpha+p)||^2.
-
-    kwargs (q_r, q_theta, samples, seed, memo) go to
-    inner_product_projective; one memo serves the alpha of one table."""
-    beta = tuple(a + q for a, q in zip(alpha, p))
-    if any(b < 0 for b in beta):
-        raise DomainError(f"shifted index {beta} has a negative entry")
-    res = inner_product_projective(psi, alpha, beta, m, n, k, method, **kwargs)
-    nsq = float(monomial_norm_sq_projective(beta, m))
-    return OracleResult(res.value / nsq, res.stderr / nsq, res.method,
-                        res.samples_or_points)
+    """gamma(alpha) = <psi z^alpha, z^(alpha+p)> / ||z^(alpha+p)||^2, for
+    one alpha or a table's stack of them; kwargs as for
+    inner_product_projective."""
+    return _oracle(psi, k, alpha, p, ("nu_m", n, m), method,
+                   lambda beta: float(monomial_norm_sq_projective(beta, m)),
+                   **kwargs)
 
 
 def gamma_from_oracle_ball(psi: SymbolSpec, alpha, p, lam: float, n: int,
                            k: Partition, method: str = "polar-grid",
                            **kwargs) -> OracleResult:
-    """gamma(alpha) on the ball; kwargs as for inner_product_ball."""
-    beta = tuple(a + q for a, q in zip(alpha, p))
-    if any(b < 0 for b in beta):
-        raise DomainError(f"shifted index {beta} has a negative entry")
-    res = inner_product_ball(psi, alpha, beta, lam, n, k, method, **kwargs)
-    nsq = monomial_norm_sq_ball(beta, lam, n)
-    return OracleResult(res.value / nsq, res.stderr / nsq, res.method,
-                        res.samples_or_points)
+    """gamma(alpha) on the ball, as gamma_from_oracle does on P^n."""
+    return _oracle(psi, k, alpha, p, ("ball", n, float(lam)), method,
+                   lambda beta: monomial_norm_sq_ball(beta, lam, n), **kwargs)

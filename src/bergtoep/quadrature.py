@@ -34,6 +34,7 @@ spec, whose order counts samples rather than Gauss points.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,8 @@ MAX_NODES = 2**22
 # n-vectors where a rule node costs one, so the budget is a quarter of
 # MAX_NODES; it admits the oracle's default 10^6 samples
 MAX_SAMPLES = 2**20
+# points per chunk of a streamed Monte Carlo draw
+_MC_CHUNK_POINTS = 2**13
 # the most Jacobi rules kept at once, least recently used dropped first
 RULE_CACHE_SIZE = 4096
 # doubles per array of one vectorized Golub-Welsch build (2 MB)
@@ -359,13 +362,20 @@ def mc_integrate(f, domain, N: int, seed: int):
       ("ball", n, lam)        -- E[f(R, theta)] under the weight-lambda
                                  probability measure on the unit ball of C^n
     The two measures hand f the points z_i = R_i e^{i theta_i} in polar
-    form: the moduli R and the angles theta, each of shape (N, n).  Both
+    form: the moduli R and the angles theta, each of shape (chunk, n).  Both
     draw R^2 from Dirichlet(1, ..., 1, w+1) and theta uniform on
     [0, 2 pi)^n: R^2 = y/y_last on C^n (w = m), R^2 = y on the ball
-    (w = lambda).
-    Deterministic for a fixed seed.  Returns (estimate, stderr).  A count
-    of N below 100 or above MAX_SAMPLES is refused before anything is
-    drawn.
+    (w = lambda).  They stream: the moduli of all N points come first, the
+    Dirichlet rows _MC_CHUNK_POINTS at a time, then theta and f one chunk of
+    _MC_CHUNK_POINTS points at a time, so a draw holds R (8n bytes a
+    sample) and one chunk; the points are bitwise those of one whole draw.
+    f returns one integrand's values, or an iterator over several
+    integrands' values (a generator, say), taken one at a time, so memory
+    does not grow with their number.  Each chunk keeps the sum and centred
+    square sum of each integrand, merged at the end.
+    Deterministic for a fixed seed.  Returns (estimate, stderr), or a list
+    of them, one per integrand, where f gives an iterator.  A count of N
+    below 100 or above MAX_SAMPLES is refused before anything is drawn.
     """
     if N < 100:
         raise DomainError("need at least 100 samples")
@@ -375,33 +385,44 @@ def mc_integrate(f, domain, N: int, seed: int):
     rng = np.random.default_rng(seed)
     kind = domain[0]
     if kind == "dirichlet":
-        draws = [rng.dirichlet(np.append(np.asarray(a, dtype=float), a0)
-                               + 1.0, size=N) for a, a0 in domain[1]]
-        vals = np.asarray(f(*draws))
+        chunks = [f(*[rng.dirichlet(np.append(np.asarray(a, dtype=float), a0)
+                                    + 1.0, size=N) for a, a0 in domain[1]])]
     elif kind in ("nu_m", "ball"):
-        vals = np.asarray(f(*_space_points(rng, kind, domain[1], domain[2],
-                                           N)))
+        chunks = _space_chunks(f, rng, kind, domain[1], domain[2], N)
     else:
         raise DomainError(f"unknown MC domain {kind!r}")
-    return mc_mean(vals)
+    stats = {}  # per integrand, per chunk: (sum, centred square sum, size)
+    for out in chunks:
+        several = isinstance(out, Iterator)
+        for j, vals in enumerate(out if several else [out]):
+            total = np.sum(vals)
+            stats.setdefault(j, []).append((total, np.sum(np.abs(
+                vals - total / len(vals)) ** 2), len(vals)))
+    means = [_merged(chunk_stats, N) for chunk_stats in stats.values()]
+    return means if several else means[0]
 
 
-def _space_points(rng, kind: str, n: int, w: float, N: int):
-    """The moduli and angles (R, theta), each (N, n), of N points of the
-    ("nu_m" or "ball") measure of weight w, drawn from rng as mc_integrate
-    documents.  The Dirichlet draw dies before theta is drawn."""
-    y = rng.dirichlet(np.concatenate([np.ones(n), [w + 1.0]]), size=N)
-    R = np.sqrt(y[:, :n] / y[:, n:] if kind == "nu_m" else y[:, :n])
-    del y
-    return R, rng.random((N, n)) * 2 * np.pi
+def _space_chunks(f, rng, kind: str, n: int, w: float, N: int):
+    """f at N points of the ("nu_m" or "ball") measure of weight w, one
+    chunk at a time: the moduli of every point are drawn first, then each
+    chunk's angles, from rng as mc_integrate documents."""
+    R, shape = np.empty((N, n)), np.concatenate([np.ones(n), [w + 1.0]])
+    for lo in range(0, N, _MC_CHUNK_POINTS):
+        y = rng.dirichlet(shape, size=min(_MC_CHUNK_POINTS, N - lo))
+        R[lo:lo + len(y)] = np.sqrt(y[:, :n] / y[:, n:] if kind == "nu_m"
+                                    else y[:, :n])
+    for lo in range(0, N, _MC_CHUNK_POINTS):
+        hi = min(lo + _MC_CHUNK_POINTS, N)
+        yield f(R[lo:hi], rng.random((hi - lo, n)) * 2 * np.pi)
 
 
-def mc_mean(vals):
-    """Sample mean of vals and its standard error: (estimate, stderr)."""
-    N = len(vals)
-    est = np.sum(vals) / N
-    resid = vals - est
-    stderr = float(np.sqrt(np.sum(np.abs(resid) ** 2) / (N - 1) / N))
-    if np.iscomplexobj(vals):
+def _merged(chunk_stats, N: int):
+    """(estimate, stderr) of N values from their chunks' (sum, centred
+    square sum, size): M2 = sum_c [M2_c + n_c |mean_c - estimate|^2]."""
+    est = np.sum([total for total, _, _ in chunk_stats]) / N
+    m2 = sum(sq + size * abs(total / size - est) ** 2
+             for total, sq, size in chunk_stats)
+    stderr = float(np.sqrt(m2 / (N - 1) / N))
+    if np.iscomplexobj(est):
         return complex(est), stderr
     return float(np.real(est)), stderr

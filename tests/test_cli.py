@@ -9,13 +9,15 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bergtoep import gamma as gamma_module
-from bergtoep import oracle as oracle_module
 from bergtoep import quadrature as quadrature_module
 from bergtoep.cli import build_parser, load_config, main
+from bergtoep.indexing import Partition, gammaln, monomial_norm_sq_projective
 from bergtoep.quadrature import QuadratureSpec
+from bergtoep.symbols import SingleSphereFactor, evaluate_symbol_batch
 
 BASE_CONFIG = {
     "space": {"type": "projective", "n": 2, "m": 3},
@@ -302,11 +304,10 @@ MC_P3_CONFIG = dict(
 
 
 def test_monte_carlo_oracle_compare_memory_is_bounded(tmp_path):
-    """The Monte Carlo oracle evaluates psi w in chunks once the draw's
-    temporaries are freed, and each alpha costs a real monomial and one
-    complex and one real array: on P^3 with 2^17 samples the traced peak is
-    about 18 MB, against about 31 MB with psi evaluated on the whole draw
-    and the mean taken on fresh copies."""
+    """The Monte Carlo draw streams: it holds the moduli R of every point
+    (3 MiB on P^3 with 2^17 samples) and one chunk, whatever the number of
+    alpha.  The traced peak is about 5.2 MiB, against about 15 MiB with
+    the whole draw and each alpha's arrays held at full length."""
     path = tmp_path / "mc.json"
     path.write_text(json.dumps(MC_P3_CONFIG))
     tracemalloc.start()
@@ -316,27 +317,58 @@ def test_monte_carlo_oracle_compare_memory_is_bounded(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 22 * 2**20
+    assert peak < 7 * 2**20
 
 
 def test_monte_carlo_oracle_compare_is_chunk_independent(tmp_path,
                                                          monkeypatch):
-    """The CSV bytes do not depend on the chunk psi w is evaluated in: 1000
-    points (which does not divide the sample count), 2^14, or the whole
-    draw at once."""
+    """With the draw streamed in chunks of 1000 points (which does not
+    divide the sample count), each row's gamma_oracle and stderr are
+    bitwise those of mc_integrate on the row's integrand over the norm, and
+    agree to 1e-13 with the draw taken in one chunk."""
+    samples, seed, m, p = 20_500, 3, 3, (1, -1, 0)
     cfg = dict(MC_P3_CONFIG, oracle={"method": "monte-carlo",
-                                     "samples": 20_500, "seed": 3})
+                                     "samples": samples, "seed": seed})
     path = tmp_path / "mc.json"
     path.write_text(json.dumps(cfg))
     outputs = []
-    for chunk in (1000, 2**14, 2**15):
-        monkeypatch.setattr(oracle_module, "_MC_CHUNK_POINTS", chunk)
+    for chunk in (2**15, 1000):
+        monkeypatch.setattr(quadrature_module, "_MC_CHUNK_POINTS", chunk)
         out = tmp_path / f"oc{chunk}.csv"
         assert run(["oracle-compare", "--config", str(path), "--out",
                     str(out)]) == 0
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1] == outputs[2]
-    assert len(outputs[0].splitlines()) > 5
+        outputs.append([line.split(",") for line in
+                        out.read_text().splitlines()[4:]])
+    psi, k = SingleSphereFactor(0, "sig1^2", (1, -1)), Partition((2, 1))
+    for row in outputs[1]:
+        alpha = tuple(map(int, row[0].split()))
+        beta = tuple(a + q for a, q in zip(alpha, p))
+        M = m if 2 * sum(alpha) <= m else 2 * m - 2 * sum(alpha)
+        logw0 = ((gammaln(3 + m + 1) - gammaln(m + 1))
+                 - (gammaln(3 + M + 1) - gammaln(M + 1)))
+
+        def f(R, theta):
+            c = evaluate_symbol_batch(psi, R, theta, k)
+            c *= np.exp(logw0 + (M - m) * np.log1p(np.sum(R ** 2, axis=1)))
+            cos, sin = np.cos(-theta[:, 0] + theta[:, 1]), np.sin(
+                -theta[:, 0] + theta[:, 1])
+            c = (c.real * cos - c.imag * sin) + 1j * (c.real * sin
+                                                      + c.imag * cos)
+            mono = None
+            for r, e in zip(R.T, (a + b for a, b in zip(alpha, beta))):
+                if e:
+                    mono = r ** e if mono is None else mono * r ** e
+            return c if mono is None else c * mono
+
+        value, stderr = quadrature_module.mc_integrate(
+            f, ("nu_m", 3, M), samples, seed)
+        nsq = float(monomial_norm_sq_projective(beta, m))
+        assert row[2:5:2] == [repr((value / nsq).real), repr(stderr / nsq)]
+    for whole, row in zip(*outputs):
+        assert row[:2] == whole[:2]
+        for got, want in zip(row[2:5:2], whole[2:5:2]):
+            assert float(got) == pytest.approx(float(want), rel=1e-13)
+    assert len(outputs[0]) > 5
 
 
 @pytest.mark.parametrize("m, code", [(3, 0), (4, 3)])
@@ -400,6 +432,66 @@ def test_fractional_config_integer_is_validation_error(tmp_path, capsys,
     assert run([command, "--config", str(path), "--out",
                 str(tmp_path / "o.csv")]) == 2
     assert "must be an integer" in capsys.readouterr().err
+
+
+BALL_SPACE = {"type": "ball", "n": 2, "lambda": 1.0, "cap": 3}
+
+
+@pytest.mark.parametrize("command, section, key", [
+    ("gamma", "quadrature", "order"),
+    ("gamma", "quadrature", "seed"),
+    ("oracle-compare", "oracle", "grid"),
+    ("oracle-compare", "oracle", "samples"),
+    ("geometry", "geometry", "trials"),
+    ("gamma", "space", "n"),
+    ("gamma", "space", "m"),
+    ("gamma", "ball", "cap"),
+    ("gamma", "ball", "lambda"),
+    ("gamma", "symbol", "block"),
+])
+def test_non_numeric_config_string_is_validation_error(tmp_path, capsys,
+                                                       command, section,
+                                                       key):
+    """A count, seed or lambda given as a non-numeric string is refused
+    with the key's name, not a traceback."""
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    if section == "ball":
+        cfg["space"] = dict(BALL_SPACE)
+    target = (cfg["symbols"][1] if section == "symbol"
+              else cfg["space"] if section == "ball"
+              else cfg.setdefault(section, {}))
+    target[key] = "abc"
+    if key == "samples":
+        target["method"] = "monte-carlo"
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert run([command, "--config", str(path), "--out",
+                str(tmp_path / "o.csv")]) == 2
+    assert f"{key} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("settings", [
+    {"method": "polar-grid"},
+    {"method": "monte-carlo", "samples": 200_000, "seed": 1},
+], ids=["polar-grid", "monte-carlo"])
+def test_oracle_compare_takes_the_ball(tmp_path, settings):
+    """Criterion 04's extended symbol on the weight-1 ball (n = 2, cap 3):
+    the polar grid agrees to 1e-8, Monte Carlo within 6 stderr."""
+    cfg = dict(BASE_CONFIG, space=BALL_SPACE, oracle=settings, symbols=[
+        {"kind": "extended", "block": 1, "b": "r1^2/(1+r1^2)*s1^2",
+         "p": [1, -1]}])
+    path, out = tmp_path / "ball.json", tmp_path / "oc.csv"
+    path.write_text(json.dumps(cfg))
+    assert run(["oracle-compare", "--config", str(path), "--out",
+                str(out)]) == 0
+    rows = [list(map(float, line.split(",")[1:]))
+            for line in out.read_text().splitlines()[4:]]
+    assert len(rows) == 6
+    for formula, value, diff, stderr in rows:
+        if settings["method"] == "polar-grid":
+            assert diff <= 1e-8 and stderr == 0
+        else:
+            assert 0 < diff <= 6 * stderr
 
 
 def test_too_few_monte_carlo_samples_is_numerical_error(tmp_path):

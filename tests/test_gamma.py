@@ -622,12 +622,12 @@ def test_all_monomial_radial_products_take_no_grid():
                         for j in range(3)))
     table = build_gamma_table(psi, BallSpace(6, lam, 1), k, SPEC)
     assert len(table.entries) == 7
-    memo = {}
-    for alpha, got in table.entries.items():
-        o = gamma_from_oracle_ball(psi, alpha, table.shift, lam, 6, k,
-                                   method="monte-carlo", samples=4 * 10**5,
-                                   seed=3, memo=memo)
-        assert abs(got - o.value) <= 4 * o.stderr
+    alphas = list(table.entries)
+    o = gamma_from_oracle_ball(psi, alphas, table.shift, lam, 6, k,
+                               method="monte-carlo", samples=4 * 10**5,
+                               seed=3)
+    for alpha, value, stderr in zip(alphas, o.value, o.stderr):
+        assert abs(table.entries[alpha] - value) <= 4 * stderr
 
 
 def test_ruled_block_monomial_past_the_grid_dimension():

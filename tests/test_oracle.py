@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bergtoep import oracle
+from bergtoep import oracle, quadrature
 from bergtoep.indexing import (
     DomainError,
     Partition,
@@ -170,30 +170,46 @@ def _multisphere(p):
                                                                   p)))
 
 
+def _stacks(pairs):
+    """A table's pairs as the two stacks of one oracle call."""
+    return [a for a, _ in pairs], [b for _, b in pairs]
+
+
+def _counting(monkeypatch, name):
+    """Record the arguments of every call to oracle.name."""
+    calls, fn = [], getattr(oracle, name)
+    monkeypatch.setattr(oracle, name,
+                        lambda *a: calls.append(a) or fn(*a))
+    return calls
+
+
 @pytest.mark.parametrize("p, m", [
     ((0,), 6), ((0, 0), 6), ((1, -1), 6), ((2, -2), 5)])
-def test_table_memo_matches_per_alpha_rules_projective(p, m):
+def test_table_memo_matches_per_alpha_rules_projective(p, m, monkeypatch):
+    """A table's rows, taken in one call, are bitwise those of one-pair
+    calls and agree with the whole-weight rule; one rule and profile serve
+    each beta - alpha and grid."""
     n, psi = len(p), _multisphere(p)
     k = Partition((n,))
     logpref = gammaln(n + m + 1) - gammaln(m + 1)
-    memo = {}
+    pairs = _table_pairs(n, m, p)
     for q_r, q_theta in ((12, 8), (10, 8), (10, 3)):
-        for alpha, beta in _table_pairs(n, m, p):
-            shared = inner_product_projective(psi, alpha, beta, m, n, k,
-                                              q_r=q_r, q_theta=q_theta,
-                                              memo=memo)
+        with monkeypatch.context() as patch:
+            profiles = _counting(patch, "_radial_profile")
+            table = inner_product_projective(psi, *_stacks(pairs), m, n, k,
+                                             q_r=q_r, q_theta=q_theta)
+        assert len(profiles) == 2
+        assert table.samples_or_points == (q_r * q_theta)**n
+        for (alpha, beta), shared in zip(pairs, table.value):
             alone = inner_product_projective(psi, alpha, beta, m, n, k,
                                              q_r=q_r, q_theta=q_theta)
             want = _whole_weight_rule(
                 psi, k, alpha, beta, m - (sum(alpha) + sum(beta)) / 2,
                 lambda X: np.sqrt(X / (1 - X.sum(axis=-1, keepdims=True))),
                 logpref, q_r, q_theta)
-            assert shared.value == pytest.approx(alone.value, rel=1e-14,
-                                                 abs=1e-14)
-            assert shared.value == pytest.approx(want, rel=1e-13, abs=1e-14)
-            assert shared.samples_or_points == (q_r * q_theta)**n
-    # one rule and profile per beta - alpha and grid
-    assert len(memo) == 6
+            assert shared == alone.value
+            assert shared == pytest.approx(want, rel=1e-13, abs=1e-14)
+            assert alone.samples_or_points == (q_r * q_theta)**n
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0])
@@ -201,98 +217,113 @@ def test_table_memo_matches_per_alpha_rules_projective(p, m):
 def test_table_memo_matches_per_alpha_rules_ball(lam, p):
     psi = Product((QuasiRadial("r1^2"), MultiSphereFactor(0, "s1^2", p)))
     k, logpref = K2, gammaln(2 + lam + 1) - gammaln(lam + 1)
-    memo = {}
-    for alpha, beta in _table_pairs(2, 3, p):
-        shared = inner_product_ball(psi, alpha, beta, lam, 2, k, q_r=12,
-                                    q_theta=8, memo=memo)
+    pairs = _table_pairs(2, 3, p)
+    table = inner_product_ball(psi, *_stacks(pairs), lam, 2, k, q_r=12,
+                               q_theta=8)
+    for (alpha, beta), shared in zip(pairs, table.value):
         alone = inner_product_ball(psi, alpha, beta, lam, 2, k, q_r=12,
                                    q_theta=8)
         want = _whole_weight_rule(psi, k, alpha, beta, lam, np.sqrt, logpref,
                                   12, 8)
-        assert shared.value == pytest.approx(alone.value, rel=1e-14,
-                                             abs=1e-14)
-        assert shared.value == pytest.approx(want, rel=1e-13, abs=1e-14)
+        assert shared == alone.value
+        assert shared == pytest.approx(want, rel=1e-13, abs=1e-14)
 
 
-def test_mc_memo_is_bitwise_per_alpha_draws():
-    """One draw per importance weight M, and the estimates of separate
-    calls, each of which draws again under the same seed."""
+def _factored(psi, k, alpha, beta, domain, m):
+    """One row's integrand on whole arrays of points, operation by
+    operation the factored form: psi w e^{-i (beta-alpha).theta} times the
+    real monomial prod R_i^(alpha_i+beta_i)."""
+    n, M = domain[1:]
+
+    def f(R, theta):
+        c = evaluate_symbol_batch(psi, R, theta, k)
+        if domain[0] == "nu_m":
+            logw0 = ((gammaln(n + m + 1) - gammaln(m + 1))
+                     - (gammaln(n + M + 1) - gammaln(M + 1)))
+            c *= np.exp(logw0 + (M - m) * np.log1p(np.sum(R ** 2, axis=1)))
+        diff = [b - a for a, b in zip(alpha, beta)]
+        if any(diff):
+            angle = sum(-d * theta[:, j] for j, d in enumerate(diff) if d)
+            cos, sin = np.cos(angle), np.sin(angle)
+            c = (c.real * cos - c.imag * sin) + 1j * (c.real * sin
+                                                      + c.imag * cos)
+        mono = None
+        for r, e in zip(R.T, (a + b for a, b in zip(alpha, beta))):
+            if e:
+                mono = r ** e if mono is None else mono * r ** e
+        return c if mono is None else c * mono
+
+    return f
+
+
+def test_mc_memo_is_bitwise_per_alpha_draws(monkeypatch):
+    """One draw per importance weight M, and each row bitwise the estimate
+    of a one-pair call, which draws again under the same seed, and of
+    mc_integrate on the row's integrand."""
     n, m, k, samples, seed = 2, 3, K2, 2000, 4
     psi = _multisphere((1, -1))
-    memo = {}
-    for alpha, beta in _table_pairs(n, m, (1, -1))[:-1]:
-        shared = inner_product_projective(psi, alpha, beta, m, n, k,
-                                          method="monte-carlo",
-                                          samples=samples, seed=seed,
-                                          memo=memo)
+    pairs = _table_pairs(n, m, (1, -1))[:-1]
+    draws = _counting(monkeypatch, "mc_integrate")
+    table = inner_product_projective(psi, *_stacks(pairs), m, n, k,
+                                     method="monte-carlo", samples=samples,
+                                     seed=seed)
+    weights = []
+    for (alpha, beta), value, stderr in zip(pairs, table.value,
+                                            table.stderr):
         alone = inner_product_projective(psi, alpha, beta, m, n, k,
                                          method="monte-carlo",
                                          samples=samples, seed=seed)
         D = sum(alpha) + sum(beta)
         M = m if D <= m else 2 * m - D
-        logw0 = ((gammaln(n + m + 1) - gammaln(m + 1))
-                 - (gammaln(n + M + 1) - gammaln(M + 1)))
-
-        def f(R, theta):
-            # the factored form: psi w e^{-i (beta-alpha).theta} times the
-            # real monomial prod R_i^(alpha_i+beta_i), operation by operation
-            c = evaluate_symbol_batch(psi, R, theta, k)
-            c *= np.exp(logw0 + (M - m) * np.log1p(np.sum(R ** 2, axis=1)))
-            diff = [b - a for a, b in zip(alpha, beta)]
-            if any(diff):
-                angle = sum(-d * theta[:, j] for j, d in enumerate(diff) if d)
-                cos, sin = np.cos(angle), np.sin(angle)
-                c = (c.real * cos - c.imag * sin) + 1j * (c.real * sin
-                                                          + c.imag * cos)
-            mono = None
-            for r, e in zip(R.T, (a + b for a, b in zip(alpha, beta))):
-                if e:
-                    mono = r ** e if mono is None else mono * r ** e
-            return c if mono is None else c * mono
-
-        want = mc_integrate(f, ("nu_m", n, M), samples, seed)
-        assert (shared.value, shared.stderr) == (alone.value, alone.stderr)
-        assert (shared.value, shared.stderr) == want
-        assert shared.samples_or_points == samples
+        weights.append(M)
+        want = mc_integrate(_factored(psi, k, alpha, beta, ("nu_m", n, M), m),
+                            ("nu_m", n, M), samples, seed)
+        assert (value, stderr) == (alone.value, alone.stderr) == want
+        assert alone.samples_or_points == table.samples_or_points == samples
+    assert [d[1] for d in draws[:len(set(weights))]] == [
+        ("nu_m", n, M) for M in dict.fromkeys(weights)]
+    assert len(set(weights)) > 1
 
 
 def test_ball_mc_memo_draws_once_per_table(monkeypatch):
-    """One draw serves a whole ball table, and each row is bitwise that of
-    a separate call."""
+    """One draw serves a whole ball table, rows with other shifts too, and
+    each row is bitwise that of a one-pair call."""
     psi, k, lam, p = _multisphere((1, -1)), K2, 1.0, (1, -1)
-    calls = []
-    draw = oracle.mc_integrate
-    monkeypatch.setattr(oracle, "mc_integrate",
-                        lambda *a: calls.append(a[1]) or draw(*a))
+    draws = _counting(monkeypatch, "mc_integrate")
     # the last two rows bring the shifts (1, 0) and (2, -2)
-    memo, rows = {}, _table_pairs(2, 3, p) + [((0, 2), (2, 0))]
-    shared = [inner_product_ball(psi, alpha, beta, lam, 2, k,
-                                 method="monte-carlo", samples=2000, seed=4,
-                                 memo=memo) for alpha, beta in rows]
-    assert calls == [("ball", 2, lam)]
-    for (alpha, beta), got in zip(rows, shared):
+    rows = _table_pairs(2, 3, p) + [((0, 2), (2, 0))]
+    table = inner_product_ball(psi, *_stacks(rows), lam, 2, k,
+                               method="monte-carlo", samples=2000, seed=4)
+    assert [d[1] for d in draws] == [("ball", 2, lam)]
+    for (alpha, beta), value, stderr in zip(rows, table.value, table.stderr):
         alone = inner_product_ball(psi, alpha, beta, lam, 2, k,
                                    method="monte-carlo", samples=2000, seed=4)
-        assert (got.value, got.stderr) == (alone.value, alone.stderr)
-    assert len(calls) == 1 + len(rows)
+        assert (value, stderr) == (alone.value, alone.stderr)
+    assert len(draws) == 1 + len(rows)
 
 
 def test_ball_mc_table_is_chunk_independent(monkeypatch):
-    """On the ball, every row's estimate and standard error are bitwise the
-    same whatever the chunk psi is evaluated in: 1000 points (which does
-    not divide the sample count), 2^14, or the whole draw at once."""
+    """On the ball, with the draw streamed in chunks of 1000 points (which
+    does not divide the sample count), every row's estimate and standard
+    error are bitwise those of mc_integrate on the row's integrand, and
+    agree to 1e-13 with the draw taken in one chunk."""
     k, lam, p = Partition((2, 1)), 1.0, (1, -1, 0)
     psi = SingleSphereFactor(0, "sig1^2", (1, -1))
+    pairs, domain = _table_pairs(3, 3, p), ("ball", 3, lam)
     rows = []
-    for chunk in (1000, 2**14, 2**15):
-        monkeypatch.setattr(oracle, "_MC_CHUNK_POINTS", chunk)
-        memo = {}
-        rows.append([(res.value, res.stderr) for res in (
-            inner_product_ball(psi, alpha, beta, lam, 3, k,
-                               method="monte-carlo", samples=20_500, seed=3,
-                               memo=memo)
-            for alpha, beta in _table_pairs(3, 3, p))])
-    assert rows[0] == rows[1] == rows[2]
+    for chunk in (1000, 2**15):
+        monkeypatch.setattr(quadrature, "_MC_CHUNK_POINTS", chunk)
+        table = inner_product_ball(psi, *_stacks(pairs), lam, 3, k,
+                                   method="monte-carlo", samples=20_500,
+                                   seed=3)
+        rows.append(list(zip(table.value.tolist(), table.stderr.tolist())))
+        if chunk == 1000:
+            assert rows[0] == [
+                mc_integrate(_factored(psi, k, alpha, beta, domain, None),
+                             domain, 20_500, 3) for alpha, beta in pairs]
+    for (v0, e0), (v1, e1) in zip(*rows):
+        assert v0 == pytest.approx(v1, rel=1e-13, abs=1e-15)
+        assert e0 == pytest.approx(e1, rel=1e-13)
     assert len(rows[0]) > 5
 
 
@@ -302,8 +333,11 @@ def test_mc_shifted_is_bitwise_across_chunkings():
     16 384-point elision threshold) and 1000 points."""
     k = Partition((2, 1))
     psi = SingleSphereFactor(0, "sig1^2", (1, -1))
-    R, theta, psi_w, _ = oracle._mc_draw(psi, k, ("nu_m", 3, 3), 3, 100_000,
-                                         1)
+    rng = np.random.default_rng(1)
+    y = rng.dirichlet([1.0, 1.0, 1.0, 4.0], size=100_000)
+    R = np.sqrt(y[:, :3] / y[:, 3:])
+    theta = rng.random((100_000, 3)) * 2 * np.pi
+    psi_w = evaluate_symbol_batch(psi, R, theta, k)
     for diff in ((1, -1, 0), (2, -1, -1), (-1, 0, 1), (3, -2, -1)):
         whole = oracle._mc_shifted(psi_w, theta, diff)
         for chunk, stop in ((2**15, len(R)), (1000, len(R)), (999, len(R)),
@@ -326,23 +360,25 @@ def test_mc_factored_estimator_matches_complex_powers(space, p):
     k = Partition((n,))
     psi = Product((QuasiRadial("r1^2/(1+r1^2)"),
                    MultiSphereFactor(0, "s1^2 + s2", p)))
-    memo, weights = {}, set()
-    for alpha, beta in _table_pairs(n, m, p):
+    pairs, weights = _table_pairs(n, m, p), set()
+    if space == "projective":
+        table = inner_product_projective(psi, *_stacks(pairs), m, n, k,
+                                         method="monte-carlo",
+                                         samples=samples, seed=seed)
+    else:
+        table = inner_product_ball(psi, *_stacks(pairs), space, n, k,
+                                   method="monte-carlo", samples=samples,
+                                   seed=seed)
+    for (alpha, beta), got_value, got_stderr in zip(pairs, table.value,
+                                                    table.stderr):
         if space == "projective":
             D = sum(alpha) + sum(beta)
             M = m if D <= m else 2 * m - D
             domain, weights = ("nu_m", n, M), weights | {M}
             logw0 = ((gammaln(n + m + 1) - gammaln(m + 1))
                      - (gammaln(n + M + 1) - gammaln(M + 1)))
-            got = inner_product_projective(psi, alpha, beta, m, n, k,
-                                           method="monte-carlo",
-                                           samples=samples, seed=seed,
-                                           memo=memo)
         else:
             domain, M, logw0 = ("ball", n, space), m, 0.0
-            got = inner_product_ball(psi, alpha, beta, space, n, k,
-                                     method="monte-carlo", samples=samples,
-                                     seed=seed, memo=memo)
         scale = []
 
         def f(R, theta):
@@ -356,20 +392,20 @@ def test_mc_factored_estimator_matches_complex_powers(space, p):
             return terms
 
         value, stderr = mc_integrate(f, domain, samples, seed)
-        assert abs(got.value - value) <= 1e-12 * scale[0]
-        assert got.stderr == pytest.approx(stderr, rel=1e-12)
+        assert abs(got_value - value) <= 1e-12 * scale[0]
+        assert got_stderr == pytest.approx(stderr, rel=1e-12)
     assert space != "projective" or len(weights) > 1
 
 
 def test_unit_symbol_norms_at_boundary_degree():
     # m = 15 = 2 q_r - 1: the largest remainder degree an 8-point rule
     # integrates exactly
-    memo = {}
-    for alpha in enumerate_basis(2, 15):
-        res = inner_product_projective(UNIT, alpha, alpha, 15, 2, K2, q_r=8,
-                                       q_theta=4, memo=memo)
+    basis = enumerate_basis(2, 15)
+    res = inner_product_projective(UNIT, basis, basis, 15, 2, K2, q_r=8,
+                                   q_theta=4)
+    for alpha, value in zip(basis.tolist(), res.value):
         want = float(monomial_norm_sq_projective(alpha, 15))
-        assert res.value == pytest.approx(want, rel=1e-12)
+        assert value == pytest.approx(want, rel=1e-12)
     with pytest.raises(DomainError, match="grid >= 8"):
         inner_product_projective(UNIT, (0, 0), (0, 0), 15, 2, K2, q_r=7)
     with pytest.raises(DomainError, match="grid >= 3"):
@@ -441,24 +477,21 @@ def test_theta_agreement_matches_full_grid(bsrc, space, monkeypatch):
     whatever theta does."""
     m, q_theta = 3, 64
 
-    def value(alpha, beta, psi, q_r, memo):
+    def value(alpha, beta, psi, q_r):
         if space == "projective":
             return inner_product_projective(psi, alpha, beta, m, 2, K2,
-                                            q_r=q_r, q_theta=q_theta,
-                                            memo=memo).value
+                                            q_r=q_r, q_theta=q_theta).value
         return inner_product_ball(psi, alpha, beta, space, 2, K2, q_r=q_r,
-                                  q_theta=q_theta, memo=memo).value
+                                  q_theta=q_theta).value
 
     for p in ((0, 0), (1, -1), (2, -2)):
         psi = Product((QuasiRadial("r1^2/(1+r1^2)"),
                        MultiSphereFactor(0, bsrc, p)))
         pairs = _table_pairs(2, m, p)
-        memo = {}
-        agreed = [value(a, b, psi, 4, memo) for a, b in pairs]
+        agreed = value(*_stacks(pairs), psi, 4)
         with monkeypatch.context() as patch:
             patch.setattr(oracle, "_FIRST_THETA_GRID", q_theta)
-            memo = {}
-            full = [value(a, b, psi, 4, memo) for a, b in pairs]
+            full = value(*_stacks(pairs), psi, 4)
         for got, want in zip(agreed, full):
             assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
         if bsrc == "sin(s1^2)":
@@ -478,5 +511,5 @@ def test_theta_agreement_matches_full_grid(bsrc, space, monkeypatch):
             logpref = gammaln(2 + space + 1) - gammaln(space + 1)
         want = _whole_weight_rule(psi, K2, alpha, beta, a0, rho_of, logpref,
                                   q_r, q_theta)
-        assert value(alpha, beta, psi, q_r, {}) == pytest.approx(
+        assert value(alpha, beta, psi, q_r) == pytest.approx(
             want, rel=1e-13, abs=1e-15)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bergtoep.indexing import Partition
-from bergtoep.quadrature import _space_points
 from bergtoep.symbols import (
     ExtendedFactor,
     MultiSphereFactor,
@@ -131,7 +130,10 @@ def test_batch_evaluation_is_bitwise_in_chunks(psi):
     so a Monte Carlo draw may be evaluated in chunks, also of sizes that
     divide neither the draw nor a SIMD vector (chunks of 7 over the first
     7000 points, to keep the call count small)."""
-    R, theta = _space_points(np.random.default_rng(1), "nu_m", 3, 3, 100_000)
+    rng = np.random.default_rng(1)
+    y = rng.dirichlet([1.0, 1.0, 1.0, 4.0], size=100_000)
+    R = np.sqrt(y[:, :3] / y[:, 3:])
+    theta = rng.random((100_000, 3)) * 2 * np.pi
     whole = evaluate_symbol_batch(psi, R, theta, K21)
     for chunk, stop in ((2**15, len(R)), (999, len(R)), (7, 7000)):
         chunks = np.concatenate([
