@@ -14,12 +14,9 @@ from .gamma import (
     ProjectiveSpace,
     UnsupportedCaseError,
     build_gamma_table,
-    gamma_extended_ball,
-    gamma_extended_projective,
     gamma_multisphere,
     gamma_multisphere_factor,
     gamma_quasi_radial,
-    gamma_single_sphere,
 )
 from .geometry import (
     factorization_check,

@@ -270,10 +270,9 @@ def cmd_oracle_compare(args, cfg) -> None:
     live = operators.shift_targets(space, table.shift) >= 0
     alphas = operators.space_basis(space)[live]
     # one call: the table's rows share the oracle's rules and draws
-    gamma, weight = ((oracle.gamma_from_oracle, space.m)
-                     if isinstance(space, ProjectiveSpace)
-                     else (oracle.gamma_from_oracle_ball, space.lam))
-    res = gamma(psi, alphas, table.shift, weight, space.n, k, method,
+    gamma = (oracle.gamma_from_oracle if isinstance(space, ProjectiveSpace)
+             else oracle.gamma_from_oracle_ball)
+    res = gamma(psi, alphas, table.shift, space.weight, space.n, k, method,
                 **kwargs)
     rows = [[" ".join(map(str, alpha)), repr(g.real), repr(o.real),
              repr(abs(g - o)), repr(e)]

@@ -354,18 +354,18 @@ def _dirichlet_sum(atom: Expr, roots: dict, size: int):
 
 def dirichlet_form(e: Expr, roots: dict):
     """(monomials, rest): the `split_terms` terms of e that
-    `dirichlet_monomial` writes as c prod x^exps, exps real, as (c, exps,
-    term), term the expression of c x^exps; the other terms as one, rest: e
-    itself when no term is a monomial, None when all are."""
+    `dirichlet_monomial` writes as c prod x^exps, exps real, as (c, exps);
+    the other terms as one, rest: e itself when no term is a monomial, None
+    when all are."""
     monomials, rest = [], None
     for c, factors in split_terms(e):
+        if (got := dirichlet_monomial(factors, roots)) is not None:
+            monomials.append((c * got[0], tuple(got[1].tolist())))
+            continue
         term = monomial(factors)
         term = Num(c) if term is None else term if c == 1 else \
             BinOp("*", Num(c), term)
-        if (got := dirichlet_monomial(factors, roots)) is None:
-            rest = term if rest is None else BinOp("+", rest, term)
-        else:
-            monomials.append((c * got[0], tuple(got[1].tolist()), term))
+        rest = term if rest is None else BinOp("+", rest, term)
     return monomials, (e if not monomials else rest)
 
 

@@ -6,28 +6,32 @@ the ball, for every family:
     gamma(alpha) = prod_i Gamma(h_i + 1) / Gamma(alpha_i + p_i + 1)
                    * E[a(rho) prod_j B_j(rho)],    h = alpha + p/2,
 
-E the mean under the probability Dirichlet weight (e, a0), e_j = |h_(j)| +
-k_j - 1 and a0 = m-|alpha| on P^n, lambda on the ball, and B_j the mean of b_j
-under the block's weight h_(j).  A single-sphere block's b(sigma) reads the
-global cosines, so its weight carries the coordinates outside the block as one
-leftover coordinate, |alpha| - |alpha_(j)| + n - k_j - 1; the radial mean of
-that lone block is 1.  The Gamma ratio is one log scale and every integral a
-probability mean, so no Dirichlet mass is formed.  It takes a whole basis: the
-bookkeeping is arrays with a row per alpha, and each distinct radial key
-(e, a0) and block key (j, exps, a0_j) is integrated once, in order of first
-appearance, after one batched build of all their Jacobi rules.  A b_j that
-reads radii is split into terms c_t R_t(r) S_t(s), and the mean is sum_t c_t
-radial(a R_t) block(S_t), unless a term reads radii and cosines in one factor
-or the terms outnumber the q^(k_j - 1) nodes per radial node of the coupled
-grid, the block's rule contracted at every radial node.  Monte Carlo draws once
-per distinct key, and only the weights its integrand reads.
+E the mean under the probability Dirichlet weight (e, a0), e_j =
+|h_(j)| + k_j - 1, and B_j the mean of b_j under the block's weight h_(j).
+The space is all the engine knows of P^n or the ball: a0 (m - |alpha|, or
+lambda) and the radii's roots on the radial simplex (r_j^2 = x_j / x_0, or
+x_j), so every radial integral is one `simplex_integrate` call on those roots.
+A single-sphere block's b(sigma) reads the global cosines, so its weight
+carries the coordinates outside the block as one leftover coordinate,
+|alpha| - |alpha_(j)| + n - k_j - 1; the radial mean of that lone block is 1.
+The Gamma ratio is one log scale and every integral a probability mean, so no
+Dirichlet mass is formed.  It takes a whole basis: the bookkeeping is arrays
+with a row per alpha, and each distinct radial key (e, a0) and block key
+(j, exps, a0_j) is integrated once, in order of first appearance, after one
+batched build of all their Jacobi rules.  A b_j that reads radii is split into
+terms c_t R_t(r) S_t(s), and the mean is sum_t c_t radial(a R_t) block(S_t),
+unless a term reads radii and cosines in one factor or the terms outnumber the
+q^(k_j - 1) nodes per radial node of the coupled grid, the block's rule
+contracted at every radial node.  Monte Carlo draws once per distinct key, and
+only the weights its integrand reads.
 
 Block terms, and the terms of each a R_t unless a block is coupled, that
 are monomials c prod x^c_i in the barycentric coordinates of their integral
 (`expr.dirichlet_form`) take their means at all distinct keys at once, axis
 by Duffy axis (`quadrature.monomial_means`): a Beta moment where the order-q
-rule is exact, else a 1-D rule sum.  Only the other terms integrate on a
-grid, and only a grid is held to the node budget.
+rule is exact, else a 1-D rule sum, and inf where the integral diverges, so
+that the table refuses it.  Only the other terms integrate on a grid, and
+only a grid is held to the node budget.
 """
 
 from __future__ import annotations
@@ -48,8 +52,7 @@ from .expr import (BinOp, Expr, Num, dirichlet_form, evaluate, monomial,
 from .indexing import (DomainError, Partition, basis_rank, enumerate_basis,
                        gammaln)
 from .quadrature import (QuadratureSpec, build_jacobi_rules, mc_integrate,
-                         radial_integrate_projective, simplex_integrate,
-                         simplex_pairs)
+                         simplex_integrate, simplex_pairs)
 from .symbols import (ExtendedFactor, MultiSphereFactor, PhaseMonomial,
                       QuasiRadial, SingleSphereFactor, SymbolSpec,
                       ValidationError, flatten, total_shift,
@@ -64,17 +67,48 @@ class UnsupportedCaseError(DomainError):
 
 @dataclass(frozen=True)
 class ProjectiveSpace:
+    """P^n of weight m.  A space is all the engine knows of its kind: the
+    radial weight's leftover exponent a0 at the degrees |alpha|, here
+    m - |alpha|, the radii r1.. at the radial simplex's coordinates x, x_0
+    the last, here r_j^2 = x_j / x_0, and those roots as exponent vectors
+    over x (`radial_roots`)."""
+
     n: int
     m: int
     degree = property(lambda self: self.m)  # the basis is |alpha| <= degree
+    weight = property(lambda self: self.m)
+    radial_roots = staticmethod(lambda ell: _roots("r", ell, ell + 1, ell))
+
+    def a0(self, d) -> np.ndarray:
+        if np.any(d > self.m):
+            raise DomainError(f"|alpha|={d.max()} exceeds m={self.m}")
+        return (self.m - d).astype(float)
+
+    @staticmethod
+    def radii(x) -> dict:
+        return {f"r{j + 1}": np.sqrt(v / x[-1]) for j, v in enumerate(x[:-1])}
 
 
 @dataclass(frozen=True)
 class BallSpace:
+    """The unit ball of C^n of weight lambda, as ProjectiveSpace with
+    a0 = lambda and r_j^2 = x_j."""
+
     n: int
     lam: float
     cap: int  # basis degree cap |alpha| <= cap
     degree = property(lambda self: self.cap)
+    weight = property(lambda self: self.lam)
+    radial_roots = staticmethod(lambda ell: _roots("r", ell, ell + 1))
+
+    def a0(self, d) -> np.ndarray:
+        if self.lam <= -1:
+            raise DomainError(f"need lambda > -1, got {self.lam}")
+        return np.full(len(d), float(self.lam))
+
+    @staticmethod
+    def radii(x) -> dict:
+        return {f"r{j + 1}": np.sqrt(v) for j, v in enumerate(x[:-1])}
 
 
 def space_basis(space) -> np.ndarray:
@@ -228,15 +262,7 @@ def _values(space, a_expr, blocks: dict, k: Partition, p, alphas,
     """gamma at every alpha of alphas, 0 at the hard zeros, from a row per
     alpha that is no hard zero: log Gamma ratio, e, a0 and factors' h_(j)."""
     A = np.array(alphas, dtype=int).reshape(-1, k.n)
-    d = A.sum(axis=1)
-    if isinstance(space, ProjectiveSpace):
-        if np.any(d > space.m):
-            raise DomainError(f"|alpha|={d.max()} exceeds m={space.m}")
-        a0 = (space.m - d).astype(float)
-    elif space.lam <= -1:
-        raise DomainError(f"need lambda > -1, got {space.lam}")
-    else:
-        a0 = np.full(len(d), float(space.lam))
+    a0 = space.a0(A.sum(axis=1))
     out, live = np.zeros(len(A)), np.flatnonzero(np.all(A + p >= 0, axis=1))
     if not len(live):
         return out
@@ -289,8 +315,7 @@ def _quadrature(space, a_expr, blocks: dict, k: Partition, e, a0,
              for j, t in split.items()}
     # a times each product of one term R per split block, its monomials
     # per axis; beside a coupled block all of it takes the grid
-    radial_roots = _roots("r", ell, ell + 1, ell if isinstance(
-        space, ProjectiveSpace) else None)
+    radial_roots = space.radial_roots(ell)
     products = [_times(a_expr, *Rs) for Rs in product(
         *([R for _, R, _ in t] for t in split.values()))]
     radial_forms = [([], x or Num(1.0)) if coupled
@@ -345,18 +370,15 @@ def _quadrature(space, a_expr, blocks: dict, k: Partition, e, a0,
 
 def _means(form, rows, q: int, grid) -> np.ndarray:
     """The mean of a `dirichlet_form` at each row of rows, the Dirichlet
-    weights of its integral: each monomial (c, exps, term) axis by axis, or
-    as grid(term, row) where that is not finite, so that it fails on the
-    grid, and the rest as grid(rest, row)."""
+    weights of its integral: each monomial (c, exps) axis by axis, inf at a
+    row where it diverges, and the rest as grid(rest, row).  A monomial of
+    c = 0, a cancelled term, is left out, so that it diverges nowhere."""
     monomials, rest = form
     total = np.zeros(len(rows)) if rest is None else np.array(
         [grid(rest, w) for w in rows])
-    for c, exps, term in monomials:
-        mean = quadrature.monomial_means(exps, rows, q)
-        bad = ~np.isfinite(mean)
-        mean = c * mean
-        mean[bad] = [grid(term, w) for w in rows[bad]]
-        total = total + mean
+    for c, exps in monomials:
+        if c:
+            total = total + c * quadrature.monomial_means(exps, rows, q)
     return total
 
 
@@ -366,8 +388,8 @@ def _radial_value(space, rests: list, coupled: list, e, a0,
     times prod B(rho), one per rest; each coupled block mean B (b, cosines
     and weights on the block's axes) is contracted at every radial node."""
 
-    def g(radii):
-        env = {f"r{j + 1}": r for j, r in enumerate(radii)}
+    def g(x):
+        env = space.radii(x)
         # one integrand per rest, each contracted on its own axes
         vals = [0.0 if rest is None else evaluate(rest, env)
                 for rest in rests]
@@ -379,11 +401,7 @@ def _radial_value(space, rests: list, coupled: list, e, a0,
             vals = [v * B for v in vals]
         return vals
 
-    if isinstance(space, ProjectiveSpace):
-        return radial_integrate_projective(g, len(e), e,
-                                           space.n + space.m + 1, spec)
-    return simplex_integrate(lambda x: g([np.sqrt(v) for v in x[:-1]]),
-                             len(e), e, a0, spec)
+    return simplex_integrate(g, len(e), e, a0, spec)
 
 
 def _times(*factors) -> Expr | None:
@@ -413,12 +431,8 @@ def _mc_value(space, a_expr, blocks: dict, k: Partition, drawn: dict,
     are drawn from, in drawing order; a block not drawn reads no cosine."""
 
     def f(*draws):
-        env, u = {}, dict(zip(drawn, draws))
-        if None in u:  # the radial draw
-            x, ell = u[None], k.num_blocks
-            rest = x[:, ell:] if isinstance(space, ProjectiveSpace) else 1.0
-            env = {f"r{j + 1}": r
-                   for j, r in enumerate(np.sqrt(x[:, :ell] / rest).T)}
+        u = dict(zip(drawn, draws))
+        env = space.radii(u[None].T) if None in u else {}  # the radial draw
         vals = _evaluate(a_expr, env)
         for j, (name, b) in sorted(blocks.items()):
             cosines = _cosines_env(u[j].T, k.parts[j], name) if j in u else {}
@@ -459,30 +473,6 @@ def gamma_multisphere(psi: SymbolSpec, k: Partition, m: int, alpha,
     per-block shifts need not vanish individually)."""
     return _one(ProjectiveSpace(k.n, m), psi, k, alpha, spec,
                 (MultiSphereFactor,))
-
-
-def gamma_single_sphere(b: Expr | None, k: Partition, j: int, p_j, n: int,
-                        alpha, spec: QuadratureSpec) -> float:
-    """Coefficient of a single-sphere factor b_j(sigma_(j)) t_(j)^p_j.
-
-    Independent of the weight; depends on alpha only through alpha_(j) and
-    |alpha|.  k_j = n is outside the theorem (the leftover simplex factor
-    degenerates) and raises."""
-    return _one(ProjectiveSpace(n, sum(alpha)), SingleSphereFactor(j, b, p_j),
-                k, alpha, spec, SingleSphereFactor)
-
-
-def gamma_extended_projective(psi: SymbolSpec, k: Partition, m: int, alpha,
-                              spec: QuadratureSpec) -> float:
-    """Coefficient of an extended symbol a(r) prod b_j(r, s_(j)) t^p on the
-    weight-m projective space."""
-    return _one(ProjectiveSpace(k.n, m), psi, k, alpha, spec)
-
-
-def gamma_extended_ball(psi: SymbolSpec, k: Partition, lam: float, alpha,
-                        spec: QuadratureSpec) -> float:
-    """Coefficient of an extended symbol on the weight-lambda ball space."""
-    return _one(BallSpace(k.n, lam, sum(alpha)), psi, k, alpha, spec)
 
 
 def build_gamma_table(psi: SymbolSpec, space, k: Partition,

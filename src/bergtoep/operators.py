@@ -178,8 +178,7 @@ def commutation_suite(symbols: list[SymbolSpec], space, k: Partition,
 def export_matrix(m: ToeplitzMatrix, fh) -> None:
     """Coordinate-list text format, one entry per line: row col re im."""
     space = m.space
-    weight = space.m if isinstance(space, ProjectiveSpace) else space.lam
     shift = ",".join(str(x) for x in m.shift)
-    fh.write(f"# {space.n} {weight} {m.dim} shift={shift}\n")
+    fh.write(f"# {space.n} {space.weight} {m.dim} shift={shift}\n")
     for r, c, v in zip(*m.entries()):
         fh.write(f"{r} {c} {float(v.real)!r} {float(v.imag)!r}\n")

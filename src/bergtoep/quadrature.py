@@ -1,21 +1,22 @@
 """Deterministic quadrature kernels and a seeded Monte Carlo fallback.
 
 Every kernel returns a probability mean; the masses, ratios of Gamma values,
-are the caller's, in log space.  Two grid kernels take a mean under a
-monomial weight on the standard simplex (possibly half-integer exponents),
-and under a rational weight on the positive orthant, mapped onto the simplex
-by r = u/(1-sum u), on a tensor Gauss-Jacobi rule under the Duffy
+are the caller's, in log space.  One grid kernel, `simplex_integrate`, takes
+a mean under a monomial weight on the standard simplex (possibly
+half-integer exponents) on a tensor Gauss-Jacobi rule under the Duffy
 (collapsed-cube) map; the monomial weights are absorbed into the Jacobi
-weights so endpoint algebraic behavior costs no accuracy.  `monomial_means`
+weights so endpoint algebraic behavior costs no accuracy.  A mean over the
+radii reads them off the simplex point, r_j^2 = x_j on the ball and x_j/x_0
+on P^n (x_0 = 1 - sum x; `radial_integrate_projective`).  `monomial_means`
 takes a monomial's mean on no grid, one Duffy axis at a time.
 
-The kernels keep a tensor rule as its per-axis factors: the cube
+The kernel keeps a tensor rule as its per-axis factors: the cube
 coordinates u_i lie on broadcast 1-D axes, the integrand's variables are
 derived on those axes (x_i = u_i prod_{j<i}(1-u_j), 1 - sum x =
-prod_j (1-u_j), and on the orthant r_i^2 = u_i / prod_{j>=i}(1-u_j)), the
-integrand is evaluated by broadcasting, and `contract` sums it against the
-1-D weights one axis at a time.  No node or weight array of the full grid
-is built; only `simplex_rule` materializes one, times the Dirichlet mass.
+prod_j (1-u_j)), the integrand is evaluated by broadcasting, and `contract`
+sums it against the 1-D weights one axis at a time.  No node or weight
+array of the full grid is built; only `simplex_rule` materializes one,
+times the Dirichlet mass.
 
 Each one-dimensional Gauss-Jacobi rule is a probability rule, built by the
 Golub-Welsch method in NumPy: the nodes are the eigenvalues of the
@@ -185,8 +186,9 @@ def monomial_means(c, x, q: int) -> np.ndarray:
     s, t integers >= 0 with s + t <= 2q - 1, it takes the Beta moment, a
     running product of ratios (a+1+k)/(a+b+2+k), then (b+1+k)/(a+b+2+s+k),
     each at most 1, and builds no rule; any other axis sums its rule, all
-    rows' rules built in one batch.  A zero base against a negative power,
-    or an overflow, gives inf or nan, and no warning."""
+    rows' rules built in one batch.  A row whose integral diverges, a + s
+    <= -1 or b + t <= -1 on some axis, gets inf; an overflow gives inf or
+    nan, and no warning."""
     a, b = simplex_pairs(x)
     axes = [(float(c[i]), float(sum(c[i + 1:]))) for i in range(len(c) - 1)]
     exact = np.array([min(s, t) >= 0 and s % 1 == t % 1 == 0
@@ -206,6 +208,8 @@ def monomial_means(c, x, q: int) -> np.ndarray:
                             b[:, i].tolist(), [q] * len(a))
                 mean = mean * [float(np.dot(u ** s * (1.0 - u) ** t, w))
                                for u, w in rules]
+    low = -1 - np.array(axes).reshape(-1, 2)
+    mean[np.any((a <= low[:, 0]) | (b <= low[:, 1]), axis=1)] = np.inf
     return mean
 
 
@@ -232,16 +236,6 @@ def barycentric(us) -> list:
         x.append(u * rem)
         rem = rem * (1.0 - u)
     return x + [rem]
-
-
-def projective_radii(us) -> list:
-    """The orthant point r = x/(1-sum x) of the Duffy map, as its square
-    roots: sqrt(r_i) = sqrt(u_i / prod_{j>=i}(1-u_j)), on the axes us."""
-    radii, tail = [], 1.0
-    for u in reversed(us):
-        tail = tail * (1.0 - u)
-        radii.append(np.sqrt(u / tail))
-    return radii[::-1]
 
 
 def contract(F, ws):
@@ -287,26 +281,6 @@ def dirichlet_closed_form(a, a0: float) -> float:
     return float(np.exp(logv))
 
 
-def _tensor_integral(integrand, d: int, a: tuple, a0: float,
-                     spec: QuadratureSpec):
-    """Mean of integrand(us) over the Duffy rule of the weight x^a
-    (1-sum x)^a0 on the d-simplex, us the rule's broadcast cube
-    coordinates; axes of the values before the rule's d are kept."""
-    if any(x <= -1 for x in a) or a0 <= -1:
-        raise DomainError(f"exponents must exceed -1, got a={a}, a0={a0}")
-    if spec.method == "monte-carlo":
-        # a Monte Carlo order counts samples, not Gauss points
-        raise DomainError("the tensor kernels are deterministic; draw from "
-                          "the weight with mc_integrate(('dirichlet', ...))")
-    us, ws = simplex_axes(d, a, float(a0), spec.order)
-    values = 1.0 if integrand is None else integrand(us)
-    if isinstance(values, list):
-        # with a leading axis, np.dot sums a full-grid one as in a stack
-        return np.array([contract(np.asarray(v)[None], ws).reshape(())
-                         for v in values])
-    return contract(values, ws)
-
-
 def simplex_integrate(f, d: int, a, a0: float, spec: QuadratureSpec):
     """The mean of f under the normalized Dirichlet weight
     prod x_l^{a_l} (1-sum x)^{a0} on the d-simplex.
@@ -318,9 +292,20 @@ def simplex_integrate(f, d: int, a, a0: float, spec: QuadratureSpec):
     array of their means.  Exponents may be half-integers but must
     exceed -1.
     """
-    return _tensor_integral(
-        None if f is None else lambda us: f(barycentric(us)), d,
-        tuple(float(x) for x in a), a0, spec)
+    a = tuple(float(x) for x in a)
+    if any(x <= -1 for x in a) or a0 <= -1:
+        raise DomainError(f"exponents must exceed -1, got a={a}, a0={a0}")
+    if spec.method == "monte-carlo":
+        # a Monte Carlo order counts samples, not Gauss points
+        raise DomainError("the tensor kernels are deterministic; draw from "
+                          "the weight with mc_integrate(('dirichlet', ...))")
+    us, ws = simplex_axes(d, a, float(a0), spec.order)
+    values = 1.0 if f is None else f(barycentric(us))
+    if isinstance(values, list):
+        # with a leading axis, np.dot sums a full-grid one as in a stack
+        return np.array([contract(np.asarray(v)[None], ws).reshape(())
+                         for v in values])
+    return contract(values, ws)
 
 
 def radial_integrate_projective(g, ell: int, e, N: float,
@@ -330,20 +315,20 @@ def radial_integrate_projective(g, ell: int, e, N: float,
 
     g takes the componentwise square roots of r (the block radii), each an
     array broadcast on the rule's ell axes, and may give a list as f does
-    in simplex_integrate.  The unbounded domain is mapped to the
-    simplex by r = u/(1-sum u).
+    in simplex_integrate.  It is `simplex_integrate` at r = x/x_0, x_0 =
+    1 - sum x, with a0 = N - ell - 1 - sum(e).  The gamma engine takes
+    that call itself, on the space's roots; this form of it stays as the
+    reference of the radial tests and as a span of the benchmark tracer.
     """
-    e = tuple(float(x) for x in e)
-    if any(x <= -1 for x in e):
-        raise DomainError(f"exponents must exceed -1, got {e}")
     a0 = N - ell - 1 - sum(e)
     if a0 <= -1:
         raise DomainError(
             f"integrability violated: need N > ell + sum(e), got N={N}, e={e}"
         )
-    return _tensor_integral(
-        None if g is None else lambda us: g(projective_radii(us)), ell, e,
-        a0, spec)
+    return simplex_integrate(
+        None if g is None else lambda x: g([np.sqrt(v / x[-1])
+                                            for v in x[:-1]]), ell, e, a0,
+        spec)
 
 
 def mc_integrate(f, domain, N: int, seed: int):

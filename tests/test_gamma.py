@@ -5,6 +5,7 @@ computed with math.gamma (never through the package's own quadrature) or a
 reduction-consistency statement between two independently coded paths.
 """
 
+import ast
 import dataclasses
 import json
 import math
@@ -27,12 +28,9 @@ from bergtoep.gamma import (
     ProjectiveSpace,
     UnsupportedCaseError,
     build_gamma_table,
-    gamma_extended_ball,
-    gamma_extended_projective,
     gamma_multisphere,
     gamma_multisphere_factor,
     gamma_quasi_radial,
-    gamma_single_sphere,
 )
 from bergtoep.expr import parse
 from bergtoep.indexing import DomainError, Partition, enumerate_basis
@@ -214,28 +212,28 @@ def test_multisphere_product_factorizes_blockwise_zero():
 def test_single_sphere_beta_value():
     # n=3, k=(2,1), block 0, b=1, p=(1,-1), alpha=(1,1,1):
     # 5!/(1! 2! 0!) * Gamma(5/2)Gamma(3/2)Gamma(2)/Gamma(6) = 3 pi/16
-    got = gamma_single_sphere(None, Partition((2, 1)), 0, (1, -1), 3,
-                              (1, 1, 1), SPEC)
-    assert got == pytest.approx(3 * math.pi / 16, abs=1e-12)
+    table = build_gamma_table(SingleSphereFactor(0, None, (1, -1)),
+                              ProjectiveSpace(3, 3), Partition((2, 1)), SPEC)
+    assert table[(1, 1, 1)] == pytest.approx(3 * math.pi / 16, abs=1e-12)
 
 
 def test_single_sphere_hard_zero():
-    got = gamma_single_sphere(None, Partition((2, 1)), 0, (2, -2), 3,
-                              (1, 1, 0), SPEC)
-    assert got == 0.0
+    table = build_gamma_table(SingleSphereFactor(0, None, (2, -2)),
+                              ProjectiveSpace(3, 2), Partition((2, 1)), SPEC)
+    assert table[(1, 1, 0)] == 0.0
 
 
 def test_single_sphere_unit_is_one():
-    k = Partition((2, 1))
+    table = build_gamma_table(SingleSphereFactor(0, None, (0, 0)),
+                              ProjectiveSpace(3, 5), Partition((2, 1)), SPEC)
     for alpha in [(0, 0, 0), (1, 0, 2), (2, 2, 1)]:
-        got = gamma_single_sphere(None, k, 0, (0, 0), 3, alpha, SPEC)
-        assert got == pytest.approx(1.0, abs=1e-12)
+        assert table[alpha] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_single_sphere_full_block_unsupported():
     with pytest.raises(UnsupportedCaseError):
-        gamma_single_sphere(None, Partition((2,)), 0, (1, -1), 2, (1, 1),
-                            SPEC)
+        build_gamma_table(SingleSphereFactor(0, None, (1, -1)),
+                          ProjectiveSpace(2, 2), Partition((2,)), SPEC)
 
 
 def test_single_sphere_full_block_table_unsupported():
@@ -246,14 +244,14 @@ def test_single_sphere_full_block_table_unsupported():
 
 def test_single_sphere_table_is_its_per_alpha_coefficient():
     """A single-sphere block that is not the first: the table and the
-    per-alpha coefficient, on its own P^4 of weight |alpha|, agree bit for
-    bit (the radial mean of the lone block closes to 1)."""
-    k, b = Partition((2, 2)), parse("sig1^2 + sig2")
-    table = build_gamma_table(SingleSphereFactor(1, b, (1, -1)),
-                              ProjectiveSpace(4, 6), k, SPEC)
-    assert sum(v != 0 for v in table.entries.values()) > 100
-    for alpha, got in table.entries.items():
-        assert got == gamma_single_sphere(b, k, 1, (1, -1), 4, alpha, SPEC)
+    coefficient on P^4 of weight |alpha|, the table there, agree bit for bit
+    (the radial mean of the lone block closes to 1)."""
+    k, psi = Partition((2, 2)), SingleSphereFactor(1, "sig1^2 + sig2", (1, -1))
+    tables = [build_gamma_table(psi, ProjectiveSpace(4, m), k, SPEC)
+              for m in range(7)]
+    assert sum(v != 0 for v in tables[6].entries.values()) > 100
+    for alpha, got in tables[6].entries.items():
+        assert got == tables[sum(alpha)][alpha]
 
 
 def test_single_sphere_monte_carlo_draws_only_its_block():
@@ -262,8 +260,9 @@ def test_single_sphere_monte_carlo_draws_only_its_block():
     k_j - 1) with the spec's seed: no radial weight is drawn before it."""
     spec = QuadratureSpec(method="monte-carlo", order=2000, seed=3)
     b, alpha = parse("sig1^2 + sig2"), (1, 1, 1)
-    got = gamma_single_sphere(b, Partition((2, 1)), 0, (1, -1), 3, alpha,
-                              spec)
+    got = build_gamma_table(SingleSphereFactor(0, b, (1, -1)),
+                            ProjectiveSpace(3, 3), Partition((2, 1)),
+                            spec)[alpha]
     h, leftover = (1.5, 0.5), 3 - 2 + 3 - 2 - 1
     mean, _ = quadrature.mc_integrate(
         lambda X: evaluate(b, {"sig1": np.sqrt(X[:, 0]),
@@ -291,13 +290,10 @@ def test_monte_carlo_draws_no_weight_of_a_block_without_cosines(
 
 
 def test_single_sphere_depends_on_block_and_total_degree():
-    k = Partition((2, 2))
-    b = parse("sig1^2")
-    v1 = gamma_single_sphere(b, k, 0, (1, -1), 4, (1, 1, 2, 0), SPEC)
-    v2 = gamma_single_sphere(b, k, 0, (1, -1), 4, (1, 1, 0, 2), SPEC)
-    assert v1 == v2
-    v3 = gamma_single_sphere(b, k, 0, (1, -1), 4, (1, 1, 1, 0), SPEC)
-    assert v1 != v3
+    table = build_gamma_table(SingleSphereFactor(0, "sig1^2", (1, -1)),
+                              ProjectiveSpace(4, 4), Partition((2, 2)), SPEC)
+    assert table[(1, 1, 2, 0)] == table[(1, 1, 0, 2)]
+    assert table[(1, 1, 2, 0)] != table[(1, 1, 1, 0)]
 
 
 def test_extended_reduces_to_quasi_radial():
@@ -305,12 +301,11 @@ def test_extended_reduces_to_quasi_radial():
     k = Partition((2,))
     m = 2
     psi = ExtendedFactor(0, "r1^2/(1+r1^2)", (0, 0))
-    for alpha in enumerate_basis(2, m):
-        got = gamma_extended_projective(psi, k, m, alpha, SPEC)
+    table = build_gamma_table(psi, ProjectiveSpace(2, m), k, SPEC)
+    for alpha, got in table.entries.items():
         want = (2 + sum(alpha)) / 5
         assert got == pytest.approx(want, rel=1e-12)
-    assert gamma_extended_projective(psi, k, m, (1, 0), SPEC) == \
-        pytest.approx(3 / 5, rel=1e-12)
+    assert table[(1, 0)] == pytest.approx(3 / 5, rel=1e-12)
 
 
 def test_extended_reduces_to_multisphere():
@@ -319,8 +314,8 @@ def test_extended_reduces_to_multisphere():
     for p in [(0, 0), (1, -1)]:
         psi_e = ExtendedFactor(0, "s1^2", p)
         psi_m = MultiSphereFactor(0, "s1^2", p)
-        for alpha in enumerate_basis(2, m):
-            got = gamma_extended_projective(psi_e, k, m, alpha, SPEC)
+        table = build_gamma_table(psi_e, ProjectiveSpace(2, m), k, SPEC)
+        for alpha, got in table.entries.items():
             want = gamma_multisphere(Product((psi_m,)), k, m, alpha, SPEC)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
@@ -329,25 +324,26 @@ def test_extended_ball_beta_value():
     # n=2, k=(2), b=1, p=(1,-1), lambda=0, alpha=(1,1): the same block
     # Beta factor 3 pi/16 with unit radial part
     psi = MultiSphereFactor(0, "1", (1, -1))
-    got = gamma_extended_ball(Product((psi,)), Partition((2,)), 0.0,
-                              (1, 1), SPEC)
+    got = build_gamma_table(Product((psi,)), BallSpace(2, 0.0, 2),
+                            Partition((2,)), SPEC)[(1, 1)]
     assert got == pytest.approx(3 * math.pi / 16, abs=1e-12)
 
 
 def test_extended_ball_unit_symbol():
     k = Partition((2, 1))
     for lam in (0.0, 1.0, 2.5):
+        table = build_gamma_table(QuasiRadial("1"), BallSpace(3, lam, 3), k,
+                                  SPEC)
         for alpha in [(0, 0, 0), (1, 2, 0), (0, 1, 1)]:
-            got = gamma_extended_ball(QuasiRadial("1"), k, lam, alpha, SPEC)
-            assert got == pytest.approx(1.0, abs=1e-12)
+            assert table[alpha] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_extended_ball_modulus_symbol():
     # n=1, a = |z|, lambda=0, alpha=(0): (1/pi) int_D |z| dV = 2/3.
     # a(sqrt(r)) = sqrt(r) has a branch point at r=0, so Gauss converges
     # algebraically here rather than geometrically.
-    got = gamma_extended_ball(QuasiRadial("r1"), Partition((1,)), 0.0,
-                              (0,), SPEC)
+    got = build_gamma_table(QuasiRadial("r1"), BallSpace(1, 0.0, 0),
+                            Partition((1,)), SPEC)[(0,)]
     assert got == pytest.approx(2 / 3, rel=1e-4)
 
 
@@ -383,10 +379,9 @@ def test_extended_mc_backend_consistency():
     psi = Product((QuasiRadial("r1^2/(1+r1^2)"),
                    ExtendedFactor(0, "r1^2/(1+r1^2)*s1^2", (1, -1))))
     mc_spec = QuadratureSpec(method="monte-carlo", order=200_000, seed=4)
-    for gamma, weight in ((gamma_extended_projective, m),
-                          (gamma_extended_ball, 1.0)):
-        det = gamma(psi, k, weight, (1, 1), SPEC)
-        mc = gamma(psi, k, weight, (1, 1), mc_spec)
+    for space in (ProjectiveSpace(2, m), BallSpace(2, 1.0, 2)):
+        det, mc = (build_gamma_table(psi, space, k, spec)[(1, 1)]
+                   for spec in (SPEC, mc_spec))
         assert mc != det
         assert mc == pytest.approx(det, rel=0.05)
 
@@ -399,8 +394,9 @@ def test_block_factor_mc_backend_consistency():
     cases = (
         lambda spec: gamma_multisphere_factor(parse("s1^2 + s2"), k, 0,
                                               (1, -1), (2, 1, 5), spec),
-        lambda spec: gamma_single_sphere(parse("sig1^2 + sig2"), k, 0,
-                                         (1, -1), 3, (1, 1, 1), spec),
+        lambda spec: build_gamma_table(
+            SingleSphereFactor(0, "sig1^2 + sig2", (1, -1)),
+            ProjectiveSpace(3, 3), k, spec)[(1, 1, 1)],
     )
     for gamma in cases:
         det, mc = gamma(SPEC), gamma(mc_spec)
@@ -413,10 +409,9 @@ def test_monte_carlo_needs_100_samples():
     psi = Product((QuasiRadial("r1^2/(1+r1^2)"),
                    ExtendedFactor(0, "r1^2/(1+r1^2)*s1^2", (1, -1))))
     few = QuadratureSpec(method="monte-carlo", order=99)
-    with pytest.raises(DomainError):
-        gamma_extended_projective(psi, k, 3, (1, 1), few)
-    with pytest.raises(DomainError):
-        gamma_extended_ball(psi, k, 1.0, (1, 1), few)
+    for space in (ProjectiveSpace(2, 3), BallSpace(2, 1.0, 2)):
+        with pytest.raises(DomainError):
+            build_gamma_table(psi, space, k, few)
     with pytest.raises(DomainError):
         gamma_multisphere(PhaseMonomial((1, -1)), k, 3, (0, 1), few)
 
@@ -446,6 +441,61 @@ def test_coupled_grid_matches_materialised_rules(space):
     coupled = [(b, *gamma_module._block_rule(2, exps, b0, spec))]
     got, = gamma_module._radial_value(space, [a], coupled, e, a0, spec)
     assert got == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("psi, space, k", [
+    # t_extended's symbol: r1^2/(1+r1^2) is no monomial on k=(2,1)
+    (Product((QuasiRadial("r1^2/(1+r1^2)"),
+              ExtendedFactor(0, "s1^2 + r1^2/(1+r1^2)", (1, -1)))),
+     ProjectiveSpace(3, 10), Partition((2, 1))),
+    (QuasiRadial("exp(-r1^2)"), ProjectiveSpace(3, 6), Partition((1, 1, 1))),
+])
+def test_projective_radial_rests_are_the_radial_kernel(psi, space, k,
+                                                       monkeypatch):
+    """Every radial integral of a P^n table, one simplex_integrate call on
+    the space's roots r_j^2 = x_j / x_0, is radial_integrate_projective's
+    at its key e, N = n + m + 1, to 1e-14."""
+    calls, radial_value = [], gamma_module._radial_value
+
+    def record(*args):
+        calls.append((args, radial_value(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(gamma_module, "_radial_value", record)
+    build_gamma_table(psi, space, k, SPEC)
+    assert calls
+    for (_, rests, coupled, e, _, _), got in calls:
+        assert not coupled
+        want = quadrature.radial_integrate_projective(
+            lambda r: [0.0 if rest is None else evaluate(rest, {
+                f"r{j + 1}": v for j, v in enumerate(r)}) for rest in rests],
+            k.num_blocks, e, space.n + space.m + 1, SPEC)
+        assert np.allclose(got, want, rtol=1e-14, atol=0)
+
+
+ENGINE = ("_values", "_quadrature", "_radial_value", "_mc_value")
+
+
+def test_engine_reads_the_space_not_its_type():
+    """The engine's functions branch on no space type: what tells P^n and
+    the ball apart is the space's a0, radii and radial_roots.  Nor does
+    gamma import the P^n radial kernel."""
+    tree = ast.parse(Path(gamma_module.__file__).read_text())
+    bodies = {node.name: node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name in ENGINE}
+    assert set(bodies) == set(ENGINE)
+    for name, body in bodies.items():
+        for node in ast.walk(body):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance"):
+                kinds = {n.id for n in ast.walk(node.args[1])
+                         if isinstance(n, ast.Name)}
+                assert not kinds & {"ProjectiveSpace", "BallSpace"}, name
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "radial_integrate_projective" not in imported
+    assert "radial_integrate_projective" not in {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
 
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -517,11 +567,12 @@ def _refuse(*args):
 
 def test_l3_table_takes_its_monomial_per_axis(monkeypatch):
     """r1^2 r2/(1+r1^2+r2^2+r3^2) is U_1 U_2^(1/2) U_0^(-1/2) on k=(1,1,1):
-    without a radius on the grid, each gamma is its mean on the tensor
-    grid, the radial rule at e = alpha, N = n + m + 1."""
+    without a grid, each gamma is its mean on the tensor grid, the radial
+    rule at e = alpha, N = n + m + 1."""
     a, m = parse("r1^2*r2/(1+r1^2+r2^2+r3^2)"), 4
     with monkeypatch.context() as mp:
-        mp.setattr(quadrature, "projective_radii", _refuse)
+        mp.setattr(gamma_module, "simplex_integrate", _refuse)
+        mp.setattr(quadrature, "simplex_integrate", _refuse)
         table = build_gamma_table(QuasiRadial(a), ProjectiveSpace(3, m),
                                   Partition((1, 1, 1)), SPEC)
     for alpha, got in table.entries.items():
@@ -551,37 +602,41 @@ def test_ball_table_takes_its_monomials_per_axis(a, b, monkeypatch):
 
 
 # ruled terms whose grid sums overflow or divide by an underflowed power at
-# some weights, and are finite at others
-RULED_TERMS = ["r2^41", "1/r2^41", "(r2^64)^3", "1/(r2^64)^9", "(r2^64)^20",
-               "1/(r2^64)^20", "(r1^64)^20*r2", "(r1^64)^40/(r2^64)^40"]
+# some weights, and are finite at others, with their powers (u, v) of
+# r1^2, r2^2
+RULED_TERMS = {"r2^41": (0, 20.5), "1/r2^41": (0, -20.5),
+               "(r2^64)^3": (0, 96), "1/(r2^64)^9": (0, -288),
+               "(r2^64)^20": (0, 640), "1/(r2^64)^20": (0, -640),
+               "(r1^64)^20*r2": (640, 0.5),
+               "(r1^64)^40/(r2^64)^40": (1280, -1280)}
+
+
+def _diverges(space, alpha, u, v):
+    """Whether r1^2u r2^2v has no mean under the weight of alpha on k=(1,1):
+    r^alpha (1+r1+r2)^-(m+3) on P^2 (also at infinity), x^alpha on the
+    ball, x_j = r_j^2."""
+    a1, a2 = alpha
+    return min(a1 + u, a2 + v) <= -1 or (
+        isinstance(space, ProjectiveSpace) and space.m - a1 - a2 - u - v <= -1)
 
 
 @pytest.mark.parametrize("m, a", [(1000, 333), (3000, 1000)])
 def test_ruled_terms_fail_where_the_grid_fails(m, a):
     """At the large weights above, each monomial of the radii, taken per
-    axis, is its tensor grid sum where that is finite, without a
+    axis, is its tensor grid sum where its integral converges, without a
     RuntimeWarning (to 1e-12: powers up to 2560 round that many ulps
-    apart); where the sum is not finite, or divides by zero, the per-axis
-    path gives the same."""
-    for term in map(parse, RULED_TERMS):
-        def gamma():
-            return gamma_quasi_radial(term, Partition((1, 1)), m, (a, a),
-                                      SPEC)
-
-        try:
-            with np.errstate(all="ignore"):
-                want = float(quadrature.radial_integrate_projective(
-                    lambda r: evaluate(term, {"r1": r[0], "r2": r[1]}), 2,
-                    (a, a), m + 3, SPEC))
-        except EvalError:
-            with np.errstate(all="ignore"), pytest.raises(EvalError):
-                gamma()
+    apart); where it diverges, gamma is inf, whatever the grid sums to."""
+    space = ProjectiveSpace(2, m)
+    for source, (u, v) in RULED_TERMS.items():
+        term = parse(source)
+        got = gamma_quasi_radial(term, Partition((1, 1)), m, (a, a), SPEC)
+        if _diverges(space, (a, a), u, v):
+            assert got == math.inf
             continue
-        if math.isfinite(want):
-            assert gamma() == pytest.approx(want, rel=1e-12)
-        else:
-            with np.errstate(all="ignore"):
-                assert np.array_equal(gamma(), want, equal_nan=True)
+        want = float(quadrature.radial_integrate_projective(
+            lambda r: evaluate(term, {"r1": r[0], "r2": r[1]}), 2, (a, a),
+            m + 3, SPEC))
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("space, errors", [
@@ -589,25 +644,29 @@ def test_ruled_terms_fail_where_the_grid_fails(m, a):
     (BallSpace(2, 0.5, 30), {EvalError})])
 def test_ruled_tables_raise_where_the_grid_raises(space, errors,
                                                   monkeypatch):
-    """A table of each ruled term raises what the table raises when every
-    such term takes the tensor grid (EvalError for a divisor that
-    underflows to zero, DomainError for a sum that is not finite), or
-    equals it to 1e-12."""
+    """A table of each ruled term is refused, naming its first alpha whose
+    integral diverges, where there is one; else it equals the table that
+    takes every term on the tensor grid to 1e-12.  That grid table raises
+    errors (EvalError for a divisor that underflows to zero, DomainError
+    for a sum that is not finite) for some of the refused terms, and sums
+    the others to finite values."""
     def table(term):
         try:
             return build_gamma_table(QuasiRadial(term), space,
                                      Partition((1, 1)), SPEC).values
         except (EvalError, DomainError) as exc:
-            return type(exc)
+            return exc
 
+    basis = [tuple(a) for a in enumerate_basis(2, space.degree).tolist()]
     got = [table(term) for term in RULED_TERMS]
-    monkeypatch.setattr(quadrature, "monomial_means",
-                        lambda c, x, q: np.full(len(x), math.nan))
-    want = [table(term) for term in RULED_TERMS]
-    assert {w for w in want if isinstance(w, type)} == errors
-    for g, w in zip(got, want):
-        if isinstance(w, type):
-            assert g is w
+    monkeypatch.setattr(gamma_module, "dirichlet_form", lambda e, _: ([], e))
+    grid = [table(term) for term in RULED_TERMS]
+    assert {type(w) for w in grid if isinstance(w, Exception)} == errors
+    for g, w, (u, v) in zip(got, grid, RULED_TERMS.values()):
+        bad = [a for a in basis if _diverges(space, a, u, v)]
+        if bad:
+            assert isinstance(g, DomainError)
+            assert str(g) == f"gamma{bad[0]} = inf is not finite"
         else:
             assert np.allclose(g, w, rtol=1e-12, atol=0)
 
@@ -649,8 +708,9 @@ def test_ruled_block_monomial_past_the_grid_dimension():
 def _split_grid(q=5):
     """Radii r1, r2 on the first two axes of a coupled grid and block
     cosines s1, s2 on the third, as the engine places them."""
-    us, _ = quadrature.simplex_axes(2, (0.5, 1.5), 2.0, q)
-    radii = dict(zip(("r1", "r2"), quadrature.projective_radii(us)))
+    *x, x0 = quadrature.barycentric(quadrature.simplex_axes(
+        2, (0.5, 1.5), 2.0, q)[0])
+    radii = {"r1": np.sqrt(x[0] / x0), "r2": np.sqrt(x[1] / x0)}
     x, rest = quadrature.barycentric(quadrature.simplex_axes(
         1, (0.5,), 1.0, q)[0])
     return radii, {"s1": np.sqrt(x), "s2": np.sqrt(rest)}
@@ -814,12 +874,13 @@ def test_block_splits_only_below_its_coupled_grid(monkeypatch):
     radial = parse("(1 + r1)^2")
     assert gamma_module._block_terms(radial, 1) == [(1.0, radial, None)]
     rules = _count_calls(monkeypatch, "_block_rule")
+    # on the ball, where r1^2 = U_1 is bounded and its mean converges
     build_gamma_table(ExtendedFactor(0, "(r1 + s1)^2", (0,)),
-                      ProjectiveSpace(3, 3), Partition((1, 1, 1)), SPEC)
+                      BallSpace(3, 1.0, 3), Partition((1, 1, 1)), SPEC)
     assert rules
     rules.clear()
     build_gamma_table(ExtendedFactor(0, "(r1 + s1)^2", (0, 0)),
-                      ProjectiveSpace(3, 3), Partition((2, 1)), SPEC)
+                      BallSpace(3, 1.0, 3), Partition((2, 1)), SPEC)
     assert not rules
 
 
@@ -888,30 +949,23 @@ def test_dirichlet_form_of_the_benchmark_symbols():
     or with a radius missing from the sum, r1^2/(1+r1^2) is no monomial;
     exponents past the degree an order-40 rule integrates exactly are
     monomials all the same."""
-    def pairs(form):
-        monomials, rest = form
-        return [(c, exps) for c, exps, _ in monomials], rest
-
-    projective, ball = (gamma_module._roots("r", 2, 3, over) for over in
-                        (2, None))
+    projective = ProjectiveSpace.radial_roots(2)
+    ball = BallSpace.radial_roots(2)
     cosines = gamma_module._roots("s", 2, 2)
-    assert pairs(dirichlet_form(parse("r1^2/(r1^2+r2^2+1)"), projective)) \
-        == ([(1.0, (1, 0, 0))], None)
-    assert pairs(dirichlet_form(parse("2*r2^2/(3+3*r1^2+3*r2^2)"),
-                                projective)) == ([(2 / 3, (0, 1, 0))], None)
-    monomials, rest = dirichlet_form(parse("s1^2 + s2"), cosines)
-    assert [(c, exps) for c, exps, _ in monomials] == [(1.0, (1, 0)),
-                                                       (1.0, (0.0, 0.5))]
-    assert (monomials[1][2], rest) == (Var("s2"), None)
+    assert dirichlet_form(parse("r1^2/(r1^2+r2^2+1)"), projective) == (
+        [(1.0, (1, 0, 0))], None)
+    assert dirichlet_form(parse("2*r2^2/(3+3*r1^2+3*r2^2)"), projective) \
+        == ([(2 / 3, (0, 1, 0))], None)
+    assert dirichlet_form(parse("s1^2 + s2"), cosines) == (
+        [(1.0, (1, 0)), (1.0, (0.0, 0.5))], None)
     for roots in (projective, ball):
         a = parse("r1^2/(1+r1^2)")
         assert dirichlet_form(a, roots) == ([], a)
     wide = gamma_module._roots("s", 3, 3)
-    assert pairs(dirichlet_form(parse("s1^64*s2^64"), wide)) == (
+    assert dirichlet_form(parse("s1^64*s2^64"), wide) == (
         [(1.0, (32, 32, 0))], None)
-    high = parse("s1^64*s2^64*s3^64")
-    assert dirichlet_form(high, wide) == (
-        [(1.0, (32.0, 32.0, 32.0), high)], None)
+    assert dirichlet_form(parse("s1^64*s2^64*s3^64"), wide) == (
+        [(1.0, (32.0, 32.0, 32.0))], None)
 
 
 @pytest.mark.parametrize("name", ["t_multisphere_n2", "t_multisphere_n5",
@@ -936,7 +990,7 @@ def test_closed_block_term_matches_order_80_quadrature():
     monomials, rest = dirichlet_form(parse("s1^2 + s2"),
                                      gamma_module._roots("s", 2, 2))
     assert (len(monomials), rest) == (2, None)
-    c, exps, _ = monomials[0]
+    c, exps = monomials[0]
     assert (c, exps) == (1.0, (1, 0))
     keys = sorted({(a[0] + 0.5, a[1] - 0.5) for a in enumerate_basis(3, 20)
                    if a[1] >= 1})
