@@ -354,19 +354,21 @@ def _dirichlet_sum(atom: Expr, roots: dict, size: int):
 
 def dirichlet_form(e: Expr, roots: dict):
     """(monomials, rest): the `split_terms` terms of e that
-    `dirichlet_monomial` writes as c prod x^exps, exps real, as (c, exps);
-    the other terms as one, rest: e itself when no term is a monomial, None
-    when all are."""
-    monomials, rest = [], None
+    `dirichlet_monomial` writes as c prod x^exps, exps real, as (c, exps),
+    summed by exps and nonzero; the other terms as one, rest: e itself when
+    no term is a monomial, None when all are."""
+    monomials, rest = {}, None
     for c, factors in split_terms(e):
         if (got := dirichlet_monomial(factors, roots)) is not None:
-            monomials.append((c * got[0], tuple(got[1].tolist())))
+            exps = tuple(got[1].tolist())
+            monomials[exps] = monomials.get(exps, 0.0) + c * got[0]
             continue
         term = monomial(factors)
         term = Num(c) if term is None else term if c == 1 else \
             BinOp("*", Num(c), term)
         rest = term if rest is None else BinOp("+", rest, term)
-    return monomials, (e if not monomials else rest)
+    return ([(c, exps) for exps, c in monomials.items() if c],
+            e if not monomials else rest)
 
 
 def monomial(factors) -> Expr | None:

@@ -29,9 +29,10 @@ Block terms, and the terms of each a R_t unless a block is coupled, that
 are monomials c prod x^c_i in the barycentric coordinates of their integral
 (`expr.dirichlet_form`) take their means at all distinct keys at once, axis
 by Duffy axis (`quadrature.monomial_means`): a Beta moment where the order-q
-rule is exact, else a 1-D rule sum, and inf where the integral diverges, so
-that the table refuses it.  Only the other terms integrate on a grid, and
-only a grid is held to the node budget.
+rule is exact, else a 1-D rule sum.  A divergent monomial makes gamma inf,
+which the table refuses, where every term is a monomial; beside a grid term,
+which may cancel it (as in (1 - exp(-y))/y), it keeps its rule sum.  Only
+the other terms integrate on a grid, and only a grid is held to the budget.
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ class UnsupportedCaseError(DomainError):
 class ProjectiveSpace:
     """P^n of weight m.  A space is all the engine knows of its kind: the
     radial weight's leftover exponent a0 at the degrees |alpha|, here
-    m - |alpha|, the radii r1.. at the radial simplex's coordinates x, x_0
-    the last, here r_j^2 = x_j / x_0, and those roots as exponent vectors
-    over x (`radial_roots`)."""
+    m - |alpha|, and the radii r1.. as roots of the radial simplex's
+    coordinates x, x_0 the last, here r_j^2 = x_j / x_0: `radial_roots`
+    gives them as exponent vectors over x, and `_at` reads them at x."""
 
     n: int
     m: int
@@ -83,10 +84,6 @@ class ProjectiveSpace:
         if np.any(d > self.m):
             raise DomainError(f"|alpha|={d.max()} exceeds m={self.m}")
         return (self.m - d).astype(float)
-
-    @staticmethod
-    def radii(x) -> dict:
-        return {f"r{j + 1}": np.sqrt(v / x[-1]) for j, v in enumerate(x[:-1])}
 
 
 @dataclass(frozen=True)
@@ -105,10 +102,6 @@ class BallSpace:
         if self.lam <= -1:
             raise DomainError(f"need lambda > -1, got {self.lam}")
         return np.full(len(d), float(self.lam))
-
-    @staticmethod
-    def radii(x) -> dict:
-        return {f"r{j + 1}": np.sqrt(v) for j, v in enumerate(x[:-1])}
 
 
 def space_basis(space) -> np.ndarray:
@@ -175,12 +168,6 @@ class GammaTable:
 def _evaluate(e: Expr | None, env: dict):
     """e at env, by broadcasting; 1 for an absent factor."""
     return 1.0 if e is None else evaluate(e, env)
-
-
-def _cosines_env(x, kj: int, name: str = "s") -> dict:
-    """Cosines s1..s_kj (or sig1..) at the block's squared cosines x, the
-    first kj coordinates of x."""
-    return {f"{name}{l + 1}": np.sqrt(x[l]) for l in range(kj)}
 
 
 def _split_product(psi: SymbolSpec, k: Partition, allowed):
@@ -310,8 +297,9 @@ def _quadrature(space, a_expr, blocks: dict, k: Partition, e, a0,
     coupled = [j for j, t in terms.items() if t is None]
     split = {j: t for j, t in terms.items() if t is not None}
     # a block integral has the block's cosines over its weight's width
-    forms = {j: [dirichlet_form(S or Num(1.0), _roots(
-        blocks[j][0], k.parts[j], weights[j].shape[1])) for *_, S in t]
+    roots = {j: _roots(blocks[j][0], k.parts[j], weights[j].shape[1])
+             for j in split}
+    forms = {j: [dirichlet_form(S or Num(1.0), roots[j]) for *_, S in t]
              for j, t in split.items()}
     # a times each product of one term R per split block, its monomials
     # per axis; beside a coupled block all of it takes the grid
@@ -323,6 +311,10 @@ def _quadrature(space, a_expr, blocks: dict, k: Partition, e, a0,
                     for x in products]
     rests = [rest for _, rest in radial_forms]
     gridded = any(rest is not None for rest in rests)
+    # monomials alone diverge where one does; a grid term may cancel one,
+    # which then takes its rules' sum, so the whole is the grid's quadrature
+    refuse = not gridded and all(rest is None for fs in forms.values()
+                                 for _, rest in fs)
     if gridded:
         # radial times coupled nodes, once per product
         quadrature.check_tensor_size(
@@ -341,19 +333,18 @@ def _quadrature(space, a_expr, blocks: dict, k: Partition, e, a0,
     integrals = {}
     for j, t in split.items():
         rows, of = keys[j]
-        env = partial(_cosines_env, kj=k.parts[j], name=blocks[j][0])
+        env = partial(_at, roots[j])
 
         def grid(f, w, env=env):
             return float(simplex_integrate(lambda x: evaluate(f, env(x)),
                                            len(w) - 1, w[:-1], w[-1], spec))
 
-        integrals[j] = np.column_stack([c * _means(form, rows, q, grid) for
-                                        (c, *_), form in zip(t, forms[j])])[of]
+        integrals[j] = np.column_stack([c * _means(f, rows, q, grid, refuse)
+                                        for (c, *_), f in zip(t, forms[j])])
+        integrals[j] = integrals[j][of]
     # the rests take one radial grid below, beside the coupled blocks
-    radial = np.column_stack([_means(
-        (monomials, None), radial_rows, q, lambda f, w: _radial_value(
-            space, [f], [], tuple(w[:ell]), w[ell], spec)[0])
-        for monomials, _ in radial_forms])
+    radial = np.column_stack([_means((m, None), radial_rows, q, None, refuse)
+                              for m, _ in radial_forms])
     if gridded:
         rules = {j: [_block_rule(k.parts[j], tuple(w[:-1]), w[-1], spec)
                      for w in keys[j][0]] for j in coupled}
@@ -368,17 +359,15 @@ def _quadrature(space, a_expr, blocks: dict, k: Partition, e, a0,
                for combo, ts in enumerate(choices))
 
 
-def _means(form, rows, q: int, grid) -> np.ndarray:
+def _means(form, rows, q: int, grid, refuse: bool) -> np.ndarray:
     """The mean of a `dirichlet_form` at each row of rows, the Dirichlet
-    weights of its integral: each monomial (c, exps) axis by axis, inf at a
-    row where it diverges, and the rest as grid(rest, row).  A monomial of
-    c = 0, a cancelled term, is left out, so that it diverges nowhere."""
+    weights of its integral: each monomial (c, exps) axis by axis, inf where
+    it diverges if refuse, and the rest as grid(rest, row)."""
     monomials, rest = form
     total = np.zeros(len(rows)) if rest is None else np.array(
         [grid(rest, w) for w in rows])
     for c, exps in monomials:
-        if c:
-            total = total + c * quadrature.monomial_means(exps, rows, q)
+        total = total + c * quadrature.monomial_means(exps, rows, q, refuse)
     return total
 
 
@@ -389,7 +378,7 @@ def _radial_value(space, rests: list, coupled: list, e, a0,
     and weights on the block's axes) is contracted at every radial node."""
 
     def g(x):
-        env = space.radii(x)
+        env = _at(space.radial_roots(len(e)), x)
         # one integrand per rest, each contracted on its own axes
         vals = [0.0 if rest is None else evaluate(rest, env)
                 for rest in rests]
@@ -418,10 +407,16 @@ def _roots(name: str, count: int, size: int, over: int | None = None):
             for l in range(count)}
 
 
+def _at(roots: dict, x) -> dict:
+    """The variables of `_roots` at the coordinates x."""
+    return {v: np.sqrt(x[e.argmax()] / (x[e.argmin()] if e.min() < 0
+                                        else 1.0)) for v, e in roots.items()}
+
+
 def _block_rule(kj: int, exps, a0, spec):
     """The block rule's cosines on the block's own axes, and its weights."""
     us, ws = quadrature.simplex_axes(kj - 1, exps, float(a0), spec.order)
-    return _cosines_env(quadrature.barycentric(us), kj), ws
+    return _at(_roots("s", kj, kj), quadrature.barycentric(us)), ws
 
 
 def _mc_value(space, a_expr, blocks: dict, k: Partition, drawn: dict,
@@ -432,10 +427,12 @@ def _mc_value(space, a_expr, blocks: dict, k: Partition, drawn: dict,
 
     def f(*draws):
         u = dict(zip(drawn, draws))
-        env = space.radii(u[None].T) if None in u else {}  # the radial draw
+        env = (_at(space.radial_roots(k.num_blocks), u[None].T)
+               if None in u else {})  # the radial draw
         vals = _evaluate(a_expr, env)
         for j, (name, b) in sorted(blocks.items()):
-            cosines = _cosines_env(u[j].T, k.parts[j], name) if j in u else {}
+            cosines = _at(_roots(name, k.parts[j], u[j].shape[1]),
+                          u[j].T) if j in u else {}
             vals = vals * _evaluate(b, {**env, **cosines})
         return np.broadcast_to(vals, len(draws[0]))
 

@@ -450,11 +450,11 @@ def test_coupled_grid_matches_materialised_rules(space):
      ProjectiveSpace(3, 10), Partition((2, 1))),
     (QuasiRadial("exp(-r1^2)"), ProjectiveSpace(3, 6), Partition((1, 1, 1))),
 ])
-def test_projective_radial_rests_are_the_radial_kernel(psi, space, k,
-                                                       monkeypatch):
+def test_projective_radial_rests_match_materialised_rules(psi, space, k,
+                                                          monkeypatch):
     """Every radial integral of a P^n table, one simplex_integrate call on
-    the space's roots r_j^2 = x_j / x_0, is radial_integrate_projective's
-    at its key e, N = n + m + 1, to 1e-14."""
+    the space's roots, is the mean of each rest over simplex_rule's nodes
+    at its key (e, a0), rho_j^2 = X_j / (1 - sum X), to 1e-14."""
     calls, radial_value = [], gamma_module._radial_value
 
     def record(*args):
@@ -464,12 +464,13 @@ def test_projective_radial_rests_are_the_radial_kernel(psi, space, k,
     monkeypatch.setattr(gamma_module, "_radial_value", record)
     build_gamma_table(psi, space, k, SPEC)
     assert calls
-    for (_, rests, coupled, e, _, _), got in calls:
+    for (_, rests, coupled, e, a0, _), got in calls:
         assert not coupled
-        want = quadrature.radial_integrate_projective(
-            lambda r: [0.0 if rest is None else evaluate(rest, {
-                f"r{j + 1}": v for j, v in enumerate(r)}) for rest in rests],
-            k.num_blocks, e, space.n + space.m + 1, SPEC)
+        X, W = simplex_rule(len(e), e, a0, SPEC.order)
+        rho = np.sqrt(X / (1.0 - X.sum(axis=-1, keepdims=True)))
+        env = {f"r{j + 1}": rho[:, j] for j in range(len(e))}
+        want = [0.0 if rest is None else
+                np.sum(W * evaluate(rest, env)) / np.sum(W) for rest in rests]
         assert np.allclose(got, want, rtol=1e-14, atol=0)
 
 
@@ -478,7 +479,7 @@ ENGINE = ("_values", "_quadrature", "_radial_value", "_mc_value")
 
 def test_engine_reads_the_space_not_its_type():
     """The engine's functions branch on no space type: what tells P^n and
-    the ball apart is the space's a0, radii and radial_roots.  Nor does
+    the ball apart is the space's a0 and radial_roots.  Nor does
     gamma import the P^n radial kernel."""
     tree = ast.parse(Path(gamma_module.__file__).read_text())
     bodies = {node.name: node for node in tree.body
@@ -669,6 +670,48 @@ def test_ruled_tables_raise_where_the_grid_raises(space, errors,
             assert str(g) == f"gamma{bad[0]} = inf is not finite"
         else:
             assert np.allclose(g, w, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("psi, k", [
+    (QuasiRadial("(1-exp(-r1^2))/r1^2"), Partition((1, 1))),
+    (ExtendedFactor(0, "(1-exp(-s1^2))/s1^2", (0, 0)), Partition((2,))),
+    # a = 1/r1^2 times b's radial terms 1 and -exp(-r1^2)
+    (Product((QuasiRadial("1/r1^2"),
+              ExtendedFactor(1, "(1-exp(-r1^2))*s1^2", (0, 0)))),
+     Partition((1, 2))),
+    # b's angular terms 1/s1^2 and -exp(-s1^2)/s1^2
+    (ExtendedFactor(0, "r1^2*(1-exp(-s1^2))/s1^2", (0, 0)),
+     Partition((2, 1))),
+])
+def test_divergent_monomial_beside_a_term_that_cancels_it(psi, k,
+                                                          monkeypatch):
+    """1/y diverges at the weight of alpha_1 = 0, but (1 - exp(-y))/y,
+    which it is a term of, is bounded: its table, whether the terms sit in
+    a, in a block's b, or in products of a with b's terms, is finite and is
+    the table that takes every term on the tensor grid, to 1e-12, on P^n
+    and the ball."""
+    degree = 30 if k.n == 2 else 8
+    for space in (ProjectiveSpace(k.n, degree), BallSpace(k.n, 0.5, degree)):
+        got = build_gamma_table(psi, space, k, SPEC).values
+        with monkeypatch.context() as patch:
+            patch.setattr(gamma_module, "dirichlet_form", lambda e, _: ([], e))
+            want = build_gamma_table(psi, space, k, SPEC).values
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("space", [
+    {"type": "projective", "n": 2, "m": 30},
+    {"type": "ball", "n": 2, "lambda": 0.5, "cap": 30}])
+def test_divergent_symbol_exits_3(space, tmp_path, capsys):
+    """1/r1^2 has no mean at alpha_1 = 0 on either space; the table is
+    refused, naming gamma(0, 0), and not written."""
+    cfg, out = tmp_path / "c.json", tmp_path / "g.csv"
+    cfg.write_text(json.dumps({
+        "space": space, "partition": [1, 1],
+        "symbols": [{"kind": "quasi-radial", "a": "1/r1^2"}]}))
+    assert main(["gamma", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "gamma(0, 0) = inf is not finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_all_monomial_radial_products_take_no_grid():
