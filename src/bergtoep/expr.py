@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 
 import numpy as np
+
+from .indexing import Record
 
 FUNCTIONS = {
     "sin": np.sin,
@@ -50,30 +51,25 @@ class EvalError(ValueError):
         super().__init__(f"{message} in {to_source(subexpr)!r}")
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(Record):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(Record):
     operand: "Expr"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(Record):
     op: str  # one of + - * / ^
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(Record):
     func: str
     arg: "Expr"
 

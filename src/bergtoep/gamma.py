@@ -31,8 +31,10 @@ are monomials c prod x^c_i in the barycentric coordinates of their integral
 by Duffy axis (`quadrature.monomial_means`): a Beta moment where the order-q
 rule is exact, else a 1-D rule sum.  A divergent monomial makes gamma inf,
 which the table refuses, where every term is a monomial; beside a grid term,
-which may cancel it (as in (1 - exp(-y))/y), it keeps its rule sum.  Only
-the other terms integrate on a grid, and only a grid is held to the budget.
+which may cancel it (as in (1 - exp(-y))/y), it keeps its rule sum.  Monte
+Carlo makes the same test, before drawing, on each factor it draws that reads
+its own draw alone.  Only the other terms integrate on a grid, and only a
+grid is held to the budget.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
 from functools import partial, reduce
 from itertools import product
 from operator import mul
@@ -50,8 +51,8 @@ import numpy as np
 from . import quadrature
 from .expr import (BinOp, Expr, Num, dirichlet_form, evaluate, monomial,
                    split_terms, variables)
-from .indexing import (DomainError, Partition, basis_rank, enumerate_basis,
-                       gammaln)
+from .indexing import (DomainError, Partition, Record, basis_rank,
+                       enumerate_basis, gammaln)
 from .quadrature import (QuadratureSpec, build_jacobi_rules, mc_integrate,
                          simplex_integrate, simplex_pairs)
 from .symbols import (ExtendedFactor, MultiSphereFactor, PhaseMonomial,
@@ -66,8 +67,7 @@ class UnsupportedCaseError(DomainError):
     """A case the closed-form theorems do not cover."""
 
 
-@dataclass(frozen=True)
-class ProjectiveSpace:
+class ProjectiveSpace(Record):
     """P^n of weight m.  A space is all the engine knows of its kind: the
     radial weight's leftover exponent a0 at the degrees |alpha|, here
     m - |alpha|, and the radii r1.. as roots of the radial simplex's
@@ -86,8 +86,7 @@ class ProjectiveSpace:
         return (self.m - d).astype(float)
 
 
-@dataclass(frozen=True)
-class BallSpace:
+class BallSpace(Record):
     """The unit ball of C^n of weight lambda, as ProjectiveSpace with
     a0 = lambda and r_j^2 = x_j."""
 
@@ -110,8 +109,8 @@ def space_basis(space) -> np.ndarray:
 
 
 def value_eq(a, b):
-    """Dataclass equality with np.array_equal on the array fields."""
-    pairs = ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    """Record equality with np.array_equal on the array fields."""
+    pairs = ((getattr(a, f), getattr(b, f)) for f in a._fields)
     return type(a) is type(b) and all(
         np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
         for x, y in pairs)
@@ -145,8 +144,7 @@ class _Entries(Mapping):
         return self._table.values.tolist()
 
 
-@dataclass(frozen=True)
-class GammaTable:
+class GammaTable(Record):
     """gamma(alpha) at every alpha of the space's basis: `values[i]` at
     row i of `space_basis(space)`, 0 at the hard zeros."""
 
@@ -271,12 +269,28 @@ def _values(space, a_expr, blocks: dict, k: Partition, p, alphas,
         reads = {j: {v[0] for v in variables(b)} if b is not None else set()
                  for j, (_, b) in blocks.items()}
         drawn = {j: weights[j] for j in weights if "s" in reads[j]}
-        if a_expr is not None or not drawn or any("r" in v
-                                                   for v in reads.values()):
+        radii_read = any("r" in v for v in reads.values())
+        if a_expr is not None or not drawn or radii_read:
             drawn = {None: np.column_stack([e, a0]), **drawn}
-        keys, key_of = _distinct(np.column_stack(list(drawn.values())))
+        # where a factor of monomials alone on a draw of its own diverges,
+        # the row is inf and draws nothing
+        bad = np.zeros(len(A), dtype=bool)
+        for j, x in drawn.items():
+            if j is None and a_expr is not None and not radii_read:
+                f, roots = a_expr, space.radial_roots(k.num_blocks)
+            elif j is not None and "r" not in reads[j]:
+                f, roots = blocks[j][1], _roots(blocks[j][0], k.parts[j],
+                                                x.shape[1])
+            else:
+                continue
+            monomials, rest = dirichlet_form(f, roots)
+            if rest is None:
+                for _, exps in monomials:
+                    bad |= quadrature.diverges(exps, x)
+        keys, key_of = _distinct(np.column_stack(list(drawn.values()))[~bad])
         cuts = np.cumsum([w.shape[1] for w in drawn.values()])[:-1]
-        value = np.array([_mc_value(
+        value = np.full(len(A), np.inf)
+        value[~bad] = np.array([_mc_value(
             space, a_expr, blocks, k, dict(zip(drawn, (
                 (w[:-1], w[-1]) for w in np.split(key, cuts)))), spec)
             for key in keys])[key_of]

@@ -3,14 +3,14 @@
 The basis at weight m over n variables, the z^alpha with |alpha| <= m in
 graded lexicographic order (grade |alpha|, then lexicographic), is one
 read-only (dim, n) int array; `basis_rank` inverts it in closed form and
-gives -1 outside it.  Every matrix row/column index is such a rank.
+gives -1 outside it.  Every matrix row/column index is such a rank.  The
+package's frozen value classes derive from `Record`, which, unlike
+`dataclasses`, builds no code per class when the package is imported.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -18,6 +18,59 @@ import numpy as np
 
 class DomainError(ValueError):
     """Raised when an operation is called outside its mathematical domain."""
+
+
+class Record:
+    """Base of the package's frozen value classes, building no code per
+    class.  The fields are the annotated names, inherited ones first, with
+    class attributes as defaults; `__dict__` is the fields in order.  A
+    record equals only its own class, and hashes once, into a slot."""
+
+    __slots__ = ("_hash",)
+
+    def __init_subclass__(cls):  # the base's fields, then the new ones
+        base = getattr(cls, "_fields", ())
+        own = vars(cls).get("__annotations__", ())
+        cls._fields = base + tuple(f for f in own if f not in base)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):  # by keyword, or defaults
+            given = dict(zip(fields, args), **kwargs)
+            if len(given) < len(args) + len(kwargs) or {*given} | {
+                    f for f in fields if hasattr(type(self), f)} != {*fields}:
+                raise TypeError(f"{type(self).__name__}() takes {fields}")
+            args = [given[f] if f in given else getattr(type(self), f)
+                    for f in fields]
+        object.__setattr__(self, "__dict__", dict(zip(fields, args)))
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"field {name!r} is frozen")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self):
+        if not hasattr(self, "_hash"):
+            object.__setattr__(self, "_hash", hash(tuple(vars(self).values())))
+        return self._hash
+
+    def __getstate__(self):  # the fields, not the hash
+        return vars(self)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes):
+        """A copy with the given fields changed, validated again."""
+        return type(self)(**{**vars(self), **changes})
 
 
 def _lgamma(x: float) -> float:
@@ -40,8 +93,7 @@ def gammaln(x):
     return np.array([table[v] for v in flat], dtype=float).reshape(np.shape(x))
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """Block structure k = (k_1, ..., k_l) of the n coordinates."""
 
     parts: tuple[int, ...]
@@ -127,8 +179,9 @@ def basis_rank(alphas, m: int) -> np.ndarray:
     return np.where(inside, rank, -1)
 
 
-def monomial_norm_sq_projective(alpha, m: int) -> Fraction:
-    """Exact squared norm of z^alpha at weight m: alpha!(m-|alpha|)!/m!."""
+def monomial_norm_sq_projective(alpha, m: int):
+    """Exact squared norm alpha!(m-|alpha|)!/m! of z^alpha, a Fraction."""
+    from fractions import Fraction  # imported here, off the CLI's start-up
     alpha = tuple(int(a) for a in alpha)
     d = sum(alpha)
     if d > m:

@@ -14,7 +14,6 @@ transpose.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 
@@ -23,7 +22,7 @@ import numpy as np
 from . import expr as exprmod
 from .gamma import (BallSpace, GammaTable, ProjectiveSpace, build_gamma_table,
                     space_basis, value_eq)
-from .indexing import DomainError, Partition, basis_rank, gammaln
+from .indexing import DomainError, Partition, Record, basis_rank, gammaln
 from .quadrature import QuadratureSpec
 from .symbols import (
     ExtendedFactor,
@@ -41,8 +40,7 @@ def shift_targets(space, shift) -> np.ndarray:
                       space.degree)
 
 
-@dataclass(frozen=True)
-class ToeplitzMatrix:
+class ToeplitzMatrix(Record):
     weights: np.ndarray  # complex, weight of column alpha; 0 without target
     target: np.ndarray  # intp, row of column alpha, -1 for no entry
     shift: tuple[int, ...]

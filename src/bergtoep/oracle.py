@@ -56,13 +56,13 @@ a row's estimate is bitwise that of a one-pair call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .indexing import (
     DomainError,
     Partition,
+    Record,
     gammaln,
     monomial_norm_sq_ball,
     monomial_norm_sq_projective,
@@ -77,8 +77,7 @@ _FIRST_THETA_GRID = 4
 _AGREEMENT = 1e-13  # relative to max |psi| over the points evaluated
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(Record):
     value: complex  # value and stderr are arrays for a table's stack
     stderr: float  # 0 for the deterministic path
     method: str  # "polar-grid" | "monte-carlo"

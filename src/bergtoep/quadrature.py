@@ -36,11 +36,10 @@ spec, whose order counts samples rather than Gauss points.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
-from .indexing import DomainError, gammaln
+from .indexing import DomainError, Record, gammaln
 
 DEFAULT_ORDER = 40
 MAX_TENSOR_DIM = 8
@@ -60,8 +59,7 @@ _BATCH_DOUBLES = 2**18
 _rules: dict = {}  # (a, b, q) -> (nodes, weights), in order of last use
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(Record):
     method: str = "gauss-jacobi-tensor"  # or "monte-carlo"
     order: int = DEFAULT_ORDER  # points per axis (gauss) or samples (mc)
     seed: int = 0
@@ -186,9 +184,9 @@ def monomial_means(c, x, q: int, refuse: bool = True) -> np.ndarray:
     s, t integers >= 0 with s + t <= 2q - 1, it takes the Beta moment, a
     running product of ratios (a+1+k)/(a+b+2+k), then (b+1+k)/(a+b+2+s+k),
     each at most 1, and builds no rule; any other axis sums its rule, all
-    rows' rules built in one batch.  A row whose integral diverges, a + s
-    <= -1 or b + t <= -1 on some axis, gets inf if refuse, else its rules'
-    sum, the tensor grid's; an overflow gives inf or nan, and no warning."""
+    rows' rules built in one batch.  A row whose integral diverges
+    (`diverges`) gets inf if refuse, else its rules' sum, the tensor grid's;
+    an overflow gives inf or nan, and no warning."""
     a, b = simplex_pairs(x)
     axes = [(float(c[i]), float(sum(c[i + 1:]))) for i in range(len(c) - 1)]
     exact = np.array([min(s, t) >= 0 and s % 1 == t % 1 == 0
@@ -209,9 +207,17 @@ def monomial_means(c, x, q: int, refuse: bool = True) -> np.ndarray:
                 mean = mean * [float(np.dot(u ** s * (1.0 - u) ** t, w))
                                for u, w in rules]
     if refuse:
-        low = -1 - np.array(axes).reshape(-1, 2)
-        mean[np.any((a <= low[:, 0]) | (b <= low[:, 1]), axis=1)] = np.inf
+        mean[diverges(c, x)] = np.inf
     return mean
+
+
+def diverges(c, x) -> np.ndarray:
+    """Whether each row of `monomial_means` diverges: a + s <= -1 or
+    b + t <= -1 on some axis."""
+    a, b = simplex_pairs(x)
+    low = -1 - np.array([(c[i], sum(c[i + 1:])) for i in range(len(c) - 1)],
+                        dtype=float).reshape(-1, 2)
+    return np.any((a <= low[:, 0]) | (b <= low[:, 1]), axis=1)
 
 
 def simplex_axes(d: int, a: tuple, a0: float, q: int):

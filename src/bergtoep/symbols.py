@@ -15,14 +15,12 @@ Expression variable conventions (all positional, 1-based):
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from .expr import Expr, evaluate, parse
-from .indexing import DomainError, Partition
+from .indexing import DomainError, Partition, Record
 
 
 class ValidationError(ValueError):
@@ -33,16 +31,14 @@ def _as_expr(e) -> Expr:
     return parse(e) if isinstance(e, str) else e
 
 
-@dataclass(frozen=True)
-class QuasiRadial:
+class QuasiRadial(Record):
     a: Expr
 
     def __post_init__(self):
         object.__setattr__(self, "a", _as_expr(self.a))
 
 
-@dataclass(frozen=True)
-class AngularFactor:
+class AngularFactor(Record):
     """A factor b(...) t_(j)^p on one block; the subclasses name which
     cosines b reads."""
 
@@ -70,8 +66,7 @@ class ExtendedFactor(AngularFactor):
     """b over the block radii r1..rl and the block cosines s1..sk_j."""
 
 
-@dataclass(frozen=True)
-class PhaseMonomial:
+class PhaseMonomial(Record):
     p: tuple[int, ...]  # full length n, total sum zero
 
     def __post_init__(self):
@@ -81,8 +76,7 @@ class PhaseMonomial:
             raise ValidationError(f"phase shift {p} must sum to zero")
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(Record):
     factors: tuple["SymbolSpec", ...]
 
     def __post_init__(self):
@@ -141,7 +135,7 @@ def conjugate(psi: SymbolSpec) -> SymbolSpec:
     if isinstance(psi, QuasiRadial):
         return psi
     if isinstance(psi, (AngularFactor, PhaseMonomial)):
-        return dataclasses.replace(psi, p=tuple(-x for x in psi.p))
+        return psi.replace(p=tuple(-x for x in psi.p))
     raise TypeError(f"not a symbol: {psi!r}")
 
 

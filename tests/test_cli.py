@@ -564,6 +564,19 @@ def test_cli_import_loads_no_importlib_metadata():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_generates_no_class_code_or_fractions():
+    """A structural start-up guard, not a timing: the value classes build no
+    code per class (no dataclasses), and exact fractions (fractions, which
+    imports decimal) load only where the oracle asks for one."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, bergtoep.cli; print(sorted(m for m in sys.modules "
+         "if m in ('dataclasses', 'fractions', 'decimal')))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_csv_header_names_the_project_version(config_path, tmp_path):
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     version = re.search(r'^version = "([^"]+)"$', pyproject.read_text(),

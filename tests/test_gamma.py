@@ -6,7 +6,6 @@ reduction-consistency statement between two independently coded paths.
 """
 
 import ast
-import dataclasses
 import json
 import math
 import runpy
@@ -117,8 +116,8 @@ def test_tables_compare_by_value():
     assert table == build_gamma_table(*args)
     values = table.values.copy()
     values[4] += 1e-9
-    assert table != dataclasses.replace(table, values=values)
-    assert table != dataclasses.replace(table, shift=(0, 0))
+    assert table != table.replace(values=values)
+    assert table != table.replace(shift=(0, 0))
 
 
 def test_quasi_radial_specific_value():
@@ -699,19 +698,67 @@ def test_divergent_monomial_beside_a_term_that_cancels_it(psi, k,
         assert np.allclose(got, want, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("space", [
-    {"type": "projective", "n": 2, "m": 30},
-    {"type": "ball", "n": 2, "lambda": 0.5, "cap": 30}])
-def test_divergent_symbol_exits_3(space, tmp_path, capsys):
-    """1/r1^2 has no mean at alpha_1 = 0 on either space; the table is
-    refused, naming gamma(0, 0), and not written."""
+MC_SPEC = QuadratureSpec(method="monte-carlo", order=1000, seed=1)
+_P2 = {"type": "projective", "n": 2, "m": 30}
+_BALL2 = {"type": "ball", "n": 2, "lambda": 0.5, "cap": 30}
+_INV_R1 = {"kind": "quasi-radial", "a": "1/r1^2"}
+_MC = {"method": "monte-carlo", "order": MC_SPEC.order, "seed": MC_SPEC.seed}
+
+
+@pytest.mark.parametrize("space, partition, symbol, quadrature", [
+    (_P2, [1, 1], _INV_R1, None),
+    (_BALL2, [1, 1], _INV_R1, None),
+    (_P2, [1, 1], _INV_R1, _MC),
+    (_BALL2, [1, 1], _INV_R1, _MC),
+    (_P2, [2], {"kind": "multi-sphere", "block": 1, "b": "1/s1^2",
+                "p": [0, 0]}, _MC)],
+    ids=["space0", "space1", "mc-space0", "mc-space1", "mc-block"])
+def test_divergent_symbol_exits_3(space, partition, symbol, quadrature,
+                                  tmp_path, capsys):
+    """1/r1^2 has no mean at alpha_1 = 0 on either space, nor 1/s1^2 in a
+    block's b; the table is refused, naming gamma(0, 0), and not written.
+    Monte Carlo refuses what quadrature refuses, before drawing."""
     cfg, out = tmp_path / "c.json", tmp_path / "g.csv"
     cfg.write_text(json.dumps({
-        "space": space, "partition": [1, 1],
-        "symbols": [{"kind": "quasi-radial", "a": "1/r1^2"}]}))
+        "space": space, "partition": partition, "symbols": [symbol],
+        **({"quadrature": quadrature} if quadrature else {})}))
     assert main(["gamma", "--config", str(cfg), "--out", str(out)]) == 3
     assert "gamma(0, 0) = inf is not finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_monte_carlo_keeps_a_divergent_monomial_that_a_rest_cancels():
+    """(1 - exp(-r1^2))/r1^2 splits into 1/r1^2 and a rest, and is bounded:
+    its Monte Carlo table builds, within 5% of the quadrature table."""
+    args = (QuasiRadial("(1-exp(-r1^2))/r1^2"), ProjectiveSpace(2, 30),
+            Partition((1, 1)))
+    got = build_gamma_table(*args, MC_SPEC).values
+    want = build_gamma_table(*args, SPEC).values
+    assert np.allclose(got, want, rtol=0.05, atol=0)
+
+
+@pytest.mark.parametrize("psi, k", [
+    (QuasiRadial("1/r1"), (1, 1)),
+    (QuasiRadial("r1^2/(1+r1^2)"), (1, 1)),
+    (MultiSphereFactor(0, "s1^2 + s2", (1, -1)), (2,)),
+    (MultiSphereFactor(0, "1/s1", (1, -1)), (2,)),
+    (Product((QuasiRadial("r1^2"), ExtendedFactor(1, "r1*s1", (0, 0)))),
+     (1, 2)),
+    (Product((QuasiRadial("1/r1"), MultiSphereFactor(1, "s1^2", (1, -1)))),
+     (1, 2))])
+def test_convergent_monte_carlo_tables_are_bitwise_unrefused(psi, k,
+                                                             monkeypatch):
+    """Where no row diverges, the divergence test moves no draw: each table
+    is bitwise the table drawn with the test switched off, on P^n and the
+    ball."""
+    k = Partition(k)
+    for space in (ProjectiveSpace(k.n, 6), BallSpace(k.n, 0.5, 6)):
+        got = build_gamma_table(psi, space, k, MC_SPEC).values
+        with monkeypatch.context() as patch:
+            patch.setattr(quadrature, "diverges",
+                          lambda c, x: np.zeros(len(x), dtype=bool))
+            want = build_gamma_table(psi, space, k, MC_SPEC).values
+        assert got.tobytes() == want.tobytes()
 
 
 def test_all_monomial_radial_products_take_no_grid():

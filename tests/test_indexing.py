@@ -1,11 +1,14 @@
 """Basis enumeration, norms, partitions and shift vectors."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from bergtoep.expr import BinOp, Call, Neg, Num, Var
+from bergtoep.gamma import BallSpace, GammaTable, ProjectiveSpace
 from bergtoep.indexing import (
     DomainError,
     Partition,
@@ -15,6 +18,12 @@ from bergtoep.indexing import (
     monomial_norm_sq_ball,
     monomial_norm_sq_projective,
 )
+from bergtoep.operators import ToeplitzMatrix
+from bergtoep.oracle import OracleResult
+from bergtoep.quadrature import QuadratureSpec
+from bergtoep.symbols import (ExtendedFactor, MultiSphereFactor,
+                              PhaseMonomial, Product, QuasiRadial,
+                              SingleSphereFactor, ValidationError)
 
 
 def test_basis_size_is_binomial():
@@ -122,3 +131,90 @@ def test_gammaln_scalar_path_is_bitwise_the_array_path(x):
     scalar, array = gammaln(x), gammaln(np.array([x]))
     assert isinstance(scalar, float)
     assert np.float64(scalar).tobytes() == array[0].tobytes()
+
+
+# every value class: a builder of one instance, and its repr text, which is
+# the text the same instance had as a frozen dataclass
+RECORDS = [
+    (lambda: Num(1.0), "Num(value=1.0)"),
+    (lambda: Var("x"), "Var(name='x')"),
+    (lambda: Neg(Var("x")), "Neg(operand=Var(name='x'))"),
+    (lambda: BinOp("*", Num(1.0), Var("x")),
+     "BinOp(op='*', left=Num(value=1.0), right=Var(name='x'))"),
+    (lambda: Call("exp", Var("x")), "Call(func='exp', arg=Var(name='x'))"),
+    (lambda: Partition([2, 1]), "Partition(parts=(2, 1))"),
+    (lambda: QuadratureSpec(order=5),
+     "QuadratureSpec(method='gauss-jacobi-tensor', order=5, seed=0)"),
+    (lambda: QuasiRadial("r1"), "QuasiRadial(a=Var(name='r1'))"),
+    (lambda: MultiSphereFactor(0, "s1", [1, -1]),
+     "MultiSphereFactor(j=0, b=Var(name='s1'), p=(1, -1))"),
+    (lambda: SingleSphereFactor(0, "sig1", (1, -1)),
+     "SingleSphereFactor(j=0, b=Var(name='sig1'), p=(1, -1))"),
+    (lambda: ExtendedFactor(0, "r1", (0, 0)),
+     "ExtendedFactor(j=0, b=Var(name='r1'), p=(0, 0))"),
+    (lambda: PhaseMonomial((1, -1)), "PhaseMonomial(p=(1, -1))"),
+    (lambda: Product([PhaseMonomial((1, -1))]),
+     "Product(factors=(PhaseMonomial(p=(1, -1)),))"),
+    (lambda: ProjectiveSpace(2, 3), "ProjectiveSpace(n=2, m=3)"),
+    (lambda: BallSpace(2, 0.5, 3), "BallSpace(n=2, lam=0.5, cap=3)"),
+    (lambda: GammaTable(ProjectiveSpace(1, 1), Partition((1,)), (0,),
+                        np.array([1, 2j]), "note"),
+     "GammaTable(space=ProjectiveSpace(n=1, m=1), partition=Partition("
+     "parts=(1,)), shift=(0,), values=array([1.+0.j, 0.+2.j]), "
+     "annotation='note')"),
+    (lambda: ToeplitzMatrix(np.array([1j]), np.array([0]), (0,),
+                            ProjectiveSpace(1, 0)),
+     "ToeplitzMatrix(weights=array([0.+1.j]), target=array([0]), "
+     "shift=(0,), space=ProjectiveSpace(n=1, m=0))"),
+    (lambda: OracleResult(1 + 2j, 0.5, "monte-carlo", 100),
+     "OracleResult(value=(1+2j), stderr=0.5, method='monte-carlo', "
+     "samples_or_points=100)"),
+]
+
+
+@pytest.mark.parametrize("make, text", RECORDS,
+                         ids=[text.split("(")[0] for _, text in RECORDS])
+def test_value_classes_are_frozen_records(make, text):
+    """Equal fields give equal records with equal hashes (a record with an
+    array field has no hash, as a dataclass with one had none); fields
+    can be neither assigned nor deleted; the repr is the dataclass repr;
+    a pickle round trip, after hashing, gives an equal record; replace
+    with no change gives an equal record."""
+    a, b = make(), make()
+    assert a is not b and a == b and not a != b
+    assert repr(a) == text
+    if type(a).__hash__ is None:
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    for field in a._fields:
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(b, field))
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+    assert a == b and repr(a) == text
+    copy = pickle.loads(pickle.dumps(a))
+    assert copy == a and repr(copy) == text
+    assert a.replace() == a
+
+
+def test_records_equal_only_their_own_class():
+    """The three angular factor classes share their fields, not equality."""
+    made = [cls(0, "s1^2", (1, -1)) for cls in
+            (MultiSphereFactor, SingleSphereFactor, ExtendedFactor)]
+    for x in made:
+        for y in made:
+            assert (x == y) is (type(x) is type(y))
+    assert Num(1.0) != 1.0 and Var("x") != "x"
+
+
+def test_record_replace_validates_again():
+    psi = PhaseMonomial((1, -1))
+    assert psi.replace(p=(2, -2)) == PhaseMonomial((2, -2))
+    with pytest.raises(ValidationError):
+        psi.replace(p=(1, 0))
+    with pytest.raises(TypeError):
+        psi.replace(q=(1, -1))
+    assert QuadratureSpec(order=5).replace(seed=3) == QuadratureSpec(
+        "gauss-jacobi-tensor", 5, 3)
