@@ -133,8 +133,7 @@ def test_gammaln_scalar_path_is_bitwise_the_array_path(x):
     assert np.float64(scalar).tobytes() == array[0].tobytes()
 
 
-# every value class: a builder of one instance, and its repr text, which is
-# the text the same instance had as a frozen dataclass
+# every value class: a builder of one instance, and its repr text
 RECORDS = [
     (lambda: Num(1.0), "Num(value=1.0)"),
     (lambda: Var("x"), "Var(name='x')"),
@@ -176,10 +175,10 @@ RECORDS = [
                          ids=[text.split("(")[0] for _, text in RECORDS])
 def test_value_classes_are_frozen_records(make, text):
     """Equal fields give equal records with equal hashes (a record with an
-    array field has no hash, as a dataclass with one had none); fields
-    can be neither assigned nor deleted; the repr is the dataclass repr;
-    a pickle round trip, after hashing, gives an equal record; replace
-    with no change gives an equal record."""
+    array field has no hash); fields can be neither assigned nor deleted;
+    the repr names the class and each field; a pickle round trip, after
+    hashing, gives an equal record; replace with no change gives an equal
+    record."""
     a, b = make(), make()
     assert a is not b and a == b and not a != b
     assert repr(a) == text
