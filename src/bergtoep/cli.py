@@ -17,7 +17,7 @@ from . import __version__, operators, oracle
 from .expr import EvalError, ParseError
 from .gamma import BallSpace, ProjectiveSpace, build_gamma_table
 from .geometry import factorization_check, invariance_check
-from .indexing import DomainError, Partition
+from .indexing import DomainError, Partition, as_integer
 from .quadrature import QuadratureSpec
 from .symbols import (
     ExtendedFactor,
@@ -39,17 +39,20 @@ class ConfigError(ValueError):
     pass
 
 
-def _integer(section: dict, key: str, *default) -> int:
-    """int() of section[key], or of the default where given and the key is
-    absent; a number with a fractional part is refused, not truncated, and
-    so is a value int() cannot read, such as a non-numeric string."""
+def _shaped(section: dict, key: str, kind: type, *default):
+    """section[key], or the default where given and the key is absent,
+    refused unless it is a kind: dict (a JSON object), list or object."""
     value = section.get(key, *default) if default else section[key]
-    try:
-        if isinstance(value, float) and not value.is_integer():
-            raise ValueError
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+    if not isinstance(value, kind):
+        what = "an object" if kind is dict else "a list"
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+    return value
+
+
+def _integer(section: dict, key: str, *default) -> int:
+    """`_shaped` of any kind, as an integer by `indexing.as_integer`."""
+    return as_integer(_shaped(section, key, object, *default), key,
+                      ConfigError)
 
 
 _ANGULAR = {"multi-sphere": MultiSphereFactor,
@@ -57,17 +60,18 @@ _ANGULAR = {"multi-sphere": MultiSphereFactor,
 
 
 def parse_symbol(desc: dict):
-    kind = desc.get("kind")
+    kind = _shaped({"symbol": desc}, "symbol", dict).get("kind")
     try:
         if kind == "quasi-radial":
             return QuasiRadial(desc["a"])
         if kind in _ANGULAR:
             return _ANGULAR[kind](_integer(desc, "block") - 1,
-                                  desc.get("b", "1"), tuple(desc["p"]))
+                                  desc.get("b", "1"), _shaped(desc, "p", list))
         if kind == "phase":
-            return PhaseMonomial(tuple(desc["p"]))
+            return PhaseMonomial(_shaped(desc, "p", list))
         if kind == "product":
-            return Product(tuple(parse_symbol(f) for f in desc["factors"]))
+            return Product(tuple(
+                parse_symbol(f) for f in _shaped(desc, "factors", list)))
     except KeyError as exc:
         raise ConfigError(f"symbol descriptor missing field {exc}") from None
     raise ConfigError(f"unknown symbol kind {kind!r}")
@@ -89,13 +93,13 @@ def parse_space(desc: dict):
 
 def load_config(path: str, args) -> dict:
     with open(path) as fh:
-        cfg = json.load(fh)
-    space = parse_space(cfg["space"])
-    k = Partition(tuple(cfg["partition"]))
+        cfg = _shaped({"config": json.load(fh)}, "config", dict)
+    space = parse_space(_shaped(cfg, "space", dict))
+    k = Partition(tuple(_shaped(cfg, "partition", list)))
     if k.n != space.n:
         raise ConfigError(f"partition {k.parts} does not sum to n={space.n}")
-    symbols = [parse_symbol(d) for d in cfg.get("symbols", [])]
-    qcfg = dict(cfg.get("quadrature", {}))
+    symbols = [parse_symbol(d) for d in _shaped(cfg, "symbols", list, [])]
+    qcfg = dict(_shaped(cfg, "quadrature", dict, {}))
     if args.quad_order is not None:
         qcfg["order"] = args.quad_order
     if args.seed is not None:
@@ -104,7 +108,7 @@ def load_config(path: str, args) -> dict:
                              else _integer(qcfg, key)
                              for key in ("method", "order", "seed")
                              if key in qcfg})
-    ocfg = dict(cfg.get("oracle", {}))
+    ocfg = dict(_shaped(cfg, "oracle", dict, {}))
     if args.mc_samples is not None:
         ocfg["samples"] = args.mc_samples
     return {"space": space, "partition": k, "symbols": symbols,
@@ -167,15 +171,13 @@ def _open_out(args):
 
 def write_rows(args, cfg, rows, columns, extra_meta=None) -> None:
     fh, close = _open_out(args)
+    meta = meta_block(cfg, extra_meta)
     try:
         if args.format == "json":
-            doc = {"meta": meta_block(cfg, extra_meta),
-                   "columns": columns,
-                   "rows": rows}
-            json.dump(doc, fh, sort_keys=True)
+            json.dump({"meta": meta, "columns": columns, "rows": rows}, fh,
+                      sort_keys=True)
             fh.write("\n")
         else:
-            meta = meta_block(cfg, extra_meta)
             fh.write(f"# bergtoep {meta['version']}\n")
             fh.write(f"# basis-order {meta['basis_order']}\n")
             fh.write("# config " + json.dumps(meta["config"], sort_keys=True)
@@ -286,7 +288,7 @@ def cmd_oracle_compare(args, cfg) -> None:
 
 def cmd_geometry(args, cfg) -> None:
     k = cfg["partition"]
-    gcfg = cfg["raw"].get("geometry", {})
+    gcfg = _shaped(cfg["raw"], "geometry", dict, {})
     check = gcfg.get("check", "invariance")
     trials = _integer(gcfg, "trials", 1000)
     seed = _integer(gcfg, "seed", cfg["quadrature"].seed)

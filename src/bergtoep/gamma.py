@@ -20,21 +20,22 @@ with a row per alpha, and each distinct radial key (e, a0) and block key
 (j, exps, a0_j) is integrated once, in order of first appearance, after one
 batched build of all their Jacobi rules.  A b_j that reads radii is split into
 terms c_t R_t(r) S_t(s), and the mean is sum_t c_t radial(a R_t) block(S_t),
-unless a term reads radii and cosines in one factor or the terms outnumber the
-q^(k_j - 1) nodes per radial node of the coupled grid, the block's rule
-contracted at every radial node.  Monte Carlo draws once per distinct key, and
-only the weights its integrand reads.
+unless a term reads radii and cosines in one factor or, under quadrature, the
+terms outnumber the q^(k_j - 1) nodes per radial node of the coupled grid, the
+block's rule contracted at every radial node.  Monte Carlo draws once per
+distinct key, and only the weights its integrand reads.
 
-Block terms, and the terms of each a R_t unless a block is coupled, that
-are monomials c prod x^c_i in the barycentric coordinates of their integral
-(`expr.dirichlet_form`) take their means at all distinct keys at once, axis
-by Duffy axis (`quadrature.monomial_means`): a Beta moment where the order-q
-rule is exact, else a 1-D rule sum.  A divergent monomial makes gamma inf,
-which the table refuses, where every term is a monomial; beside a grid term,
-which may cancel it (as in (1 - exp(-y))/y), it keeps its rule sum.  Monte
-Carlo makes the same test, before drawing, on each factor it draws that reads
-its own draw alone.  Only the other terms integrate on a grid, and only a
-grid is held to the budget.
+Which rows diverge is decided once, on that split, before either method runs
+(`_split`), per family of means: each split block's angular means S_t, and,
+unless a block is coupled, the radial means a R_t.  The families are
+integrals over independent weights, so a rest can cancel a divergent
+monomial (as in (1 - exp(-y))/y) only in its own family: a family with no
+rest refuses a row, gamma inf, where one of its monomials diverges.  Terms
+that are monomials c prod x^c_i in the barycentric coordinates of their
+integral (`expr.dirichlet_form`) take their means at all distinct keys at
+once, axis by Duffy axis (`quadrature.monomial_means`): a Beta moment where
+the order-q rule is exact, else a 1-D rule sum.  Only the rests integrate on
+a grid, and only a grid is held to the budget.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from operator import mul
 import numpy as np
 
 from . import quadrature
-from .expr import (BinOp, Expr, Num, dirichlet_form, evaluate, monomial,
+from .expr import (Expr, Num, dirichlet_form, evaluate, monomial,
                    split_terms, variables)
 from .indexing import (DomainError, Partition, Record, basis_rank,
                        enumerate_basis, gammaln)
@@ -163,11 +164,6 @@ class GammaTable(Record):
         return self.entries[alpha]
 
 
-def _evaluate(e: Expr | None, env: dict):
-    """e at env, by broadcasting; 1 for an absent factor."""
-    return 1.0 if e is None else evaluate(e, env)
-
-
 def _split_product(psi: SymbolSpec, k: Partition, allowed):
     """Collect (a_expr, {block: (cosine name, b_expr)}, total shift) from a
     product: a single-sphere factor reads sig1.., every other factor s1.."""
@@ -263,72 +259,72 @@ def _values(space, a_expr, blocks: dict, k: Partition, p, alphas,
             outside = np.delete(A, k.block_slice(j), axis=1).sum(axis=1)
             weights[j] = np.column_stack(
                 [weights[j], outside + k.n - k.parts[j] - 1])
-    if spec.method == "monte-carlo":
+    mc = spec.method == "monte-carlo"
+    split, bad = _split(space, a_expr, blocks, k, e, a0, weights,
+                        None if mc else spec.order)
+    value, ok = np.full(len(A), np.inf), ~bad
+    if mc:
         # draw a block's weight only when its b reads a cosine, and the
         # radial weight only when a radius is read or no block is drawn
         reads = {j: {v[0] for v in variables(b)} if b is not None else set()
                  for j, (_, b) in blocks.items()}
         drawn = {j: weights[j] for j in weights if "s" in reads[j]}
-        radii_read = any("r" in v for v in reads.values())
-        if a_expr is not None or not drawn or radii_read:
+        if (a_expr is not None or not drawn
+                or any("r" in v for v in reads.values())):
             drawn = {None: np.column_stack([e, a0]), **drawn}
-        # where a factor of monomials alone on a draw of its own diverges,
-        # the row is inf and draws nothing
-        bad = np.zeros(len(A), dtype=bool)
-        for j, x in drawn.items():
-            if j is None and a_expr is not None and not radii_read:
-                f, roots = a_expr, space.radial_roots(k.num_blocks)
-            elif j is not None and "r" not in reads[j]:
-                f, roots = blocks[j][1], _roots(blocks[j][0], k.parts[j],
-                                                x.shape[1])
-            else:
-                continue
-            monomials, rest = dirichlet_form(f, roots)
-            if rest is None:
-                for _, exps in monomials:
-                    bad |= quadrature.diverges(exps, x)
-        keys, key_of = _distinct(np.column_stack(list(drawn.values()))[~bad])
+        keys, key_of = _distinct(np.column_stack(list(drawn.values()))[ok])
         cuts = np.cumsum([w.shape[1] for w in drawn.values()])[:-1]
-        value = np.full(len(A), np.inf)
-        value[~bad] = np.array([_mc_value(
+        value[ok] = np.array([_mc_value(
             space, a_expr, blocks, k, dict(zip(drawn, (
                 (w[:-1], w[-1]) for w in np.split(key, cuts)))), spec)
             for key in keys])[key_of]
-    else:
-        value = _quadrature(space, a_expr, blocks, k, e, a0, weights, spec)
+    elif ok.any():
+        value[ok] = _quadrature(space, blocks, k, e[ok], a0[ok], {
+            j: w[ok] for j, w in weights.items()}, spec, *split)
     out[live] = [_scaled(s, v) for s, v in zip(scale.tolist(),
                                                value.tolist())]
     return out
 
 
-def _quadrature(space, a_expr, blocks: dict, k: Partition, e, a0,
-                weights: dict, spec):
-    """The means of gamma by quadrature, one value per row of e."""
-    ell, q = k.num_blocks, spec.order
-    # each term takes the radial grid; a coupled grid is q^(k_j-1) times it
-    terms = {j: _block_terms(blocks[j][1], q ** (k.parts[j] - 1))
-             for j in weights}
+def _split(space, a_expr, blocks: dict, k: Partition, e, a0,
+           weights: dict, q: int | None):
+    """The split of the mean that both methods read: each block's
+    `_block_terms`, coupled past q^(k_j-1) (no grid under Monte Carlo, q
+    None, couples none), the `dirichlet_form` of each S on its cosines, and
+    the radial forms of a times each product of one R per split block, all
+    rest beside a coupled block.  And the rows refused: where a family of
+    forms with no rest has a monomial that diverges (module docstring)."""
+    terms = {j: _block_terms(blocks[j][1], math.inf if q is None
+                             else q ** (k.parts[j] - 1)) for j in weights}
     coupled = [j for j, t in terms.items() if t is None]
     split = {j: t for j, t in terms.items() if t is not None}
-    # a block integral has the block's cosines over its weight's width
     roots = {j: _roots(blocks[j][0], k.parts[j], weights[j].shape[1])
              for j in split}
     forms = {j: [dirichlet_form(S or Num(1.0), roots[j]) for *_, S in t]
              for j, t in split.items()}
-    # a times each product of one term R per split block, its monomials
-    # per axis; beside a coupled block all of it takes the grid
-    radial_roots = space.radial_roots(ell)
-    products = [_times(a_expr, *Rs) for Rs in product(
-        *([R for _, R, _ in t] for t in split.values()))]
-    radial_forms = [([], x or Num(1.0)) if coupled
-                    else dirichlet_form(x or Num(1.0), radial_roots)
+    radial_roots = space.radial_roots(k.num_blocks)
+    products = (monomial([(f, 1) for f in (a_expr, *Rs) if f is not None])
+                or Num(1.0) for Rs in product(*([R for _, R, _ in t]
+                                                 for t in split.values())))
+    radial_forms = [([], x) if coupled else dirichlet_form(x, radial_roots)
                     for x in products]
+    bad = np.zeros(len(e), dtype=bool)
+    for fs, rows in [*((forms[j], weights[j]) for j in split),
+                     (radial_forms, np.column_stack([e, a0]))]:
+        if all(rest is None for _, rest in fs):
+            for monomials, _ in fs:
+                for _, exps in monomials:
+                    bad |= quadrature.diverges(exps, rows)
+    return (split, coupled, roots, forms, radial_forms), bad
+
+
+def _quadrature(space, blocks: dict, k: Partition, e, a0, weights: dict,
+                spec, split, coupled, roots, forms, radial_forms):
+    """The means of gamma by quadrature, one value per row of e, on the
+    `_split` of the mean."""
+    ell, q = k.num_blocks, spec.order
     rests = [rest for _, rest in radial_forms]
     gridded = any(rest is not None for rest in rests)
-    # monomials alone diverge where one does; a grid term may cancel one,
-    # which then takes its rules' sum, so the whole is the grid's quadrature
-    refuse = not gridded and all(rest is None for fs in forms.values()
-                                 for _, rest in fs)
     if gridded:
         # radial times coupled nodes, once per product
         quadrature.check_tensor_size(
@@ -353,11 +349,10 @@ def _quadrature(space, a_expr, blocks: dict, k: Partition, e, a0,
             return float(simplex_integrate(lambda x: evaluate(f, env(x)),
                                            len(w) - 1, w[:-1], w[-1], spec))
 
-        integrals[j] = np.column_stack([c * _means(f, rows, q, grid, refuse)
-                                        for (c, *_), f in zip(t, forms[j])])
-        integrals[j] = integrals[j][of]
+        integrals[j] = np.column_stack([c * _means(f, rows, q, grid) for
+                                        (c, *_), f in zip(t, forms[j])])[of]
     # the rests take one radial grid below, beside the coupled blocks
-    radial = np.column_stack([_means((m, None), radial_rows, q, None, refuse)
+    radial = np.column_stack([_means((m, None), radial_rows, q, None)
                               for m, _ in radial_forms])
     if gridded:
         rules = {j: [_block_rule(k.parts[j], tuple(w[:-1]), w[-1], spec)
@@ -373,15 +368,15 @@ def _quadrature(space, a_expr, blocks: dict, k: Partition, e, a0,
                for combo, ts in enumerate(choices))
 
 
-def _means(form, rows, q: int, grid, refuse: bool) -> np.ndarray:
+def _means(form, rows, q: int, grid) -> np.ndarray:
     """The mean of a `dirichlet_form` at each row of rows, the Dirichlet
-    weights of its integral: each monomial (c, exps) axis by axis, inf where
-    it diverges if refuse, and the rest as grid(rest, row)."""
+    weights of its integral: each monomial (c, exps) axis by axis, and the
+    rest as grid(rest, row)."""
     monomials, rest = form
     total = np.zeros(len(rows)) if rest is None else np.array(
         [grid(rest, w) for w in rows])
     for c, exps in monomials:
-        total = total + c * quadrature.monomial_means(exps, rows, q, refuse)
+        total = total + c * quadrature.monomial_means(exps, rows, q)
     return total
 
 
@@ -405,12 +400,6 @@ def _radial_value(space, rests: list, coupled: list, e, a0,
         return vals
 
     return simplex_integrate(g, len(e), e, a0, spec)
-
-
-def _times(*factors) -> Expr | None:
-    """The product of the factors that are not None; None for none."""
-    present = [f for f in factors if f is not None]
-    return reduce(partial(BinOp, "*"), present) if present else None
 
 
 def _roots(name: str, count: int, size: int, over: int | None = None):
@@ -443,11 +432,11 @@ def _mc_value(space, a_expr, blocks: dict, k: Partition, drawn: dict,
         u = dict(zip(drawn, draws))
         env = (_at(space.radial_roots(k.num_blocks), u[None].T)
                if None in u else {})  # the radial draw
-        vals = _evaluate(a_expr, env)
+        vals = evaluate(a_expr or Num(1.0), env)
         for j, (name, b) in sorted(blocks.items()):
             cosines = _at(_roots(name, k.parts[j], u[j].shape[1]),
                           u[j].T) if j in u else {}
-            vals = vals * _evaluate(b, {**env, **cosines})
+            vals = vals * evaluate(b or Num(1.0), {**env, **cosines})
         return np.broadcast_to(vals, len(draws[0]))
 
     return mc_integrate(f, ("dirichlet", list(drawn.values())), spec.order,

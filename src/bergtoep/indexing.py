@@ -73,6 +73,17 @@ class Record:
         return type(self)(**{**vars(self), **changes})
 
 
+def as_integer(value, name: str, error=DomainError) -> int:
+    """int() of value; error, naming name, where value has a fractional
+    part (it is not truncated) or int() cannot read it."""
+    try:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError
+        return int(value)
+    except (TypeError, ValueError):
+        raise error(f"{name} must be an integer, got {value!r}") from None
+
+
 def _lgamma(x: float) -> float:
     try:
         return math.lgamma(x)
@@ -99,7 +110,7 @@ class Partition(Record):
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
+        parts = tuple(as_integer(p, "partition") for p in self.parts)
         if not parts or any(p < 1 for p in parts):
             raise DomainError(f"partition parts must be positive, got {parts}")
         object.__setattr__(self, "parts", parts)

@@ -176,7 +176,7 @@ def simplex_pairs(x):
     return x[..., :d], tails + np.arange(d - 1, -1, -1)
 
 
-def monomial_means(c, x, q: int, refuse: bool = True) -> np.ndarray:
+def monomial_means(c, x, q: int) -> np.ndarray:
     """The mean of prod_i y_i^c_i, c real, under the normalized Dirichlet
     weight prod_i y_i^x_i of each row of x, Duffy axis by axis: axis i
     carries u^s (1-u)^t, s = c_i and t = c_(i+1) + ... + c_d, under
@@ -185,8 +185,8 @@ def monomial_means(c, x, q: int, refuse: bool = True) -> np.ndarray:
     running product of ratios (a+1+k)/(a+b+2+k), then (b+1+k)/(a+b+2+s+k),
     each at most 1, and builds no rule; any other axis sums its rule, all
     rows' rules built in one batch.  A row whose integral diverges
-    (`diverges`) gets inf if refuse, else its rules' sum, the tensor grid's;
-    an overflow gives inf or nan, and no warning."""
+    (`diverges`) gets its rules' sum, the tensor grid's, for the caller to
+    refuse or keep; an overflow gives inf or nan, and no warning."""
     a, b = simplex_pairs(x)
     axes = [(float(c[i]), float(sum(c[i + 1:]))) for i in range(len(c) - 1)]
     exact = np.array([min(s, t) >= 0 and s % 1 == t % 1 == 0
@@ -206,8 +206,6 @@ def monomial_means(c, x, q: int, refuse: bool = True) -> np.ndarray:
                             b[:, i].tolist(), [q] * len(a))
                 mean = mean * [float(np.dot(u ** s * (1.0 - u) ** t, w))
                                for u, w in rules]
-    if refuse:
-        mean[diverges(c, x)] = np.inf
     return mean
 
 

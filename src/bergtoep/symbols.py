@@ -20,7 +20,7 @@ from typing import Union
 import numpy as np
 
 from .expr import Expr, evaluate, parse
-from .indexing import DomainError, Partition, Record
+from .indexing import DomainError, Partition, Record, as_integer
 
 
 class ValidationError(ValueError):
@@ -48,7 +48,7 @@ class AngularFactor(Record):
 
     def __post_init__(self):
         object.__setattr__(self, "b", _as_expr(self.b))
-        p = tuple(int(x) for x in self.p)
+        p = tuple(as_integer(x, "p", ValidationError) for x in self.p)
         object.__setattr__(self, "p", p)
         if sum(p) != 0:
             raise ValidationError(f"block shift {p} must sum to zero")
@@ -70,7 +70,7 @@ class PhaseMonomial(Record):
     p: tuple[int, ...]  # full length n, total sum zero
 
     def __post_init__(self):
-        p = tuple(int(x) for x in self.p)
+        p = tuple(as_integer(x, "p", ValidationError) for x in self.p)
         object.__setattr__(self, "p", p)
         if sum(p) != 0:
             raise ValidationError(f"phase shift {p} must sum to zero")

@@ -420,51 +420,79 @@ def test_invalid_config_is_validation_error(tmp_path):
                                   "samples": 1000.5}),
     ("geometry", "geometry", {"trials": 10.5}),
     ("geometry", "geometry", {"seed": 1.5}),
+    # a whole section: its integers are parts or shifts
+    ("gamma", "partition", [1.5, 1]),
+    ("gamma", "symbols", [{"kind": "multi-sphere", "block": 1, "b": "s1^2",
+                           "p": [0.5, -0.5]}]),
+    ("gamma", "symbols", [{"kind": "phase", "p": [0.5, -0.5]}]),
 ])
 def test_fractional_config_integer_is_validation_error(tmp_path, capsys,
                                                        command, section,
                                                        settings):
-    """A count or seed with a fractional part is refused, not truncated."""
+    """A count, seed, partition part or shift with a fractional part is
+    refused, naming its key, not truncated."""
     cfg = json.loads(json.dumps(BASE_CONFIG))
-    cfg.setdefault(section, {}).update(settings)
+    if isinstance(settings, dict):
+        cfg.setdefault(section, {}).update(settings)
+        [key] = [k for k, v in settings.items() if isinstance(v, float)]
+    else:
+        cfg[section] = settings
+        key = "partition" if section == "partition" else "p"
     path = tmp_path / "c.json"
     path.write_text(json.dumps(cfg))
     assert run([command, "--config", str(path), "--out",
                 str(tmp_path / "o.csv")]) == 2
-    assert "must be an integer" in capsys.readouterr().err
+    assert f"{key} must be an integer" in capsys.readouterr().err
 
 
 BALL_SPACE = {"type": "ball", "n": 2, "lambda": 1.0, "cap": 3}
 
 
-@pytest.mark.parametrize("command, section, key", [
-    ("gamma", "quadrature", "order"),
-    ("gamma", "quadrature", "seed"),
-    ("oracle-compare", "oracle", "grid"),
-    ("oracle-compare", "oracle", "samples"),
-    ("geometry", "geometry", "trials"),
-    ("gamma", "space", "n"),
-    ("gamma", "space", "m"),
-    ("gamma", "ball", "cap"),
-    ("gamma", "ball", "lambda"),
-    ("gamma", "symbol", "block"),
-])
+NON_NUMERIC = [
+    ("gamma", "quadrature", "order", "abc"),
+    ("gamma", "quadrature", "seed", "abc"),
+    ("oracle-compare", "oracle", "grid", "abc"),
+    ("oracle-compare", "oracle", "samples", "abc"),
+    ("geometry", "geometry", "trials", "abc"),
+    ("gamma", "space", "n", "abc"),
+    ("gamma", "space", "m", "abc"),
+    ("gamma", "ball", "cap", "abc"),
+    ("gamma", "ball", "lambda", "abc"),
+    ("gamma", "symbol", "block", "abc"),
+    # a list of the wrong items, or a section of the wrong shape
+    ("gamma", "config", "partition", ["a"]),
+    ("gamma", "symbol", "p", ["x", 1]),
+    ("gamma", "config", "config", []),
+    ("gamma", "config", "space", "P2"),
+    ("gamma", "config", "partition", 3),
+    ("gamma", "config", "symbols", "abc"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, section, key, value", NON_NUMERIC,
+    ids=["-".join(case[:3]) + ("" if case[3] == "abc"
+                               else f"-{type(case[3]).__name__}")
+         for case in NON_NUMERIC])
 def test_non_numeric_config_string_is_validation_error(tmp_path, capsys,
                                                        command, section,
-                                                       key):
-    """A count, seed or lambda given as a non-numeric string is refused
-    with the key's name, not a traceback."""
+                                                       key, value):
+    """A count, seed or lambda given as a non-numeric string, a list of
+    non-numeric parts or shifts, and a config or section that is not the
+    object or list it must be, are refused with the key's name, not a
+    traceback."""
     cfg = json.loads(json.dumps(BASE_CONFIG))
     if section == "ball":
         cfg["space"] = dict(BALL_SPACE)
     target = (cfg["symbols"][1] if section == "symbol"
               else cfg["space"] if section == "ball"
+              else cfg if section == "config"
               else cfg.setdefault(section, {}))
-    target[key] = "abc"
+    target[key] = value
     if key == "samples":
         target["method"] = "monte-carlo"
     path = tmp_path / "c.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(value if key == "config" else cfg))
     assert run([command, "--config", str(path), "--out",
                 str(tmp_path / "o.csv")]) == 2
     assert f"{key} must be" in capsys.readouterr().err

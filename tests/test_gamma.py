@@ -678,8 +678,9 @@ def test_ruled_tables_raise_where_the_grid_raises(space, errors,
     (Product((QuasiRadial("1/r1^2"),
               ExtendedFactor(1, "(1-exp(-r1^2))*s1^2", (0, 0)))),
      Partition((1, 2))),
-    # b's angular terms 1/s1^2 and -exp(-s1^2)/s1^2
-    (ExtendedFactor(0, "r1^2*(1-exp(-s1^2))/s1^2", (0, 0)),
+    # b's angular terms 1/s1^2 and -exp(-s1^2)/s1^2, times a radial
+    # factor with a mean at every weight
+    (ExtendedFactor(0, "r1^2/(1+r1^2+r2^2)*(1-exp(-s1^2))/s1^2", (0, 0)),
      Partition((2, 1))),
 ])
 def test_divergent_monomial_beside_a_term_that_cancels_it(psi, k,
@@ -742,7 +743,8 @@ def test_monte_carlo_keeps_a_divergent_monomial_that_a_rest_cancels():
     (QuasiRadial("r1^2/(1+r1^2)"), (1, 1)),
     (MultiSphereFactor(0, "s1^2 + s2", (1, -1)), (2,)),
     (MultiSphereFactor(0, "1/s1", (1, -1)), (2,)),
-    (Product((QuasiRadial("r1^2"), ExtendedFactor(1, "r1*s1", (0, 0)))),
+    # r2^2 r1^-1 = x2 x1^-1/2 x0^-1/2 on P^n: a mean at every weight
+    (Product((QuasiRadial("r2^2/r1^2"), ExtendedFactor(1, "r1*s1", (0, 0)))),
      (1, 2)),
     (Product((QuasiRadial("1/r1"), MultiSphereFactor(1, "s1^2", (1, -1)))),
      (1, 2))])
@@ -759,6 +761,196 @@ def test_convergent_monte_carlo_tables_are_bitwise_unrefused(psi, k,
                           lambda c, x: np.zeros(len(x), dtype=bool))
             want = build_gamma_table(psi, space, k, MC_SPEC).values
         assert got.tobytes() == want.tobytes()
+
+
+def _qr(a):
+    return {"kind": "quasi-radial", "a": a}
+
+
+def _ext(block, b, kind="extended"):
+    return {"kind": kind, "block": block, "b": b, "p": [0, 0]}
+
+
+# symbols with the partition they live on and the alpha each space refuses
+# first (P^n at m = 6, the ball at cap 6), None where the table builds
+PARITY_SYMBOLS = {
+    # 1/r1^2 = x0/x1 has no mean at alpha_1 = 0, beside a rest in block 2
+    "inv-r1-times-exp-s1": (
+        [_qr("1/r1^2"), _ext(2, "exp(s1)", "multi-sphere")], [1, 2],
+        (0, 0, 0), (0, 0, 0)),
+    # ... and times a block factor whose radial term r2 joins a in one
+    # family of monomials
+    "inv-r1-times-r2-s1": ([_qr("1/r1^2"), _ext(2, "r2*s1^2")], [1, 2],
+                           (0, 0, 0), (0, 0, 0)),
+    # r1^2 = x1/x0 on P^n has no mean at |alpha| = m, beside a block rest
+    "r1-times-cancelling-s1": ([_ext(1, "r1^2*(1-exp(-s1^2))/s1^2")], [2, 1],
+                               (0, 0, 6), None),
+    # r1^3 = x1^3/2 x0^-3/2 on P^n, no mean at |alpha| = m
+    "r1-cubed": ([_qr("r1^2"), _ext(2, "r1*s1")], [1, 2], (0, 0, 6), None),
+    "inv-r1": ([_qr("1/r1^2")], [1, 2], (0, 0, 0), (0, 0, 0)),
+    "inv-s1": ([_ext(2, "1/s1^2", "multi-sphere")], [1, 2], (0, 0, 0),
+               (0, 0, 0)),
+    # the four cancellations of
+    # test_divergent_monomial_beside_a_term_that_cancels_it
+    "cancel-in-a": ([_qr("(1-exp(-r1^2))/r1^2")], [1, 1], None, None),
+    "cancel-in-b": ([_ext(1, "(1-exp(-s1^2))/s1^2")], [2], None, None),
+    "cancel-in-a-times-b": ([_qr("1/r1^2"),
+                             _ext(2, "(1-exp(-r1^2))*s1^2")], [1, 2],
+                            None, None),
+    "cancel-in-b-angular": (
+        [_ext(1, "r1^2/(1+r1^2+r2^2)*(1-exp(-s1^2))/s1^2")], [2, 1],
+        None, None),
+}
+
+
+@pytest.mark.parametrize("ball", [False, True], ids=["projective", "ball"])
+@pytest.mark.parametrize("name", sorted(PARITY_SYMBOLS))
+def test_both_methods_refuse_the_same_divergent_row(name, ball, tmp_path,
+                                                    capsys):
+    """Quadrature and Monte Carlo (1000 samples) either both build the
+    table or both exit 3 naming the same alpha: the first alpha where a
+    family of means with no rest diverges."""
+    symbols, partition, on_pn, on_ball = PARITY_SYMBOLS[name]
+    n = sum(partition)
+    space = ({"type": "ball", "n": n, "lambda": 0.5, "cap": 6} if ball
+             else {"type": "projective", "n": n, "m": 6})
+    outcomes = []
+    for quadrature_cfg in ({}, _MC):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "space": space, "partition": partition, "symbols": symbols,
+            "quadrature": quadrature_cfg}))
+        code = main(["gamma", "--config", str(cfg), "--out",
+                     str(tmp_path / "g.csv")])
+        outcomes.append((code, capsys.readouterr().err))
+    refused = on_ball if ball else on_pn
+    assert outcomes[0] == outcomes[1] == (
+        (0, "") if refused is None
+        else (3, f"error: gamma{refused} = inf is not finite\n"))
+
+
+# each power of a radius or cosine in [-4, 4]: a half-integer exponent in
+# [-2, 2] over the barycentric coordinates
+POWERS = st.integers(-4, 4)
+
+
+def _power_source(powers: dict) -> str:
+    """prod v^p over powers, the negative ones as one divisor."""
+    num = "*".join(f"{v}^{p}" for v, p in powers.items() if p > 0) or "1"
+    den = "*".join(f"{v}^{-p}" for v, p in powers.items() if p < 0)
+    return f"({num})/({den})" if den else num
+
+
+def _refused_by_exponents(space, k, c, d):
+    """Whether each basis row has no mean, for r^c (c_j the total power of
+    r_j; None for a radial rest, which refuses nothing) times, in each
+    block j of d, prod_l s_l^d[j][l]: r_j^2 is x_j, or x_j / x_0 on P^n,
+    under x^e x_0^a0, e_j = |alpha_(j)| + k_j - 1, a0 = m - |alpha| on P^n,
+    and s_l^2 = y_l under the block weight y^alpha_(j); a power x^u under
+    x^w has no mean where u + w <= -1."""
+    rows = []
+    for alpha in enumerate_basis(k.n, space.degree).tolist():
+        low = [a + p / 2 for j, powers in d.items()
+               for a, p in zip(k.block(alpha, j), powers)]
+        if c is not None:
+            low += [sum(k.block(alpha, j)) + kj - 1 + c[j] / 2
+                    for j, kj in enumerate(k.parts)]
+        if c is not None and isinstance(space, ProjectiveSpace):
+            low.append(space.m - sum(alpha) - sum(c) / 2)
+        rows.append(min(low, default=0) <= -1)
+    return np.array(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_both_methods_refuse_the_rows_of_the_exponent_rule(data):
+    """A quasi-radial product of powers of the radii times, on some
+    blocks, an extended factor of powers of the radii and of the block's
+    cosines, each maybe times an exp(.) rest, on P^n (n <= 3, m <= 4) or
+    the ball (cap <= 3): quadrature and Monte Carlo (100 samples) give inf,
+    a refusal, at the same rows.  Where no factor has a rest, these are the
+    rows of the exponent rule above; else they include the rule's rows of
+    the families with no rest: the radial one, unless exp(-r_j) is a
+    factor, and each block's cosines, unless exp(s_l) is."""
+    k = Partition(data.draw(st.sampled_from(
+        [(1,), (2,), (1, 1), (3,), (1, 2), (2, 1), (1, 1, 1)])))
+    space = data.draw(st.sampled_from(
+        [ProjectiveSpace(k.n, m) for m in range(1, 5)]
+        + [BallSpace(k.n, 0.5, cap) for cap in range(1, 4)]))
+    radii = [f"r{j + 1}" for j in range(k.num_blocks)]
+    a = {v: data.draw(POWERS) for v in radii}
+    c = np.array(list(a.values()), dtype=float)
+    a_source, radial_rest = _power_source(a), data.draw(st.booleans())
+    if radial_rest:
+        a_source += f"*exp(-{data.draw(st.sampled_from(radii))})"
+    factors, d = [], {}
+    for j, kj in enumerate(k.parts):
+        if not data.draw(st.booleans()):
+            continue
+        b = {v: data.draw(POWERS) for v in radii}
+        c += list(b.values())
+        cosines = [f"s{l + 1}" for l in range(kj)] if kj > 1 else []
+        powers = [data.draw(POWERS) for _ in cosines]
+        source = _power_source({**b, **dict(zip(cosines, powers))})
+        if data.draw(st.booleans()):
+            v = data.draw(st.sampled_from(cosines + radii))
+            radial_rest |= v in radii
+            source += f"*exp(-{v})" if v in radii else f"*exp({v})"
+            if v in radii:
+                d[j] = powers
+        else:
+            d[j] = powers
+        factors.append(ExtendedFactor(j, source, (0,) * kj))
+    psi = Product((QuasiRadial(a_source), *factors))
+    a_expr, blocks, p = gamma_module._split_product(psi, k, ExtendedFactor)
+    basis = enumerate_basis(k.n, space.degree)
+    refused = []
+    for spec in (QuadratureSpec(order=10),
+                 QuadratureSpec(method="monte-carlo", order=100, seed=1)):
+        with np.errstate(all="ignore"):
+            values = gamma_module._values(space, a_expr, blocks, k, p,
+                                          basis, spec)
+        refused.append(values == np.inf)
+    assert np.array_equal(refused[0], refused[1])
+    want = _refused_by_exponents(space, k, None if radial_rest else c, d)
+    if radial_rest or len(d) < len(factors):
+        # a rest refuses nothing in its own family, nor stops another's
+        assert np.all(refused[0] >= want)
+    else:
+        assert np.array_equal(refused[0], want)
+
+
+def test_one_divergence_test_before_the_method_branch():
+    """quadrature.diverges has a single caller in gamma.py, and _values
+    reaches it before it branches on the quadrature method."""
+    tree = ast.parse(Path(gamma_module.__file__).read_text())
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+
+    def calls(fn, match):
+        return [node.lineno for node in ast.walk(fn)
+                if isinstance(node, ast.Call) and match(node.func)]
+
+    def is_diverges(f):
+        return (isinstance(f, ast.Attribute) and f.attr == "diverges"
+                and isinstance(f.value, ast.Name)
+                and f.value.id == "quadrature")
+
+    callers = {name: lines for name, fn in functions.items()
+               if (lines := calls(fn, is_diverges))}
+    assert [len(lines) for lines in callers.values()] == [1]
+    assert "diverges" not in {node.id for node in ast.walk(tree)
+                              if isinstance(node, ast.Name)}
+    [(caller, [line])] = callers.items()
+    values = functions["_values"]
+    method = min(node.lineno for node in ast.walk(values)
+                 if isinstance(node, ast.Attribute) and node.attr == "method")
+    branch = min(node.lineno for node in ast.walk(values)
+                 if isinstance(node, ast.If) and node.lineno >= method)
+    if caller != "_values":
+        [line] = calls(values, lambda f: isinstance(f, ast.Name)
+                       and f.id == caller)
+    assert line < branch
 
 
 def test_all_monomial_radial_products_take_no_grid():
@@ -827,8 +1019,8 @@ def test_split_terms_match_the_coupled_grid(b):
     padded = {v: r[..., None] for v, r in radii.items()}
 
     def parts():
-        return [c * np.asarray(gamma_module._evaluate(R, padded))
-                * gamma_module._evaluate(S, cosines) for c, R, S in terms]
+        return [c * np.asarray(evaluate(R or Num(1.0), padded))
+                * evaluate(S or Num(1.0), cosines) for c, R, S in terms]
 
     try:
         want = evaluate(b, {**padded, **cosines})
