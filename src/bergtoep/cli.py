@@ -292,15 +292,16 @@ def cmd_geometry(args, cfg) -> None:
     check = gcfg.get("check", "invariance")
     trials = _integer(gcfg, "trials", 1000)
     seed = _integer(gcfg, "seed", cfg["quadrature"].seed)
-    rows = []
-    for i, s in enumerate(cfg["symbols"]):
-        if check == "factorization":
-            dev = factorization_check(s, k, pairs=trials, seed=seed)
-            rows.append([i, "factorization", repr(dev)])
-        else:
-            action = gcfg.get("action", "full-torus")
-            dev = invariance_check(s, k, action, trials=trials, seed=seed)
-            rows.append([i, action, repr(dev)])
+    # one draw of the trials serves every symbol
+    if check == "factorization":
+        label = "factorization"
+        devs = factorization_check(cfg["symbols"], k, pairs=trials,
+                                   seed=seed)
+    else:
+        label = gcfg.get("action", "full-torus")
+        devs = invariance_check(cfg["symbols"], k, label, trials=trials,
+                                seed=seed)
+    rows = [[i, label, repr(dev)] for i, dev in enumerate(devs)]
     write_rows(args, cfg, rows, ["symbol", "check", "max_deviation"])
 
 

@@ -57,25 +57,31 @@ def _sample_points(rng, n: int, count: int) -> np.ndarray:
     return z
 
 
-def _max_deviation(psi: SymbolSpec, k: Partition, trials: int, seed: int,
-                   draw, finish) -> float:
+def _max_deviation(psi, k: Partition, trials: int, seed: int, draw,
+                   finish):
     """Max |psi(z') - psi(z)| over trials, each drawing z and then
     draw(rng, z) from its own default_rng(seed + trial); finish(Z, draws)
-    gives all the z' at once, and psi takes all 2 trials points."""
+    gives all the z' at once, and psi takes all 2 trials points.  For a
+    list of symbols psi, the list of their maxima on the one draw."""
     Z, draws = np.empty((2, trials, k.n), dtype=complex), []
     for trial in range(trials):
         rng = np.random.default_rng(seed + trial)
         Z[0, trial] = _sample_points(rng, k.n, 1)[0]
         draws.append(draw(rng, Z[0, trial]))
     Z[1] = finish(Z[0], draws)
-    vals = evaluate_symbol_batch(psi, np.abs(Z), np.angle(Z), k)
-    # Python's abs, as for one pair: NumPy's vector loop may round |z| apart
-    return max(0.0, *map(abs, (vals[1] - vals[0]).tolist()))
+    one = not isinstance(psi, list)
+    R, theta, devs = np.abs(Z), np.angle(Z), []
+    for s in [psi] if one else psi:
+        vals = evaluate_symbol_batch(s, R, theta, k)
+        # Python's abs: NumPy's vector loop may round |z| apart
+        devs.append(max(0.0, *map(abs, (vals[1] - vals[0]).tolist())))
+    return devs[0] if one else devs
 
 
-def invariance_check(psi: SymbolSpec, k: Partition, action: str,
-                     trials: int = 1000, seed: int = 0) -> float:
-    """Max |psi(t.z) - psi(z)| over random points and torus elements.
+def invariance_check(psi: SymbolSpec | list, k: Partition, action: str,
+                     trials: int = 1000, seed: int = 0) -> float | list:
+    """Max |psi(t.z) - psi(z)| over random points and torus elements, or
+    for a list of symbols psi the list of their maxima, all on one draw.
 
     action "full-torus" multiplies each coordinate by its own phase;
     "partition-torus" multiplies block j by t_j / t_0 (the chart form of
@@ -107,9 +113,10 @@ def _haar_unitaries(g) -> np.ndarray:
     return q * (diag / np.abs(diag))[..., None, :]
 
 
-def factorization_check(a: SymbolSpec, k: Partition, pairs: int = 1000,
-                        seed: int = 0) -> float:
-    """Max |a(z) - a(Uz)| over random block-diagonal unitaries U.
+def factorization_check(a: SymbolSpec | list, k: Partition,
+                        pairs: int = 1000, seed: int = 0) -> float | list:
+    """Max |a(z) - a(Uz)| over random block-diagonal unitaries U, or for a
+    list of symbols a the list of their maxima, all on one draw.
 
     Block unitaries preserve the block moment map exactly, so any symbol
     factoring through it must be constant along these orbits.

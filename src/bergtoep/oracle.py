@@ -36,21 +36,25 @@ agrees, the q_theta grid decides, so a table costs at most twice the full
 grid.  samples_or_points stays the nominal q_r^n q_theta^n.  psi is
 evaluated in chunks of at most _CHUNK_POINTS points.
 
-Monte Carlo.  Both spaces draw from their own measures, through
-mc_integrate, which hands over the points as their moduli R and angles
-theta: the ball from its weight-lambda probability measure, P^n from the
-weight-M one, with the importance weight w of weight m against M.  Every
-row with the same measure reads the same draw (on the ball, the whole
-table; on P^n, each M), so the table makes one mc_integrate call per
-measure, whose f yields every row's integrand chunk by chunk.  psi is
-evaluated, phase and all, at every drawn point, so the estimate still
-checks the evaluator's t^p.  The estimator is in the factored form
-z^alpha conj(z^beta) = R^(alpha+beta) e^{-i (beta-alpha).theta}: a chunk
-takes psi w once, per shift beta - alpha the product
-c = psi w e^{-i (beta-alpha).theta}, in real arithmetic from the cos and
-sin of one angle, and per row one real monomial prod R_i^(alpha_i+beta_i).
-The draw holds R for the whole sample, 8n bytes a sample, and one chunk;
-a row's estimate is bitwise that of a one-pair call.
+Monte Carlo.  A table takes one draw through mc_integrate, which hands
+over the points as their moduli R and angles theta, and whose f yields
+every row's integrand chunk by chunk.  The ball draws from its
+weight-lambda probability measure, P^n from its weight-0 one whatever m:
+under the moment map x_i = R_i^2 x_0, x_0 = 1/(1 + |R|^2), that is the
+uniform measure on the simplex, and the weight-m measure is it times the
+density w = C(n+m, n) x_0^m.  As |alpha|, |beta| <= m,
+|z^alpha conj(z^beta)| w = w prod_i (x_i/x_0)^((alpha_i+beta_i)/2) is at
+most C(n+m, n), the dimension, so every row's integrand is bounded by
+dim max |psi| at every degree and every m.  psi is evaluated, phase and
+all, at every drawn point, so the estimate still checks the evaluator's
+t^p.  The estimator is in the factored form z^alpha conj(z^beta) =
+R^(alpha+beta) e^{-i (beta-alpha).theta}: a chunk takes psi once, per
+shift beta - alpha the product c = psi e^{-i (beta-alpha).theta}, in real
+arithmetic from the cos and sin of one angle, and per row one exp of
+log w + sum_i (alpha_i+beta_i) log R_i, which cannot overflow where
+R^(alpha+beta) alone would.  The draw holds R for the whole sample, 8n
+bytes a sample, and one chunk; a row's estimate is bitwise that of a
+one-pair call.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ from .indexing import (
     monomial_norm_sq_projective,
 )
 from .quadrature import mc_integrate, simplex_rule
-from .symbols import SymbolSpec, evaluate_symbol_batch
+from .symbols import SymbolSpec, evaluate_symbol_batch, row_sum
 
 DEFAULT_GRID = 64
 DEFAULT_SAMPLES = 10**6
@@ -179,71 +183,59 @@ def _polar_rows(psi, k, pairs, measure, q_r, q_theta):
     return rows, (q_r * q_theta)**n
 
 
-def _mc_shifted(psi_w, theta, diff):
-    """c = psi w e^{-i diff.theta} at every point of a chunk: the cos and
+def _mc_shifted(values, theta, diff):
+    """c = values e^{-i diff.theta} at every point of a chunk: the cos and
     sin of the one angle -diff.theta, summed in coordinate order, times
-    psi w in real arithmetic."""
+    values in real arithmetic."""
     if not any(diff):
-        return psi_w
+        return values
     angle = sum(-d * theta[:, j] for j, d in enumerate(diff) if d)
     cos, sin = np.cos(angle), np.sin(angle, out=angle)
-    c = np.empty_like(psi_w)
-    c.real = psi_w.real * cos - psi_w.imag * sin
-    c.imag = psi_w.real * sin + psi_w.imag * cos
+    c = np.empty_like(values)
+    c.real = values.real * cos - values.imag * sin
+    c.imag = values.real * sin + values.imag * cos
     return c
 
 
-def _mc_integrands(psi, k, pairs, domain, m):
-    """The f of mc_integrate on domain for the pairs: on a chunk of points
-    (R, theta), psi z^alpha conj(z^beta) w of each pair in turn, with the
-    importance weight w of the weight-m measure against the drawn weight M
-    on P^n, and w = 1 on the ball.  psi w is evaluated once a chunk, and
-    c = psi w e^{-i (beta-alpha).theta} once a shift; each pair then costs
-    the real monomial prod R_i^(alpha_i+beta_i)."""
-    if domain[0] == "nu_m":
-        n, M = domain[1:]
-        log_c = lambda x: gammaln(n + x + 1) - gammaln(x + 1)
+def _mc_integrands(psi, k, pairs, measure):
+    """The f of mc_integrate for the pairs: on a chunk of points
+    (R, theta), psi z^alpha conj(z^beta) w of each pair in turn, with w the
+    density C(n+m, n) (1 + |R|^2)^-m of P^n's weight-m measure against the
+    drawn weight-0 one, and w = 1 on the ball.  psi is evaluated once a
+    chunk, c = psi e^{-i (beta-alpha).theta} once a shift, and each pair
+    costs one exp of log w + sum_i (alpha_i+beta_i) log R_i."""
+    kind, n, m = measure
+    diffs = [tuple(b - a for a, b in zip(*pair)) for pair in pairs]
 
     def f(R, theta):
-        psi_w = evaluate_symbol_batch(psi, R, theta, k)
-        if domain[0] == "nu_m":
-            psi_w *= np.exp(log_c(m) - log_c(M) + (M - m) * np.log1p(
-                np.sum(R ** 2, axis=1)))
-        shifts = {}
-        for alpha, beta in pairs:
-            diff = tuple(b - a for a, b in zip(alpha, beta))
-            if diff not in shifts:
-                shifts[diff] = _mc_shifted(psi_w, theta, diff)
-            mono = None
-            for r, e in zip(R.T, (a + b for a, b in zip(alpha, beta))):
+        values = evaluate_symbol_batch(psi, R, theta, k)
+        # every shift's c at once, so that psi's values are freed
+        shifts = {d: _mc_shifted(values, theta, d)
+                  for d in dict.fromkeys(diffs)}
+        del values
+        log_w = np.zeros(len(R)) if kind == "ball" else (
+            math.log(math.comb(n + m, n)) - m * np.log1p(row_sum(R**2)))
+        log_R = np.log(R)
+        for (alpha, beta), diff in zip(pairs, diffs):
+            log_f = log_w.copy()
+            for j, e in enumerate(a + b for a, b in zip(alpha, beta)):
                 if e:
-                    mono = r**e if mono is None else np.multiply(mono, r**e,
-                                                                out=mono)
-            yield shifts[diff] if mono is None else shifts[diff] * mono
+                    log_f += e * log_R[:, j]
+            yield shifts[diff] * np.exp(log_f, out=log_f)
 
     return f
 
 
 def _mc_rows(psi, k, pairs, measure, samples, seed):
     """(estimate, stderr) of E[psi z^alpha conj(z^beta) w] for every pair,
-    one mc_integrate call for all pairs of one measure."""
-    kind, n, weight = measure
-    draws = {}
-    for i, (alpha, beta) in enumerate(pairs):
-        domain = measure
-        if kind == "nu_m":
-            # Importance-sample from the heavier-tailed weight-M measure so
-            # the estimator keeps finite variance: the integrand grows like
-            # |z|^D with D = |alpha|+|beta|, and the second moment under
-            # weight M is finite exactly when M <= 2m - D.
-            D = sum(alpha) + sum(beta)
-            domain = ("nu_m", n, weight if D <= weight else 2 * weight - D)
-        draws.setdefault(domain, []).append(i)
-    out = {}
-    for domain, rows in draws.items():
-        f = _mc_integrands(psi, k, [pairs[i] for i in rows], domain, weight)
-        out.update(zip(rows, mc_integrate(f, domain, samples, seed)))
-    return [out[i] for i in range(len(pairs))], samples
+    from one mc_integrate draw: the ball's own measure, or the weight-0
+    measure of P^n whatever the weight m."""
+    if not pairs:
+        return [], samples
+    kind, n, _ = measure
+    domain = measure if kind == "ball" else ("nu_m", n, 0)
+    return mc_integrate(_mc_integrands(psi, k, pairs, measure), domain,
+                        samples, seed), samples
 
 
 def _oracle(psi, k, alpha, beta, measure, method, norm_sq=None,

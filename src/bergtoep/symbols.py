@@ -139,9 +139,21 @@ def conjugate(psi: SymbolSpec) -> SymbolSpec:
     raise TypeError(f"not a symbol: {psi!r}")
 
 
+def row_sum(x):
+    """np.sum(x, axis=-1) bit for bit, and far faster on a short last axis:
+    the columns added in order from +0.0, as NumPy sums fewer than 8 of
+    them; from 8 on it sums pairwise, and np.sum takes over."""
+    if x.shape[-1] >= 8:
+        return np.sum(x, axis=-1)
+    out = np.zeros(x.shape[:-1])
+    for j in range(x.shape[-1]):
+        out += x[..., j]
+    return out
+
+
 def _cosines(x):
     """x / |x| over the last axis, the uniform point where |x| = 0."""
-    norm = np.sqrt(np.sum(x**2, axis=-1, keepdims=True))
+    norm = np.sqrt(row_sum(x**2))[..., None]
     return np.where(norm > 0, x / np.where(norm > 0, norm, 1.0),
                     1.0 / np.sqrt(x.shape[-1]))
 
@@ -164,7 +176,7 @@ def evaluate_symbol_batch(psi: SymbolSpec, R, theta, k: Partition):
         raise DomainError(f"points have {R.shape[-1]} moduli and "
                           f"{theta.shape[-1]} angles, expected {k.n}")
     # the block radii r1..rl
-    radii = {f"r{j + 1}": np.sqrt(np.sum(R[..., k.block_slice(j)]**2, -1))
+    radii = {f"r{j + 1}": np.sqrt(row_sum(R[..., k.block_slice(j)]**2))
              for j in range(k.num_blocks)}
     value = np.ones(R.shape[:-1])
     for f in flatten(psi):

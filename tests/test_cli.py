@@ -15,7 +15,7 @@ import pytest
 from bergtoep import gamma as gamma_module
 from bergtoep import quadrature as quadrature_module
 from bergtoep.cli import build_parser, load_config, main
-from bergtoep.indexing import Partition, gammaln, monomial_norm_sq_projective
+from bergtoep.indexing import Partition, monomial_norm_sq_projective
 from bergtoep.quadrature import QuadratureSpec
 from bergtoep.symbols import SingleSphereFactor, evaluate_symbol_batch
 
@@ -324,8 +324,9 @@ def test_monte_carlo_oracle_compare_is_chunk_independent(tmp_path,
                                                          monkeypatch):
     """With the draw streamed in chunks of 1000 points (which does not
     divide the sample count), each row's gamma_oracle and stderr are
-    bitwise those of mc_integrate on the row's integrand over the norm, and
-    agree to 1e-13 with the draw taken in one chunk."""
+    bitwise those of mc_integrate on the row's integrand over the norm,
+    under the one weight-0 draw of the table, and agree to 1e-13 with the
+    draw taken in one chunk."""
     samples, seed, m, p = 20_500, 3, 3, (1, -1, 0)
     cfg = dict(MC_P3_CONFIG, oracle={"method": "monte-carlo",
                                      "samples": samples, "seed": seed})
@@ -343,25 +344,25 @@ def test_monte_carlo_oracle_compare_is_chunk_independent(tmp_path,
     for row in outputs[1]:
         alpha = tuple(map(int, row[0].split()))
         beta = tuple(a + q for a, q in zip(alpha, p))
-        M = m if 2 * sum(alpha) <= m else 2 * m - 2 * sum(alpha)
-        logw0 = ((gammaln(3 + m + 1) - gammaln(m + 1))
-                 - (gammaln(3 + M + 1) - gammaln(M + 1)))
 
         def f(R, theta):
             c = evaluate_symbol_batch(psi, R, theta, k)
-            c *= np.exp(logw0 + (M - m) * np.log1p(np.sum(R ** 2, axis=1)))
             cos, sin = np.cos(-theta[:, 0] + theta[:, 1]), np.sin(
                 -theta[:, 0] + theta[:, 1])
             c = (c.real * cos - c.imag * sin) + 1j * (c.real * sin
                                                       + c.imag * cos)
-            mono = None
-            for r, e in zip(R.T, (a + b for a, b in zip(alpha, beta))):
+            # the density of the weight-m measure against the weight-0
+            # draw, times R^(alpha+beta), in logs
+            log_R = np.log(R)
+            log_f = (math.log(math.comb(3 + m, 3))
+                     - m * np.log1p(np.sum(R ** 2, axis=1)))
+            for j, e in enumerate(a + b for a, b in zip(alpha, beta)):
                 if e:
-                    mono = r ** e if mono is None else mono * r ** e
-            return c if mono is None else c * mono
+                    log_f = log_f + e * log_R[:, j]
+            return c * np.exp(log_f)
 
         value, stderr = quadrature_module.mc_integrate(
-            f, ("nu_m", 3, M), samples, seed)
+            f, ("nu_m", 3, 0), samples, seed)
         nsq = float(monomial_norm_sq_projective(beta, m))
         assert row[2:5:2] == [repr((value / nsq).real), repr(stderr / nsq)]
     for whole, row in zip(*outputs):

@@ -34,7 +34,7 @@ from bergtoep.gamma import (
 from bergtoep.expr import parse
 from bergtoep.indexing import DomainError, Partition, enumerate_basis
 from bergtoep.operators import product_table
-from bergtoep.oracle import gamma_from_oracle_ball
+from bergtoep.oracle import gamma_from_oracle, gamma_from_oracle_ball
 from bergtoep.quadrature import (QuadratureSpec, simplex_integrate,
                                  simplex_rule)
 from bergtoep.symbols import (
@@ -967,6 +967,38 @@ def test_all_monomial_radial_products_take_no_grid():
     o = gamma_from_oracle_ball(psi, alphas, table.shift, lam, 6, k,
                                method="monte-carlo", samples=4 * 10**5,
                                seed=3)
+    for alpha, value, stderr in zip(alphas, o.value, o.stderr):
+        assert abs(table.entries[alpha] - value) <= 4 * stderr
+
+
+def test_monte_carlo_oracle_is_finite_at_weight_200():
+    """At m = 200 on P^2 the rows of grade 1, 100 and 200 are finite and
+    within 4 stderr of the engine: R^(alpha+beta) overflows on much of the
+    draw and the density C(n+m, n) (1+|R|^2)^-m underflows there, so their
+    product is taken in logs and neither is formed alone."""
+    psi, k, m = MultiSphereFactor(0, "s1^2", (1, -1)), Partition((2,)), 200
+    alphas = [(0, m), (m // 2, m // 2), (0, 1)]
+    o = gamma_from_oracle(psi, alphas, (1, -1), m, 2, k,
+                          method="monte-carlo", samples=20_000, seed=1)
+    table = build_gamma_table(psi, ProjectiveSpace(2, m), k, SPEC)
+    for alpha, value, stderr in zip(alphas, o.value, o.stderr):
+        assert np.isfinite(value) and 0 < stderr < np.inf
+        assert abs(table.entries[alpha] - value) <= 4 * stderr
+
+
+def test_monte_carlo_oracle_table_at_weight_20():
+    """Every row of the table of r1^2/(1+r1^2) s1^2 t^(1,-1) on P^2 at
+    m = 20 (210 rows, 10^5 samples, one draw) is within 4 stderr of the
+    engine, the rows of grade 11 to 20 too, whose integrand has no finite
+    variance under the weight-m measure itself."""
+    k, m, p = Partition((2,)), 20, (1, -1)
+    psi = Product((QuasiRadial("r1^2/(1+r1^2)"),
+                   MultiSphereFactor(0, "s1^2", p)))
+    table = build_gamma_table(psi, ProjectiveSpace(2, m), k, SPEC)
+    alphas = [a for a in table.entries if a[1] >= 1]
+    o = gamma_from_oracle(psi, alphas, p, m, 2, k, method="monte-carlo",
+                          samples=10**5, seed=1)
+    assert len(alphas) == 210
     for alpha, value, stderr in zip(alphas, o.value, o.stderr):
         assert abs(table.entries[alpha] - value) <= 4 * stderr
 

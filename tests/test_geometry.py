@@ -167,3 +167,20 @@ def test_batched_trials_equal_the_per_trial_loop(psi, check, trials):
     else:
         got = invariance_check(psi, K21, check, trials=trials, seed=5)
     assert got == per_trial_deviation(psi, K21, check, trials, 5)
+
+
+@pytest.mark.parametrize("check", ["full-torus", "partition-torus",
+                                   "factorization"])
+def test_a_list_of_symbols_shares_one_draw(check):
+    """A list of symbols is checked on one draw, each bitwise as when
+    checked alone."""
+    symbols = [psi for psi, _, _ in DEVIATION_CASES]
+    if check == "factorization":
+        got = factorization_check(symbols, K21, pairs=200, seed=5)
+        alone = [factorization_check(s, K21, pairs=200, seed=5)
+                 for s in symbols]
+    else:
+        got = invariance_check(symbols, K21, check, trials=200, seed=5)
+        alone = [invariance_check(s, K21, check, trials=200, seed=5)
+                 for s in symbols]
+    assert got == alone

@@ -1,6 +1,7 @@
 """Direct-integration oracles: self-validation against exact norms."""
 
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -229,37 +230,38 @@ def test_table_memo_matches_per_alpha_rules_ball(lam, p):
         assert shared == pytest.approx(want, rel=1e-13, abs=1e-14)
 
 
-def _factored(psi, k, alpha, beta, domain, m):
+def _factored(psi, k, alpha, beta, measure):
     """One row's integrand on whole arrays of points, operation by
-    operation the factored form: psi w e^{-i (beta-alpha).theta} times the
-    real monomial prod R_i^(alpha_i+beta_i)."""
-    n, M = domain[1:]
+    operation the factored form: psi e^{-i (beta-alpha).theta} times
+    exp(log w + sum_i e_i log R_i), e = alpha + beta, with w the density
+    C(n+m, n) (1 + |R|^2)^-m of the weight-m measure against the weight-0
+    one on P^n, and w = 1 on the ball."""
+    kind, n, m = measure
 
     def f(R, theta):
         c = evaluate_symbol_batch(psi, R, theta, k)
-        if domain[0] == "nu_m":
-            logw0 = ((gammaln(n + m + 1) - gammaln(m + 1))
-                     - (gammaln(n + M + 1) - gammaln(M + 1)))
-            c *= np.exp(logw0 + (M - m) * np.log1p(np.sum(R ** 2, axis=1)))
         diff = [b - a for a, b in zip(alpha, beta)]
         if any(diff):
             angle = sum(-d * theta[:, j] for j, d in enumerate(diff) if d)
             cos, sin = np.cos(angle), np.sin(angle)
             c = (c.real * cos - c.imag * sin) + 1j * (c.real * sin
                                                       + c.imag * cos)
-        mono = None
-        for r, e in zip(R.T, (a + b for a, b in zip(alpha, beta))):
+        log_f, log_R = 0.0, np.log(R)
+        if kind == "nu_m":
+            log_f = (math.log(math.comb(n + m, n))
+                     - m * np.log1p(np.sum(R ** 2, axis=1)))
+        for j, e in enumerate(a + b for a, b in zip(alpha, beta)):
             if e:
-                mono = r ** e if mono is None else mono * r ** e
-        return c if mono is None else c * mono
+                log_f = log_f + e * log_R[:, j]
+        return c * np.exp(log_f)
 
     return f
 
 
 def test_mc_memo_is_bitwise_per_alpha_draws(monkeypatch):
-    """One draw per importance weight M, and each row bitwise the estimate
-    of a one-pair call, which draws again under the same seed, and of
-    mc_integrate on the row's integrand."""
+    """One draw, from the weight-0 measure, serves a whole P^n table, and
+    each row is bitwise the estimate of a one-pair call, which draws again
+    under the same seed, and of mc_integrate on the row's integrand."""
     n, m, k, samples, seed = 2, 3, K2, 2000, 4
     psi = _multisphere((1, -1))
     pairs = _table_pairs(n, m, (1, -1))[:-1]
@@ -267,22 +269,40 @@ def test_mc_memo_is_bitwise_per_alpha_draws(monkeypatch):
     table = inner_product_projective(psi, *_stacks(pairs), m, n, k,
                                      method="monte-carlo", samples=samples,
                                      seed=seed)
-    weights = []
+    assert [d[1] for d in draws] == [("nu_m", n, 0)]
     for (alpha, beta), value, stderr in zip(pairs, table.value,
                                             table.stderr):
         alone = inner_product_projective(psi, alpha, beta, m, n, k,
                                          method="monte-carlo",
                                          samples=samples, seed=seed)
-        D = sum(alpha) + sum(beta)
-        M = m if D <= m else 2 * m - D
-        weights.append(M)
-        want = mc_integrate(_factored(psi, k, alpha, beta, ("nu_m", n, M), m),
-                            ("nu_m", n, M), samples, seed)
+        want = mc_integrate(_factored(psi, k, alpha, beta, ("nu_m", n, m)),
+                            ("nu_m", n, 0), samples, seed)
         assert (value, stderr) == (alone.value, alone.stderr) == want
         assert alone.samples_or_points == table.samples_or_points == samples
-    assert [d[1] for d in draws[:len(set(weights))]] == [
-        ("nu_m", n, M) for M in dict.fromkeys(weights)]
-    assert len(set(weights)) > 1
+    assert len(draws) == 1 + len(pairs)
+
+
+def test_mc_integrands_are_bounded_by_the_dimension():
+    """On every chunk of the weight-0 draw of P^2, each row's integrand at
+    m = 40, grades 0 to 40 on both sides, is at most C(n+m, n) max |psi|
+    over the chunk, to rounding: no factor R^(alpha+beta) escapes the
+    density."""
+    n, m, k = 2, 40, K2
+    psi = _multisphere((1, -1))
+    pairs = [(a, b) for a, b in _table_pairs(n, m, (1, -1))[:-1]
+             if sum(a) % 7 == 0] + [((0, 0), (0, m)), ((m, 0), (0, m))]
+    f, chunks = oracle._mc_integrands(psi, k, pairs, ("nu_m", n, m)), []
+
+    def checked(R, theta):
+        bound = (1 + 1e-12) * math.comb(n + m, n) * np.abs(
+            evaluate_symbol_batch(psi, R, theta, k)).max()
+        for values in f(R, theta):
+            assert np.all(np.abs(values) <= bound)
+            yield values
+        chunks.append(len(R))
+
+    mc_integrate(checked, ("nu_m", n, 0), 20_000, 2)
+    assert sum(chunks) == 20_000 and len(chunks) > 1
 
 
 def test_ball_mc_memo_draws_once_per_table(monkeypatch):
@@ -319,7 +339,7 @@ def test_ball_mc_table_is_chunk_independent(monkeypatch):
         rows.append(list(zip(table.value.tolist(), table.stderr.tolist())))
         if chunk == 1000:
             assert rows[0] == [
-                mc_integrate(_factored(psi, k, alpha, beta, domain, None),
+                mc_integrate(_factored(psi, k, alpha, beta, domain),
                              domain, 20_500, 3) for alpha, beta in pairs]
     for (v0, e0), (v1, e1) in zip(*rows):
         assert v0 == pytest.approx(v1, rel=1e-13, abs=1e-15)
@@ -337,12 +357,12 @@ def test_mc_shifted_is_bitwise_across_chunkings():
     y = rng.dirichlet([1.0, 1.0, 1.0, 4.0], size=100_000)
     R = np.sqrt(y[:, :3] / y[:, 3:])
     theta = rng.random((100_000, 3)) * 2 * np.pi
-    psi_w = evaluate_symbol_batch(psi, R, theta, k)
+    values = evaluate_symbol_batch(psi, R, theta, k)
     for diff in ((1, -1, 0), (2, -1, -1), (-1, 0, 1), (3, -2, -1)):
-        whole = oracle._mc_shifted(psi_w, theta, diff)
+        whole = oracle._mc_shifted(values, theta, diff)
         for chunk, stop in ((2**15, len(R)), (1000, len(R)), (999, len(R)),
                             (7, 7000)):
-            parts = [oracle._mc_shifted(psi_w[lo:lo + chunk],
+            parts = [oracle._mc_shifted(values[lo:lo + chunk],
                                         theta[lo:lo + chunk], diff)
                      for lo in range(0, stop, chunk)]
             assert np.concatenate(parts).tobytes() == whole[:stop].tobytes()
@@ -354,13 +374,13 @@ def test_mc_factored_estimator_matches_complex_powers(space, p):
     """On the same draw, the factored estimate of every row agrees with the
     integrand psi z^alpha conj(z^beta) w taken through complex powers: the
     value to 1e-12 of the mean |term|, the standard error to 1e-12
-    relative.  On P^n (m = 4) the rows span several importance weights M,
-    and alpha with zero entries are among them."""
+    relative.  On P^n (m = 4) every row is drawn from the weight-0
+    measure, and alpha with zero entries are among the rows."""
     n, m, samples, seed = len(p), 4, 4000, 6
     k = Partition((n,))
     psi = Product((QuasiRadial("r1^2/(1+r1^2)"),
                    MultiSphereFactor(0, "s1^2 + s2", p)))
-    pairs, weights = _table_pairs(n, m, p), set()
+    pairs = _table_pairs(n, m, p)
     if space == "projective":
         table = inner_product_projective(psi, *_stacks(pairs), m, n, k,
                                          method="monte-carlo",
@@ -372,9 +392,8 @@ def test_mc_factored_estimator_matches_complex_powers(space, p):
     for (alpha, beta), got_value, got_stderr in zip(pairs, table.value,
                                                     table.stderr):
         if space == "projective":
-            D = sum(alpha) + sum(beta)
-            M = m if D <= m else 2 * m - D
-            domain, weights = ("nu_m", n, M), weights | {M}
+            M = 0
+            domain = ("nu_m", n, M)
             logw0 = ((gammaln(n + m + 1) - gammaln(m + 1))
                      - (gammaln(n + M + 1) - gammaln(M + 1)))
         else:
@@ -394,7 +413,6 @@ def test_mc_factored_estimator_matches_complex_powers(space, p):
         value, stderr = mc_integrate(f, domain, samples, seed)
         assert abs(got_value - value) <= 1e-12 * scale[0]
         assert got_stderr == pytest.approx(stderr, rel=1e-12)
-    assert space != "projective" or len(weights) > 1
 
 
 def test_unit_symbol_norms_at_boundary_degree():

@@ -17,6 +17,7 @@ from bergtoep.symbols import (
     evaluate_symbol,
     evaluate_symbol_batch,
     flatten,
+    row_sum,
     total_shift,
     validate_product,
 )
@@ -175,3 +176,22 @@ def test_zero_coordinate_phase_ignores_the_sign_of_zero():
                                     K21)
     assert at_minus_zero == at_zero
     assert at_zero == pytest.approx((1 + np.sqrt(5)) * (2 + 1j) / np.sqrt(5))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_row_sum_is_bitwise_numpy_sum(n):
+    """row_sum is np.sum(x, axis=-1) bit for bit, on (N, n) arrays, on the
+    (rows, 1, n) shape of the polar grid's radial nodes and on a column
+    slice, with +-0.0, +-inf and nan among the entries: in order from +0.0
+    below 8 columns, NumPy's own sum from 8 on."""
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((4000, n)) * 10.0 ** rng.integers(-20, 20,
+                                                              (4000, n))
+    for value, share in ((0.0, 0.1), (-0.0, 0.3), (np.inf, 0.02),
+                         (-np.inf, 0.02), (np.nan, 0.01)):
+        x[rng.random(x.shape) < share] = value
+    x[:3] = -0.0  # whole rows of -0.0 sum to +0.0
+    wide = np.concatenate([x, x], axis=1)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        for y in (x, x[:200, None, :], wide[:, 1:n + 1]):
+            assert row_sum(y).tobytes() == np.sum(y, axis=-1).tobytes()
