@@ -148,15 +148,14 @@ def domain_precheck(symbols, k: Partition) -> None:
 
 def meta_block(cfg, extra=None) -> dict:
     spec = cfg["quadrature"]
-    meta = {
+    return {
         "version": __version__,
         "basis_order": "graded-lexicographic",
         "config": cfg["raw"],
         "quadrature": {"method": spec.method, "order": spec.order,
                        "seed": spec.seed},
+        **(extra or {}),
     }
-    meta.update(extra or {})
-    return meta
 
 
 def _open_out(args):
@@ -192,17 +191,18 @@ def write_rows(args, cfg, rows, columns, extra_meta=None) -> None:
             fh.close()
 
 
-def _combined_symbol(cfg):
+def _table(cfg):
+    """The product psi of the config's symbols, and its gamma table."""
     symbols = cfg["symbols"]
     if not symbols:
         raise ConfigError("config lists no symbols")
-    return symbols[0] if len(symbols) == 1 else Product(tuple(symbols))
+    psi = symbols[0] if len(symbols) == 1 else Product(tuple(symbols))
+    return psi, operators.product_table([psi], cfg["space"],
+                                        cfg["partition"], cfg["quadrature"])
 
 
 def cmd_gamma(args, cfg) -> None:
-    psi = _combined_symbol(cfg)
-    table = operators.product_table([psi], cfg["space"], cfg["partition"],
-                                    cfg["quadrature"])
+    _, table = _table(cfg)
     basis = operators.space_basis(cfg["space"])
     # Python scalars, so that repr prints plain floats
     rows = [[" ".join(map(str, alpha)), repr(g.real), repr(g.imag)]
@@ -213,10 +213,7 @@ def cmd_gamma(args, cfg) -> None:
 
 
 def cmd_operator(args, cfg) -> None:
-    psi = _combined_symbol(cfg)
-    table = operators.product_table([psi], cfg["space"], cfg["partition"],
-                                    cfg["quadrature"])
-    mat = operators.assemble(table)
+    mat = operators.assemble(_table(cfg)[1])
     fh, close = _open_out(args)
     if args.format == "json":
         entries = [[int(r), int(c), float(v.real), float(v.imag)]
@@ -241,10 +238,9 @@ def cmd_commutator(args, cfg) -> None:
 
 
 def cmd_fusion(args, cfg) -> None:
-    symbols = cfg["symbols"]
-    if not symbols:
+    factors = list(cfg["symbols"])
+    if not factors:
         raise ConfigError("fusion needs symbols")
-    factors = list(symbols)
     a = factors.pop(0) if isinstance(factors[0], QuasiRadial) else None
     defect, scale = operators.fusion_defect(a, factors, cfg["space"],
                                             cfg["partition"],
@@ -256,19 +252,16 @@ def cmd_fusion(args, cfg) -> None:
 
 
 def cmd_oracle_compare(args, cfg) -> None:
-    space = cfg["space"]
-    psi = _combined_symbol(cfg)
-    k = cfg["partition"]
-    table = operators.product_table([psi], space, k, cfg["quadrature"])
+    space, k = cfg["space"], cfg["partition"]
+    psi, table = _table(cfg)
     ocfg = cfg["oracle"]
     method = ocfg.get("method", "polar-grid")
-    kwargs = {}
     if method == "monte-carlo":
-        kwargs["samples"] = _integer(ocfg, "samples", oracle.DEFAULT_SAMPLES)
-        kwargs["seed"] = _integer(ocfg, "seed", cfg["quadrature"].seed)
+        kwargs = {"samples": _integer(ocfg, "samples", oracle.DEFAULT_SAMPLES),
+                  "seed": _integer(ocfg, "seed", cfg["quadrature"].seed)}
     else:
-        kwargs["q_r"] = kwargs["q_theta"] = _integer(ocfg, "grid",
-                                                     oracle.DEFAULT_GRID)
+        grid = _integer(ocfg, "grid", oracle.DEFAULT_GRID)
+        kwargs = {"q_r": grid, "q_theta": grid}
     live = operators.shift_targets(space, table.shift) >= 0
     alphas = operators.space_basis(space)[live]
     # one call: the table's rows share the oracle's rules and draws

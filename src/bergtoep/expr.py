@@ -237,21 +237,22 @@ def variables(e: Expr) -> set[str]:
 
 # the most terms split_terms multiplies one subexpression out into, a
 # bound on the expansion's own work; whether the terms are worth using
-# is the caller's choice
+# is the caller's choice.  _POWERS, 1..MAX_TERMS, are the powers it expands
 MAX_TERMS = 64
+_POWERS = {Num(float(k)) for k in range(1, MAX_TERMS + 1)}
 
 
 def split_terms(e: Expr) -> list[tuple[float, list[tuple[Expr, int]]]]:
     """e as a sum of terms c * prod atom^k, each a pair (c, [(atom, k)])
     with integer k, k < 0 for a divisor.
 
-    + - * / and powers to an integer literal 1..MAX_TERMS are multiplied
-    out, like terms merged; every other node, and any node that would
-    expand past MAX_TERMS terms, is an atom.  A divisor stays a divisor and
-    is never cancelled against a numerator atom, so that `monomial` still
-    divides by it and `evaluate` still checks it for zero: its atoms when
-    it is one term with a nonzero coefficient and no divisor of its own,
-    else the whole divisor.
+    + - * / and powers to an integer literal k, 1 <= |k| <= MAX_TERMS,
+    are multiplied out (x^-k as 1/(x^k)), like terms merged; every other
+    node, and any node that would expand past MAX_TERMS terms, is an atom.
+    A divisor stays a divisor and is never cancelled against a numerator
+    atom, so that `monomial` still divides by it and `evaluate` still
+    checks it for zero: its atoms when it is one term with a nonzero
+    coefficient and no divisor of its own, else the whole divisor.
     """
     return [(c, [*num.items(), *((a, -k) for a, k in den.items())])
             for c, num, den in _expand(e)]
@@ -278,8 +279,10 @@ def _expand(e: Expr) -> list:
             inverse = ((1.0 / c, {}, num) if c and not den
                        else (1.0, {}, {e.right: 1}))
             terms = _times(left, [inverse])
-        elif (isinstance(e.right, Num) and float(e.right.value).is_integer()
-              and 1 <= e.right.value <= MAX_TERMS):
+        elif isinstance(e.right, Neg) and e.right.operand in _POWERS:
+            power = BinOp("^", e.left, e.right.operand)
+            terms = _expand(BinOp("/", Num(1.0), power))  # x^-k is 1/(x^k)
+        elif e.right in _POWERS:
             terms = [(1.0, {}, {})]
             for _ in range(int(e.right.value)):
                 terms = _times(terms, left)

@@ -14,8 +14,9 @@ x_j), so every radial integral is one `simplex_integrate` call on those roots.
 A single-sphere block's b(sigma) reads the global cosines, so its weight
 carries the coordinates outside the block as one leftover coordinate,
 |alpha| - |alpha_(j)| + n - k_j - 1; the radial mean of that lone block is 1.
-The Gamma ratio is one log scale and every integral a probability mean, so no
-Dirichlet mass is formed.  It takes a whole basis: the bookkeeping is arrays
+The Gamma ratio is one log scale, a sum of `indexing.gammaln_ratio` terms that
+is accurate to ulps at any weight, and every integral a probability mean, so
+no Dirichlet mass is formed.  It takes a whole basis: the bookkeeping is arrays
 with a row per alpha, and each distinct radial key (e, a0) and block key
 (j, exps, a0_j) is integrated once, in order of first appearance, after one
 batched build of all their Jacobi rules.  A b_j that reads radii is split into
@@ -53,7 +54,7 @@ from . import quadrature
 from .expr import (Expr, Num, dirichlet_form, evaluate, monomial,
                    split_terms, variables)
 from .indexing import (DomainError, Partition, Record, basis_rank,
-                       enumerate_basis, gammaln)
+                       enumerate_basis, gammaln_ratio)
 from .quadrature import (QuadratureSpec, build_jacobi_rules, mc_integrate,
                          simplex_integrate, simplex_pairs)
 from .symbols import (ExtendedFactor, MultiSphereFactor, PhaseMonomial,
@@ -224,12 +225,6 @@ def _scaled(log_scale: float, value: float) -> float:
                           "precision") from None
 
 
-def _gammaln_sum(x, y):
-    """Sum over the columns of gammaln(x) - gammaln(y), left to right."""
-    return sum(gammaln(x[:, i]) - gammaln(y[:, i])
-               for i in range(x.shape[1]))
-
-
 def _distinct(keys):
     """Distinct rows of keys by first appearance; each row's index there."""
     rows = list(map(tuple, keys.tolist()))
@@ -249,8 +244,8 @@ def _values(space, a_expr, blocks: dict, k: Partition, p, alphas,
         return out
     A, a0 = A[live], a0[live]
     h = A + np.asarray(p) / 2
-    # a zero shift cancels exactly: gammaln(h_i + 1) is gammaln(alpha_i + 1)
-    scale = _gammaln_sum(h + 1, A + p + 1)
+    # log prod Gamma(h_i + 1) / Gamma(alpha_i + p_i + 1), 0 where p_i = 0
+    scale = gammaln_ratio(A + p + 1, -np.asarray(p) / 2).sum(axis=1)
     e = np.column_stack([h[:, k.block_slice(j)].sum(axis=1) + kj - 1
                          for j, kj in enumerate(k.parts)])
     weights = {j: h[:, k.block_slice(j)] for j in sorted(blocks)}
@@ -478,17 +473,17 @@ def gamma_multisphere(psi: SymbolSpec, k: Partition, m: int, alpha,
 def build_gamma_table(psi: SymbolSpec, space, k: Partition,
                       spec: QuadratureSpec) -> GammaTable:
     """Evaluate gamma over the whole basis, recording hard zeros.  A lone
-    single-sphere factor on P^n is its own theorem; every other product is
-    the extended one, which rejects single-sphere factors.  A non-finite
-    entry raises DomainError naming the first such alpha."""
+    single-sphere factor is its own theorem, on P^n and the ball alike;
+    every other product is the extended one, which rejects single-sphere
+    factors.  A non-finite entry raises DomainError naming the first such
+    alpha."""
     factors = flatten(psi)
-    single = (isinstance(space, ProjectiveSpace) and len(factors) == 1
-              and isinstance(factors[0], SingleSphereFactor))
+    single = len(factors) == 1 and isinstance(factors[0], SingleSphereFactor)
     a_expr, blocks, p = _split_product(
         psi, k, SingleSphereFactor if single else _EXTENDED)
     extended = any(isinstance(f, ExtendedFactor) for f in factors)
-    theorem = ("extended-ball" if isinstance(space, BallSpace)
-               else "single-sphere" if single
+    theorem = ("single-sphere" if single
+               else "extended-ball" if isinstance(space, BallSpace)
                else "extended-projective" if extended
                else "quasi-radial-pseudo-homogeneous")
     basis = space_basis(space)

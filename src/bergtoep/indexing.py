@@ -6,6 +6,8 @@ read-only (dim, n) int array; `basis_rank` inverts it in closed form and
 gives -1 outside it.  Every matrix row/column index is such a rank.  The
 package's frozen value classes derive from `Record`, which, unlike
 `dataclasses`, builds no code per class when the package is imported.
+`gammaln_ratio` is the engine's one Gamma ratio, to a few ulps of the log
+ratio at any weight; the oracles take scalar `gammaln` sums of their own.
 """
 
 from __future__ import annotations
@@ -84,24 +86,32 @@ def as_integer(value, name: str, error=DomainError) -> int:
         raise error(f"{name} must be an integer, got {value!r}") from None
 
 
-def _lgamma(x: float) -> float:
+def gammaln(x) -> float:
+    """log|Gamma(x)| of a scalar, +inf at the poles and past float range."""
     try:
         return math.lgamma(x)
-    except (ValueError, OverflowError):  # a pole, or past the float range
+    except (ValueError, OverflowError):
         return math.inf
 
 
-def gammaln(x):
-    """log|Gamma(x)|, +inf at the poles 0, -1, -2, ...; elementwise on
-    arrays, a float on scalars."""
-    # Python scalars skip NumPy's dispatch in np.ndim
-    if isinstance(x, (int, float)) or np.ndim(x) == 0:
-        return _lgamma(float(x))
-    # once per distinct value, looked up without sorting: array arguments
-    # are multi-indices, with few distinct entries
-    flat = np.ravel(x).tolist()
-    table = {v: _lgamma(float(v)) for v in set(flat)}
-    return np.array([table[v] for v in flat], dtype=float).reshape(np.shape(x))
+# Stirling's series: c_k = B_2k / (2k (2k - 1)), k = 7, 6, .., 1
+_STIRLING = [1/156, -691/360360, 1/1188, -1/1680, 1/1260, -1/360, 1/12]
+
+
+def gammaln_ratio(x, d):
+    """log Gamma(x + d) - log Gamma(x), elementwise for x, x + d >= 1, to a
+    few ulps of max(|result|, 1), not of gammaln(x); 0 where d = 0.  x is
+    raised by 10 through Gamma(x + 1) = x Gamma(x), and there Stirling's
+    series is differenced without cancellation: (x - 1/2) log(1 + d/x)
+    + d log(x + d) - d + sum_k c_k ((x + d)^(1-2k) - x^(1-2k))."""
+    x, d = np.asarray(x, dtype=float), np.asarray(d, dtype=float)
+    # log((x+k+d)/(x+k)), k = 10..0, as +-log1p of a quotient that is >= 0
+    sign, size, low = np.sign(d), np.abs(d), np.minimum(d, 0)
+    logs = [sign * np.log1p(size / (x + k + low)) for k in range(10, -1, -1)]
+    x, y = x + 10, x + 10 + d
+    series = [np.polyval(_STIRLING, t ** -2) / t for t in (y, x)]
+    return (d * np.log(y) - sum(logs[1:])  # the smallest terms first
+            + ((x - 0.5) * logs[0] - d + (series[0] - series[1])))
 
 
 class Partition(Record):

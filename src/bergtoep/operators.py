@@ -22,7 +22,8 @@ import numpy as np
 from . import expr as exprmod
 from .gamma import (BallSpace, GammaTable, ProjectiveSpace, build_gamma_table,
                     space_basis, value_eq)
-from .indexing import DomainError, Partition, Record, basis_rank, gammaln
+from .indexing import (DomainError, Partition, Record, basis_rank,
+                       gammaln_ratio)
 from .quadrature import QuadratureSpec
 from .symbols import (
     ExtendedFactor,
@@ -80,9 +81,8 @@ def assemble(table: GammaTable) -> ToeplitzMatrix:
     target[g == 0] = -1
     g[target < 0] = 0
     kept = target >= 0
-    alpha = space_basis(table.space)[kept].astype(float)
-    beta = alpha + np.asarray(table.shift, dtype=float)
-    g[kept] *= np.exp(0.5 * (gammaln(beta + 1) - gammaln(alpha + 1)).sum(1))
+    alpha = space_basis(table.space)[kept]
+    g[kept] *= np.exp(0.5 * gammaln_ratio(alpha + 1, table.shift).sum(1))
     return ToeplitzMatrix(g, target, table.shift, table.space)
 
 

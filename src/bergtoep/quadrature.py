@@ -5,9 +5,9 @@ are the caller's, in log space.  One grid kernel, `simplex_integrate`, takes
 a mean under a monomial weight on the standard simplex (possibly
 half-integer exponents) on a tensor Gauss-Jacobi rule under the Duffy
 (collapsed-cube) map; the monomial weights are absorbed into the Jacobi
-weights so endpoint algebraic behavior costs no accuracy.  A mean over the
-radii reads them off the simplex point, r_j^2 = x_j on the ball and x_j/x_0
-on P^n (x_0 = 1 - sum x; `radial_integrate_projective`).  `monomial_means`
+weights so endpoint algebraic behavior costs no accuracy.  The engine reads
+the radii off the simplex point through the space's `radial_roots`, r_j^2 =
+x_j on the ball and x_j/x_0 on P^n (x_0 = 1 - sum x).  `monomial_means`
 takes a monomial's mean on no grid, one Duffy axis at a time.
 
 The kernel keeps a tensor rule as its per-axis factors: the cube
@@ -156,9 +156,8 @@ def check_tensor_size(d: int, q: int, copies: int = 1) -> None:
     """Refuse a d-dimensional order-q tensor grid, of q^d nodes, before
     anything is allocated: an integrand on it holds copies times q^d."""
     if d > MAX_TENSOR_DIM:
-        raise DomainError(
-            f"tensor rule unsupported for dimension {d} > {MAX_TENSOR_DIM}; use Monte Carlo"
-        )
+        raise DomainError(f"tensor rule unsupported for dimension {d} > "
+                          f"{MAX_TENSOR_DIM}; use Monte Carlo")
     if copies * q ** d > MAX_NODES:
         times = f" times {copies} integrands" if copies > 1 else ""
         raise DomainError(

@@ -173,6 +173,40 @@ def test_multisphere_factor_hard_zero():
     assert got == 0.0
 
 
+def _gamma_ratio_mp(mpmath, alpha, p):
+    """prod Gamma(alpha_i + p_i/2 + 1) / Gamma(alpha_i + p_i + 1), the
+    coefficient of b = 1, in mpmath at 50 digits."""
+    with mpmath.workdps(50):
+        return float(mpmath.fprod(
+            mpmath.gamma(a + mpmath.mpf(q) / 2 + 1) / mpmath.gamma(a + q + 1)
+            for a, q in zip(alpha, p)))
+
+
+@pytest.mark.parametrize("m", [30, 300, 3000, 30000])
+def test_multisphere_factor_gamma_ratio_at_large_weight(m):
+    """b = 1, p = (1, -1): gamma is the Gamma ratio alone, within 1e-14
+    relative of mpmath at alpha = (1, m-1) and (m/2-1, m/2).  Differences
+    of lgamma values missed by up to 2e-11 at m = 30000."""
+    mpmath = pytest.importorskip("mpmath")
+    for alpha in [(1, m - 1), (m // 2 - 1, m // 2)]:
+        got = gamma_multisphere_factor(None, Partition((2,)), 0, (1, -1),
+                                       alpha, SPEC)
+        want = _gamma_ratio_mp(mpmath, alpha, (1, -1))
+        assert abs(got - want) <= 1e-14 * want
+
+
+def test_gamma_ratio_of_every_row():
+    """The b = 1 table on P^2, p = (1, -1), m = 40: every row's Gamma ratio
+    is within 1e-14 relative of mpmath (differences of lgamma values
+    missed by 2.2e-14)."""
+    mpmath = pytest.importorskip("mpmath")
+    table = build_gamma_table(MultiSphereFactor(0, None, (1, -1)),
+                              ProjectiveSpace(2, 40), Partition((2,)), SPEC)
+    for alpha, got in table.entries.items():
+        want = _gamma_ratio_mp(mpmath, alpha, (1, -1)) if alpha[1] else 0
+        assert abs(got - want) <= 1e-14 * want
+
+
 def test_multisphere_factor_weight_free_signature():
     # the value never references m at all; same alpha, any ambient weight
     k = Partition((2, 1))
@@ -251,6 +285,26 @@ def test_single_sphere_table_is_its_per_alpha_coefficient():
     assert sum(v != 0 for v in tables[6].entries.values()) > 100
     for alpha, got in tables[6].entries.items():
         assert got == tables[sum(alpha)][alpha]
+
+
+@pytest.mark.parametrize("b", ["sig1^2", "sig1^2+sig2", "exp(sig1)"])
+def test_single_sphere_on_the_ball_is_its_projective_table(b):
+    """A lone single-sphere factor's mean and Gamma ratio do not read the
+    space: its table on the ball (lambda = 0.5, cap 6) is bitwise its table
+    on P^3 at m = 6, and every row is within 4 stderr of the ball's Monte
+    Carlo oracle (2 10^5 samples)."""
+    k, psi = Partition((2, 1)), SingleSphereFactor(0, b, (1, -1))
+    table = build_gamma_table(psi, BallSpace(3, 0.5, 6), k, SPEC)
+    on_pn = build_gamma_table(psi, ProjectiveSpace(3, 6), k, SPEC)
+    assert table.annotation == on_pn.annotation == "single-sphere"
+    assert table.values.tobytes() == on_pn.values.tobytes()
+    alphas = [a for a, v in table.entries.items() if v != 0]
+    o = gamma_from_oracle_ball(psi, alphas, table.shift, 0.5, 3, k,
+                               method="monte-carlo", samples=2 * 10**5,
+                               seed=3)
+    assert len(alphas) == 56
+    for alpha, value, stderr in zip(alphas, o.value, o.stderr):
+        assert abs(table.entries[alpha] - value) <= 4 * stderr
 
 
 def test_single_sphere_monte_carlo_draws_only_its_block():
@@ -790,6 +844,11 @@ PARITY_SYMBOLS = {
     "inv-r1": ([_qr("1/r1^2")], [1, 2], (0, 0, 0), (0, 0, 0)),
     "inv-s1": ([_ext(2, "1/s1^2", "multi-sphere")], [1, 2], (0, 0, 0),
                (0, 0, 0)),
+    # a literal negative power is a divisor: r1^-2 is 1/r1^2 ...
+    "inv-r1-literal-power": ([_qr("r1^-2")], [1, 2], (0, 0, 0), (0, 0, 0)),
+    # ... which a rest in its own family cancels
+    "cancel-literal-power": ([_qr("(1-exp(-r1^2))*r1^(-2)")], [1, 1], None,
+                             None),
     # the four cancellations of
     # test_divergent_monomial_beside_a_term_that_cancels_it
     "cancel-in-a": ([_qr("(1-exp(-r1^2))/r1^2")], [1, 1], None, None),
